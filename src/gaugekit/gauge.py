@@ -19,15 +19,16 @@ from . import timexpr as tx
 from ._rk import IntegrationError, integrate_dense
 from .identify import NonAutoSystem
 from .matcurve import ClosedFormCurve, ExponentialCurve, MatrixCurve
-from .polyfield import PolyField, lie_bracket, linear_pushforward
+from .polyfield import PolyField, lie_bracket, linear_pushforward, pushforward_terms
 
 __all__ = [
-    "NonAutoEvaluator", "FlowMap", "gauge_transform", "transform_solution",
-    "conjugate_map", "hat_transform", "mixed_bracket_residual",
+    "NonAutoEvaluator", "FlowMap", "gauge_transform", "transform_rhs",
+    "transform_solution", "conjugate_map", "hat_transform", "mixed_bracket_residual",
 ]
 
 _DROP_TOL = 1e-10
-_SAMPLE_TS = np.linspace(0.025, 0.975, 20)
+# zero tests sample these fractions of the caller's span
+_SAMPLE_FRACTIONS = np.linspace(0.025, 0.975, 20)
 
 
 @dataclass
@@ -43,42 +44,21 @@ class NonAutoEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic matrix algebra over TimeExpr entries
+# Closed-form emission over TimeExpr tables
 # ---------------------------------------------------------------------------
 
-def _sym_matmul(A: list, B: list) -> list:
+def _table_product(A: list, B: list) -> list:
+    """Product of two n x n tables of floats or TimeExprs."""
     n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc: tx.TimeExpr = tx.Lit(0.0)
-            for k in range(n):
-                acc = tx.eadd(acc, tx.emul(A[i][k], B[k][j]))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _num_times_sym(M: np.ndarray, S: list) -> list:
-    n = len(S)
-    return [[_sym_dot([tx.lit(float(M[i, k])) for k in range(n)],
-                      [S[k][j] for k in range(n)]) for j in range(n)]
+    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)]
 
 
-def _sym_dot(a: list, b: list) -> tx.TimeExpr:
-    acc: tx.TimeExpr = tx.Lit(0.0)
-    for x, y in zip(a, b):
-        acc = tx.eadd(acc, tx.emul(x, y))
-    return acc
-
-
-def _sampled_zero(e: tx.TimeExpr, tol: float = _DROP_TOL) -> bool:
+def _sampled_zero(e: tx.TimeExpr, ts: list) -> bool:
     fn = tx.compile_expr(e)
-    for t in _SAMPLE_TS:
+    for t in ts:
         try:
-            if abs(fn(float(t))) > tol:
+            if abs(fn(t)) > _DROP_TOL:
                 return False
         except (tx.EvalError, OverflowError):
             return False
@@ -88,7 +68,7 @@ def _sampled_zero(e: tx.TimeExpr, tol: float = _DROP_TOL) -> bool:
 def _exp_lin(c: float) -> tx.TimeExpr:
     if abs(c) <= 1e-15:
         return tx.Lit(1.0)
-    return tx.efun("exp", tx.emul(tx.lit(c), tx.T))
+    return tx.efun("exp", c * tx.T)
 
 
 def _symbolic_expm_entries(M: np.ndarray, sign: int) -> list | None:
@@ -117,8 +97,7 @@ def _symbolic_expm_entries(M: np.ndarray, sign: int) -> list | None:
                     used.add(k)
                     if abs(c.real) <= 1e-14:
                         continue
-                    acc = tx.eadd(acc, tx.emul(tx.lit(c.real),
-                                               _exp_lin(sign * lam.real)))
+                    acc = acc + c.real * _exp_lin(sign * lam.real)
                     continue
                 partner = None
                 for k2 in range(n):
@@ -133,14 +112,10 @@ def _symbolic_expm_entries(M: np.ndarray, sign: int) -> list | None:
                 a, b = lam.real, lam.imag
                 osc: tx.TimeExpr = tx.Lit(0.0)
                 if abs(c.real) > 1e-14:
-                    osc = tx.eadd(osc, tx.emul(
-                        tx.lit(2.0 * c.real),
-                        tx.efun("cos", tx.emul(tx.lit(sign * b), tx.T))))
+                    osc = osc + 2.0 * c.real * tx.efun("cos", sign * b * tx.T)
                 if abs(c.imag) > 1e-14:
-                    osc = tx.esub(osc, tx.emul(
-                        tx.lit(2.0 * c.imag),
-                        tx.efun("sin", tx.emul(tx.lit(sign * b), tx.T))))
-                acc = tx.eadd(acc, tx.emul(_exp_lin(sign * a), osc))
+                    osc = osc - 2.0 * c.imag * tx.efun("sin", sign * b * tx.T)
+                acc = acc + _exp_lin(sign * a) * osc
             row.append(acc)
         entries.append(row)
     from .matcurve import mat_exp
@@ -163,102 +138,44 @@ def _symbolic_entries(A: MatrixCurve):
         Sinv = _symbolic_expm_entries(A.generator, -A.sign)
         if S is None or Sinv is None:
             return None
-        Sdot = _num_times_sym(A.sign * A.generator, S)
-        return S, Sinv, Sdot
+        return S, Sinv, _table_product((A.sign * A.generator).tolist(), S)
     return None
 
 
-# ---------------------------------------------------------------------------
-# Symbolic pushforward (multinomial expansion with TimeExpr coefficients)
-# ---------------------------------------------------------------------------
-
-def _sym_poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(i + j for i, j in zip(ea, eb))
-            term = tx.emul(ca, cb)
-            out[key] = tx.eadd(out[key], term) if key in out else term
-    return out
-
-
-def _sym_poly_pow(p: dict, k: int, dim: int) -> dict:
-    result = {(0,) * dim: tx.Lit(1.0)}
-    base = p
-    while k:
-        if k & 1:
-            result = _sym_poly_mul(result, base)
-        k >>= 1
-        if k:
-            base = _sym_poly_mul(base, base)
-    return result
-
-
-def _sym_linear_form(row: list, dim: int) -> dict:
-    out = {}
-    for l, e in enumerate(row):
-        if e == tx.Lit(0.0):
-            continue
-        key = tuple(1 if v == l else 0 for v in range(dim))
-        out[key] = e
-    return out
-
-
-def symbolic_pushforward(S: list, Sinv: list, f: PolyField) -> dict:
-    """Coefficients of S(t) f(S(t)^{-1} x) as TimeExpr, keyed like PolyField terms."""
-    n = f.dim
-    forms = [_sym_linear_form([Sinv[k][l] for l in range(n)], n) for k in range(n)]
-    cache: dict = {}
-
-    def expand(exps: tuple) -> dict:
-        if exps not in cache:
-            prod = {(0,) * n: tx.Lit(1.0)}
-            for k, p in enumerate(exps):
-                if p:
-                    prod = _sym_poly_mul(prod, _sym_poly_pow(forms[k], p, n))
-            cache[exps] = prod
-        return cache[exps]
-
-    out: dict = {}
-    for (j, exps), c in f.terms.items():
-        expanded = expand(exps)
-        for i in range(n):
-            if S[i][j] == tx.Lit(0.0):
-                continue
-            for e, v in expanded.items():
-                term = tx.emul(tx.emul(tx.lit(c), S[i][j]), v)
-                key = (i, e)
-                out[key] = tx.eadd(out[key], term) if key in out else term
-    return {key: e for key, e in out.items() if not _sampled_zero(e)}
+def symbolic_pushforward(S: list, Sinv: list, f: PolyField, ts: list) -> dict:
+    """Coefficients of S(t) f(S(t)^{-1} x) as TimeExpr, keyed like PolyField
+    terms, without those that stay below the drop threshold at the times ts."""
+    return {key: e for key, e in pushforward_terms(S, Sinv, f).items()
+            if not _sampled_zero(e, ts)}
 
 
 def _emit_closed_form(f: PolyField, S: list, Sinv: list, Sdot: list,
-                      direct_rhs) -> NonAutoSystem | None:
+                      direct_rhs, t_span: tuple) -> NonAutoSystem | None:
     n = f.dim
-    b = f.constant_vector()
-    const = []
-    for i in range(n):
-        acc: tx.TimeExpr = tx.Lit(0.0)
-        for j in range(n):
-            if b[j] != 0.0:
-                acc = tx.eadd(acc, tx.emul(S[i][j], tx.lit(b[j])))
-        const.append(tx.Lit(0.0) if _sampled_zero(acc) else acc)
-    linear = _sym_matmul(Sdot, Sinv)
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    ts = (t0 + (t1 - t0) * _SAMPLE_FRACTIONS).tolist()
+
+    def drop(e: tx.TimeExpr) -> tx.TimeExpr:
+        return tx.Lit(0.0) if _sampled_zero(e, ts) else e
+
+    b = f.constant_vector().tolist()
+    const = [drop(sum((S[i][j] * b[j] for j in range(n) if b[j] != 0.0), tx.Lit(0.0)))
+             for i in range(n)]
+    linear = _table_product(Sdot, Sinv)
     Bf = f.linear_matrix()
     if np.any(Bf != 0.0):
-        conj = _sym_matmul(S, _num_times_sym(Bf, Sinv))
-        linear = [[tx.eadd(linear[i][j], conj[i][j]) for j in range(n)]
-                  for i in range(n)]
-    linear = [[tx.Lit(0.0) if _sampled_zero(e) else e for e in row] for row in linear]
+        conj = _table_product(S, _table_product(Bf.tolist(), Sinv))
+        linear = [[linear[i][j] + conj[i][j] for j in range(n)] for i in range(n)]
+    linear = [[drop(e) for e in row] for row in linear]
     terms: dict = {}
     for j in f.degrees():
         if j < 2:
             continue
-        terms.update(symbolic_pushforward(S, Sinv, f.grade(j)))
+        terms.update(symbolic_pushforward(S, Sinv, f.grade(j), ts))
     system = NonAutoSystem(n, const, linear, terms)
     rng = np.random.default_rng(0)
     for _ in range(10):
-        t = float(rng.uniform(0.05, 0.95))
+        t = t0 + (t1 - t0) * float(rng.uniform(0.05, 0.95))
         x = rng.uniform(-1.0, 1.0, size=n)
         want = direct_rhs(t, x)
         got = system.eval(t, x)
@@ -271,14 +188,9 @@ def _emit_closed_form(f: PolyField, S: list, Sinv: list, Sdot: list,
 # The transform and its companions
 # ---------------------------------------------------------------------------
 
-def gauge_transform(f: PolyField, A: MatrixCurve,
-                    t_span: tuple = (0.0, 1.0)) -> NonAutoEvaluator:
-    """The nonautonomous system y' = A'A^{-1} y + A f(A^{-1} y).
-
-    The evaluator always works numerically through the curve; a closed-form
-    NonAutoSystem is attached when the curve carries symbolic entries and a
-    symbolic inverse.
-    """
+def transform_rhs(f: PolyField, A: MatrixCurve) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The right-hand side y' = A'A^{-1} y + A f(A^{-1} y), evaluated
+    numerically through the curve."""
     if f.dim != A.dim:
         raise ValueError(f"field dim {f.dim} does not match curve dim {A.dim}")
 
@@ -287,10 +199,21 @@ def gauge_transform(f: PolyField, A: MatrixCurve,
         Ainv = A.inverse(t)
         return A.derivative(t) @ (Ainv @ y) + A.value(t) @ f.eval(Ainv @ y)
 
-    closed = None
+    return rhs
+
+
+def gauge_transform(f: PolyField, A: MatrixCurve,
+                    t_span: tuple = (0.0, 1.0)) -> NonAutoEvaluator:
+    """The nonautonomous system y' = A'A^{-1} y + A f(A^{-1} y).
+
+    The evaluator always works numerically through the curve; a closed-form
+    NonAutoSystem is attached when the curve carries symbolic entries and a
+    symbolic inverse.  Coefficients are dropped as zero, and the closed form
+    is checked against the evaluator, at sample times inside t_span.
+    """
+    rhs = transform_rhs(f, A)
     sym = _symbolic_entries(A)
-    if sym is not None:
-        closed = _emit_closed_form(f, *sym, direct_rhs=rhs)
+    closed = None if sym is None else _emit_closed_form(f, *sym, rhs, t_span)
     return NonAutoEvaluator(f.dim, rhs, t_span, closed)
 
 

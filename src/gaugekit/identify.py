@@ -39,14 +39,6 @@ def default_grid(t0: float = 0.0, t1: float = 1.0,
     return np.linspace(t0, t1, points)
 
 
-def _as_expr(e) -> tx.TimeExpr:
-    if isinstance(e, str):
-        return tx.parse_expr(e)
-    if isinstance(e, (int, float)):
-        return tx.lit(float(e))
-    return e
-
-
 class NonAutoSystem:
     """Analytic nonautonomous system x' = c(t) + C(t) x + sum_j q_j(t, x).
 
@@ -59,11 +51,11 @@ class NonAutoSystem:
             raise ValueError("dim must be positive")
         self.dim = dim
         zero = tx.Lit(0.0)
-        self.constant = ([_as_expr(e) for e in constant]
+        self.constant = ([tx.as_expr(e) for e in constant]
                          if constant is not None else [zero] * dim)
         if len(self.constant) != dim:
             raise ValueError("constant part must have one entry per component")
-        self.linear = ([[_as_expr(e) for e in row] for row in linear]
+        self.linear = ([[tx.as_expr(e) for e in row] for row in linear]
                        if linear is not None else [[zero] * dim for _ in range(dim)])
         if len(self.linear) != dim or any(len(r) != dim for r in self.linear):
             raise ValueError("linear part must be an n x n table")
@@ -80,7 +72,7 @@ class NonAutoSystem:
             if sum(exps) > polyfield.MAX_DEGREE:
                 raise ValueError(
                     f"term {exps} exceeds the degree cap {polyfield.MAX_DEGREE}")
-            self.terms[(int(comp), exps)] = _as_expr(e)
+            self.terms[(int(comp), exps)] = tx.as_expr(e)
         # structural zeros are skipped during evaluation; everything else is
         # compiled once (grid tables and integrators evaluate these a lot)
         self._lin_nonzero = [(i, j, tx.compile_expr(e))
@@ -181,7 +173,7 @@ class NonAutoSystem:
             if isinstance(src, bool) or not isinstance(src, (str, int, float)):
                 raise ValueError(f"{where}: expected an expression string or number")
             try:
-                return tx.parse_expr(src) if isinstance(src, str) else tx.lit(float(src))
+                return tx.as_expr(src)
             except (tx.ParseError, ValueError) as exc:
                 raise ValueError(f"{where}: {exc}") from exc
 

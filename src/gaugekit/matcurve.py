@@ -127,13 +127,13 @@ def _adjugate_inverse(entries):
         return [[tx.ediv(tx.lit(1.0), entries[0][0])]]
 
     def det2(a, b, c, d):
-        return tx.esub(tx.emul(a, d), tx.emul(b, c))
+        return a * d - b * c
 
     if n == 2:
         (a, b), (c, d) = entries
         det = det2(a, b, c, d)
-        return [[tx.ediv(d, det), tx.ediv(tx.eneg(b), det)],
-                [tx.ediv(tx.eneg(c), det), tx.ediv(a, det)]]
+        return [[tx.ediv(d, det), tx.ediv(-b, det)],
+                [tx.ediv(-c, det), tx.ediv(a, det)]]
     if n == 3:
         def minor(i, j):
             rows = [r for r in range(3) if r != i]
@@ -141,11 +141,9 @@ def _adjugate_inverse(entries):
             return det2(entries[rows[0]][cols[0]], entries[rows[0]][cols[1]],
                         entries[rows[1]][cols[0]], entries[rows[1]][cols[1]])
 
-        cof = [[minor(i, j) if (i + j) % 2 == 0 else tx.eneg(minor(i, j))
+        cof = [[minor(i, j) if (i + j) % 2 == 0 else -minor(i, j)
                 for j in range(3)] for i in range(3)]
-        det = tx.eadd(
-            tx.eadd(tx.emul(entries[0][0], cof[0][0]), tx.emul(entries[0][1], cof[0][1])),
-            tx.emul(entries[0][2], cof[0][2]))
+        det = sum(entries[0][k] * cof[0][k] for k in range(3))
         return [[tx.ediv(cof[j][i], det) for j in range(3)] for i in range(3)]
     raise ValueError("symbolic inverse is only built for n <= 3")
 
@@ -158,7 +156,7 @@ class ClosedFormCurve(MatrixCurve):
     """
 
     def __init__(self, entries, inverse_entries=None):
-        self.entries = [[_as_expr(e) for e in row] for row in entries]
+        self.entries = [[tx.as_expr(e) for e in row] for row in entries]
         self.dim = len(self.entries)
         if any(len(row) != self.dim for row in self.entries):
             raise ValueError("entries must form a square table")
@@ -167,7 +165,7 @@ class ClosedFormCurve(MatrixCurve):
         self._dfns = _compile_entries(self._dentries)
         self._ddfns = None
         if inverse_entries is not None:
-            self.inverse_entries = [[_as_expr(e) for e in row] for row in inverse_entries]
+            self.inverse_entries = [[tx.as_expr(e) for e in row] for row in inverse_entries]
             if len(self.inverse_entries) != self.dim or any(
                     len(r) != self.dim for r in self.inverse_entries):
                 raise ValueError("inverse table must match the curve dimension")
@@ -250,7 +248,7 @@ class FlowCurve(MatrixCurve):
 
     def __init__(self, C_entries, B, A0, t_span=(0.0, 1.0), tol: float = 1e-10,
                  extend: bool = True):
-        self.C_entries = ([[_as_expr(e) for e in row] for row in C_entries]
+        self.C_entries = ([[tx.as_expr(e) for e in row] for row in C_entries]
                           if C_entries is not None else None)
         self.B = np.asarray(B, dtype=float)
         self.A0 = np.asarray(A0, dtype=float)
@@ -266,8 +264,7 @@ class FlowCurve(MatrixCurve):
         self.extend = bool(extend)
         self._C_fns = (_compile_entries(self.C_entries)
                        if self.C_entries is not None else None)
-        self._dC_fns = (_compile_entries(_diff_entries(self.C_entries))
-                        if self.C_entries is not None else None)
+        self._dC_fns = None  # compiled on first use by second_derivative
         self._fwd: DenseSolution | None = None
         self._bwd: DenseSolution | None = None
         lo, hi = float(min(t_span)), float(max(t_span))
@@ -338,6 +335,8 @@ class FlowCurve(MatrixCurve):
         out = -dA @ self.B
         C = self._C_at(t)
         if C is not None:
+            if self._dC_fns is None:
+                self._dC_fns = _compile_entries(_diff_entries(self.C_entries))
             out = out + C @ dA
             out = out + _eval_compiled(self._dC_fns, t) @ A
         return out
@@ -444,14 +443,6 @@ def solve_gauge_ode(C, B, A0, t_span=(0.0, 1.0), tol: float = 1e-10) -> FlowCurv
 # ---------------------------------------------------------------------------
 # JSON schema
 # ---------------------------------------------------------------------------
-
-def _as_expr(e) -> tx.TimeExpr:
-    if isinstance(e, str):
-        return tx.parse_expr(e)
-    if isinstance(e, (int, float)):
-        return tx.lit(float(e))
-    return e
-
 
 def curve_to_dict(curve: MatrixCurve) -> dict:
     if isinstance(curve, ClosedFormCurve):

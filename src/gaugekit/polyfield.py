@@ -9,13 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import timexpr as tx
+
 __all__ = [
     "PolyField", "NearSingularMatrixError", "lie_bracket", "linear_pushforward",
-    "invert_checked", "check_invertible", "field_to_dict", "field_from_dict",
-    "format_field", "MAX_DEGREE",
+    "pushforward_terms", "invert_checked", "check_invertible", "field_to_dict",
+    "field_from_dict", "format_field", "MAX_DEGREE",
 ]
 
 _SV_RATIO = 1e-12
+
+# coefficients that the pushforward skips, in float and TimeExpr arithmetic
+_ZEROS = (0.0, tx.Lit(0.0))
 
 #: Degree cap for stored fields; coefficient tables grow combinatorially, so
 #: desk-scale work stays small by default.  Raise it for bigger experiments.
@@ -223,11 +228,13 @@ def _poly_diff(p: dict, k: int) -> dict:
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
-    out = {}
+    """Product of two polynomials whose coefficients are floats or TimeExprs."""
+    out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             key = tuple(i + j for i, j in zip(ea, eb))
-            out[key] = out.get(key, 0.0) + ca * cb
+            term = ca * cb
+            out[key] = out[key] + term if key in out else term
     return out
 
 
@@ -270,13 +277,13 @@ def lie_bracket(f: PolyField, g: PolyField) -> PolyField:
 # Pushforward by an invertible matrix
 # ---------------------------------------------------------------------------
 
-def _linear_form(row: np.ndarray, dim: int) -> dict:
+def _linear_form(row: list, dim: int) -> dict:
     out = {}
-    for l in range(dim):
-        if row[l] != 0.0:
+    for l, c in enumerate(row):
+        if c not in _ZEROS:
             e = [0] * dim
             e[l] = 1
-            out[tuple(e)] = float(row[l])
+            out[tuple(e)] = c
     return out
 
 
@@ -292,18 +299,15 @@ def _poly_pow(p: dict, k: int, dim: int) -> dict:
     return result
 
 
-def linear_pushforward(A, f: PolyField) -> PolyField:
-    """The field x -> A f(A^{-1} x), with exact multinomial expansion.
+def pushforward_terms(A: list, Ainv: list, f: PolyField) -> dict:
+    """Coefficients of A f(A^{-1} x), keyed like PolyField terms.
 
-    Degree-preserving on each graded part.  A must pass the invertibility
-    threshold; its inverse is obtained by a solve, not an inverse formula.
+    A and Ainv are n x n tables (lists of rows) of floats or TimeExprs; the
+    coefficients come out in the same arithmetic.  Exact multinomial
+    expansion, degree-preserving on each graded part.
     """
-    A = np.asarray(A, dtype=float)
     n = f.dim
-    if A.shape != (n, n):
-        raise ValueError(f"matrix shape {A.shape} does not match field dim {n}")
-    Minv = invert_checked(A)
-    lin_forms = [_linear_form(Minv[k], n) for k in range(n)]
+    lin_forms = [_linear_form(Ainv[k], n) for k in range(n)]
     cache: dict = {}
 
     def expand(exps: tuple) -> dict:
@@ -319,13 +323,28 @@ def linear_pushforward(A, f: PolyField) -> PolyField:
     for (j, exps), c in f.terms.items():
         expanded = expand(exps)
         for i in range(n):
-            aij = A[i, j]
-            if aij == 0.0:
+            aij = A[i][j]
+            if aij in _ZEROS:
                 continue
             for e, v in expanded.items():
                 key = (i, e)
-                terms[key] = terms.get(key, 0.0) + aij * c * v
-    return PolyField(n, terms)
+                term = c * aij * v
+                terms[key] = terms[key] + term if key in terms else term
+    return terms
+
+
+def linear_pushforward(A, f: PolyField) -> PolyField:
+    """The field x -> A f(A^{-1} x), with exact multinomial expansion.
+
+    Degree-preserving on each graded part.  A must pass the invertibility
+    threshold; its inverse is obtained by a solve, not an inverse formula.
+    """
+    A = np.asarray(A, dtype=float)
+    n = f.dim
+    if A.shape != (n, n):
+        raise ValueError(f"matrix shape {A.shape} does not match field dim {n}")
+    # Python floats, not numpy scalars: the shared expansion is faster on them
+    return PolyField(n, pushforward_terms(A.tolist(), invert_checked(A).tolist(), f))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ The expression language is deliberately small.  Grammar (whitespace insignifican
 
 Expressions are immutable trees; all functions here are pure.  Equality of two
 expressions is structural (dataclass equality); semantic equality is checked by
-sampled evaluation elsewhere, never by canonicalization.
+sampled evaluation elsewhere, never by canonicalization.  The operators ``+``,
+``-`` and ``*`` build trees through the smart constructors below; numbers are
+taken as literals, also on the left of ``+`` and ``*``.
 """
 
 from __future__ import annotations
@@ -24,57 +26,90 @@ __all__ = [
     "TimeExpr", "Lit", "TVar", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Fun",
     "T", "ParseError", "EvalError", "parse_expr", "format_expr", "eval_expr",
     "compile_expr", "diff_expr", "lit", "eadd", "esub", "emul", "ediv", "eneg",
-    "epow", "efun",
+    "epow", "efun", "as_expr",
 ]
 
 
+class _Arith:
+    """Arithmetic operators shared by every node: a + b is eadd(a, b), and so on."""
+
+    __slots__ = ()
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operator
+
+    def __add__(self, other):
+        return eadd(self, _operand(other))
+
+    def __radd__(self, other):
+        return eadd(_operand(other), self)
+
+    def __sub__(self, other):
+        return esub(self, _operand(other))
+
+    def __mul__(self, other):
+        return emul(self, _operand(other))
+
+    def __rmul__(self, other):
+        return emul(_operand(other), self)
+
+    def __neg__(self):
+        return eneg(self)
+
+
+def _operand(x) -> "TimeExpr":
+    if isinstance(x, _Arith):
+        return x
+    if isinstance(x, (int, float)):
+        return lit(x)
+    raise TypeError(f"unsupported operand for a time expression: {x!r}")
+
+
 @dataclass(frozen=True)
-class Lit:
+class Lit(_Arith):
     value: float
 
 
 @dataclass(frozen=True)
-class TVar:
+class TVar(_Arith):
     pass
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Arith):
     arg: "TimeExpr"
 
 
 @dataclass(frozen=True)
-class Add:
+class Add(_Arith):
     left: "TimeExpr"
     right: "TimeExpr"
 
 
 @dataclass(frozen=True)
-class Sub:
+class Sub(_Arith):
     left: "TimeExpr"
     right: "TimeExpr"
 
 
 @dataclass(frozen=True)
-class Mul:
+class Mul(_Arith):
     left: "TimeExpr"
     right: "TimeExpr"
 
 
 @dataclass(frozen=True)
-class Div:
+class Div(_Arith):
     left: "TimeExpr"
     right: "TimeExpr"
 
 
 @dataclass(frozen=True)
-class Pow:
+class Pow(_Arith):
     base: "TimeExpr"
     exponent: int
 
 
 @dataclass(frozen=True)
-class Fun:
+class Fun(_Arith):
     name: str  # "exp" | "sin" | "cos"
     arg: "TimeExpr"
 
@@ -410,14 +445,23 @@ def _division_guard(den_expr: TimeExpr):
 # ---------------------------------------------------------------------------
 # Construction helpers
 # ---------------------------------------------------------------------------
-# Used by diff_expr and by the symbolic matrix algebra in other modules.
-# They fold literal-only nodes, drop 0/1 identities and pull negations out of
-# products, and merge exp*exp factors; they never reorder non-literal terms.
+# Used by diff_expr and by the operators above.  They fold literal-only nodes,
+# drop 0/1 identities and pull negations out of products, and merge exp*exp
+# factors; they never reorder non-literal terms.
 
 def lit(v: float) -> Lit:
     if not math.isfinite(v):
         raise ValueError(f"non-finite literal {v!r}")
     return Lit(float(v))
+
+
+def as_expr(e) -> TimeExpr:
+    """An expression from a source string, a number or an expression."""
+    if isinstance(e, str):
+        return parse_expr(e)
+    if isinstance(e, (int, float)):
+        return lit(float(e))
+    return e
 
 
 def eneg(a: TimeExpr) -> TimeExpr:

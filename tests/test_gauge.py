@@ -54,6 +54,19 @@ def test_identity_gauge_is_identity():
         assert np.allclose(ev(t, x), f.eval(x), atol=1e-12)
 
 
+def test_closed_form_keeps_terms_that_grow_inside_the_span():
+    # 1e-12 e^(3t) x2^2 is below the drop threshold on [0, 1] but 2.7 at
+    # t = 10: zero tests and validation must sample the caller's span
+    f = PolyField(2, {(0, (2, 0)): 1.0, (1, (0, 2)): 1e-12})
+    ev = gauge_transform(f, ExponentialCurve(np.diag([0.0, 3.0]), -1), t_span=(0.0, 10.0))
+    assert ev.closed_form is not None
+    assert (1, (0, 2)) in ev.closed_form.terms
+    y = np.array([0.5, -0.5])
+    want = ev.rhs(10.0, y)
+    assert want[1] == pytest.approx(1.5 + 0.25e-12 * math.exp(30.0), rel=1e-12)
+    assert np.max(np.abs(ev.closed_form.eval(10.0, y) - want)) <= 1e-9 * np.max(np.abs(want))
+
+
 def test_rotating_frame_cubic_part_invariant():
     # only the linear part changes: the cubic -|x|^2 x is rotation-invariant
     rng = np.random.default_rng(2)

@@ -231,6 +231,15 @@ def test_gauge_ode_residual_and_liouville():
         assert np.max(np.abs(A.value(t) - ref.value(t))) <= 1e-9
 
 
+def test_gauge_ode_second_derivative_matches_difference_of_derivative():
+    A = solve_gauge_ode([["sin(t)", "t^2"], ["exp(-t)", "cos(2*t)"]],
+                        np.array([[0.2, 0.0], [0.1, -0.4]]), np.eye(2), tol=1e-12)
+    h = 1e-4
+    for t in (0.2, 0.5, 0.9):
+        fd = (A.derivative(t + h) - A.derivative(t - h)) / (2 * h)
+        assert np.max(np.abs(A.second_derivative(t) - fd)) <= 1e-6
+
+
 def test_gauge_ode_span_extension():
     B = np.array([[0.0, -1.0], [1.0, 0.0]])
     A = solve_gauge_ode(None, B, np.eye(2), t_span=(0.0, 0.5))

@@ -143,6 +143,20 @@ def test_correspondence_corpus():
         assert verify_correspondence(f, A, x0, (0.0, 1.0)) <= 1e-6
 
 
+def test_correspondence_emits_no_closed_form(monkeypatch):
+    # the verifier integrates the transform's numeric right-hand side only
+    from gaugekit import gauge
+
+    def no_emission(*args, **kwargs):
+        raise AssertionError("closed form emitted")
+
+    monkeypatch.setattr(gauge, "_emit_closed_form", no_emission)
+    A = ExponentialCurve(np.diag([1.0, 2.0]), -1)
+    assert verify_correspondence(p2_field(), A, [0.3, 0.4], (0.0, 0.5)) <= 1e-6
+    with pytest.raises(AssertionError, match="closed form emitted"):
+        gauge_transform(p2_field(), A)
+
+
 def test_correspondence_blowup_truncated():
     # blow-up at t = 0.4 inside the span: the verifier truncates the
     # comparison interval instead of raising; accuracy near the singular

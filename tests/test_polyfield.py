@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from gaugekit import timexpr as tx
 from gaugekit.polyfield import (
     NearSingularMatrixError, PolyField, field_from_dict, field_to_dict,
     format_field, invert_checked, lie_bracket, linear_pushforward,
+    pushforward_terms,
 )
 
 from conftest import random_field
@@ -217,6 +219,23 @@ def test_pushforward_eval_consistency():
         lhs = pf.eval(x)
         rhs = A @ f.eval(Ainv @ x)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * (1 + np.max(np.abs(rhs)))
+
+
+def test_pushforward_terms_literal_tables_match_floats_exactly():
+    # the expansion shared with closed-form emission, run on tables of
+    # constant expressions, does the same float arithmetic as the numeric path
+    rng = np.random.default_rng(8)
+    for n in (2, 3):
+        f = random_field(rng, n, [0, 1, 2, 3])
+        A = rng.uniform(-1, 1, size=(n, n)) + 2 * np.eye(n)
+        A[0, 1] = 0.0
+        want = linear_pushforward(A, f).terms
+        lits = [[[tx.Lit(v) for v in row] for row in M.tolist()]
+                for M in (A, invert_checked(A))]
+        got = {key: tx.eval_expr(e, 0.0) for key, e in pushforward_terms(*lits, f).items()}
+        assert want.keys() <= got.keys()
+        for key, v in got.items():
+            assert v == want.get(key, 0.0)
 
 
 def test_pushforward_near_singular_rejected():

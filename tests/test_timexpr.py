@@ -255,6 +255,25 @@ def test_smart_constructors_fold_and_clean():
         tx.ediv(T, Lit(0.0))
 
 
+def test_operators_are_the_smart_constructors():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        a, b, c = (random_time_expr(rng, 3) for _ in range(3))
+        assert a + b == tx.eadd(a, b)
+        assert a - b == tx.esub(a, b)
+        assert a * 2.5 == tx.emul(a, tx.lit(2.5))
+        assert 2.5 * a == tx.emul(tx.lit(2.5), a)
+        assert -a == tx.eneg(a)
+        assert sum([a, b, c]) == tx.eadd(tx.eadd(a, b), c)
+
+
+def test_operators_take_numpy_scalars_as_literals():
+    assert np.float64(2.5) * T == tx.emul(tx.lit(2.5), T)
+    assert np.float64(1.5) + T == tx.eadd(tx.lit(1.5), T)
+    with pytest.raises(TypeError):
+        T + "t"
+
+
 def test_compile_expr_matches_eval():
     for e, times in expr_corpus(seed=77, count=200, depth=6, n_times=4):
         fn = tx.compile_expr(e)
