@@ -54,15 +54,25 @@ def _table_product(A: list, B: list) -> list:
             for i in range(n)]
 
 
-def _sampled_zero(e: tx.TimeExpr, ts: list) -> bool:
-    fn = tx.compile_expr(e)
+def _nonzero(exprs: list, ts: list) -> list:
+    """For each expression, whether it exceeds the drop threshold in
+    magnitude, or fails to evaluate, at some t in ts."""
+    table = tx.compile_table(exprs)
+    keep = [False] * len(exprs)
     for t in ts:
         try:
-            if abs(fn(t)) > _DROP_TOL:
-                return False
+            vals = table(t)
         except (tx.EvalError, OverflowError):
-            return False
-    return True
+            vals = [_value_or_inf(e, t) for e in exprs]
+        keep = [k or abs(v) > _DROP_TOL for k, v in zip(keep, vals)]
+    return keep
+
+
+def _value_or_inf(e: tx.TimeExpr, t: float) -> float:
+    try:
+        return tx.eval_expr(e, t)
+    except (tx.EvalError, OverflowError):
+        return np.inf
 
 
 def _exp_lin(c: float) -> tx.TimeExpr:
@@ -119,9 +129,10 @@ def _symbolic_expm_entries(M: np.ndarray, sign: int) -> list | None:
             row.append(acc)
         entries.append(row)
     from .matcurve import mat_exp
+    table = tx.compile_table([e for row in entries for e in row])
     for t in np.linspace(0.0, 1.0, 7):
         ref = mat_exp(sign * t * M)
-        got = np.array([[tx.eval_expr(e, float(t)) for e in row] for row in entries])
+        got = np.array(table(float(t))).reshape(n, n)
         if np.max(np.abs(got - ref)) > 1e-9 * (1.0 + np.max(np.abs(ref))):
             return None
     return entries
@@ -142,41 +153,52 @@ def _symbolic_entries(A: MatrixCurve):
     return None
 
 
-def symbolic_pushforward(S: list, Sinv: list, f: PolyField, ts: list) -> dict:
-    """Coefficients of S(t) f(S(t)^{-1} x) as TimeExpr, keyed like PolyField
-    terms, without those that stay below the drop threshold at the times ts."""
-    return {key: e for key, e in pushforward_terms(S, Sinv, f).items()
-            if not _sampled_zero(e, ts)}
-
-
-def _emit_closed_form(f: PolyField, S: list, Sinv: list, Sdot: list,
-                      direct_rhs, t_span: tuple) -> NonAutoSystem | None:
+def symbolic_pushforward(f: PolyField, S: list, Sinv: list, Sdot: list) -> tuple:
+    """The coefficients of S'(t) S(t)^{-1} y + S(t) f(S(t)^{-1} y) as TimeExpr
+    tables (constant, linear, terms of degree >= 2 keyed like PolyField
+    terms), before any coefficient is dropped as zero."""
     n = f.dim
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    ts = (t0 + (t1 - t0) * _SAMPLE_FRACTIONS).tolist()
-
-    def drop(e: tx.TimeExpr) -> tx.TimeExpr:
-        return tx.Lit(0.0) if _sampled_zero(e, ts) else e
-
     b = f.constant_vector().tolist()
-    const = [drop(sum((S[i][j] * b[j] for j in range(n) if b[j] != 0.0), tx.Lit(0.0)))
+    const = [sum((S[i][j] * b[j] for j in range(n) if b[j] != 0.0), tx.Lit(0.0))
              for i in range(n)]
     linear = _table_product(Sdot, Sinv)
     Bf = f.linear_matrix()
     if np.any(Bf != 0.0):
         conj = _table_product(S, _table_product(Bf.tolist(), Sinv))
         linear = [[linear[i][j] + conj[i][j] for j in range(n)] for i in range(n)]
-    linear = [[drop(e) for e in row] for row in linear]
     terms: dict = {}
     for j in f.degrees():
-        if j < 2:
-            continue
-        terms.update(symbolic_pushforward(S, Sinv, f.grade(j), ts))
-    system = NonAutoSystem(n, const, linear, terms)
+        if j >= 2:
+            terms.update(pushforward_terms(S, Sinv, f.grade(j)))
+    return const, linear, terms
+
+
+def _validation_points(n: int, t_span: tuple) -> list:
+    """Ten seeded (t, y) pairs with t inside t_span."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
     rng = np.random.default_rng(0)
+    points = []
     for _ in range(10):
         t = t0 + (t1 - t0) * float(rng.uniform(0.05, 0.95))
-        x = rng.uniform(-1.0, 1.0, size=n)
+        points.append((t, rng.uniform(-1.0, 1.0, size=n)))
+    return points
+
+
+def _emit_closed_form(f: PolyField, S: list, Sinv: list, Sdot: list,
+                      direct_rhs, t_span: tuple, points: list) -> NonAutoSystem | None:
+    n = f.dim
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    ts = (t0 + (t1 - t0) * _SAMPLE_FRACTIONS).tolist()
+    const, linear, terms = symbolic_pushforward(f, S, Sinv, Sdot)
+    # one zero test over every candidate coefficient
+    flat = const + [e for row in linear for e in row] + list(terms.values())
+    keep = iter(_nonzero(flat, ts))
+    zero = tx.Lit(0.0)
+    const = [e if next(keep) else zero for e in const]
+    linear = [[e if next(keep) else zero for e in row] for row in linear]
+    terms = {key: e for key, e in terms.items() if next(keep)}
+    system = NonAutoSystem(n, const, linear, terms)
+    for t, x in points:
         want = direct_rhs(t, x)
         got = system.eval(t, x)
         if np.max(np.abs(got - want)) > 1e-9 * (1.0 + np.max(np.abs(want))):
@@ -212,8 +234,11 @@ def gauge_transform(f: PolyField, A: MatrixCurve,
     is checked against the evaluator, at sample times inside t_span.
     """
     rhs = transform_rhs(f, A)
+    points = _validation_points(f.dim, t_span)
+    if isinstance(A, ClosedFormCurve):
+        A.check_inverse([t for t, _ in points])
     sym = _symbolic_entries(A)
-    closed = None if sym is None else _emit_closed_form(f, *sym, rhs, t_span)
+    closed = None if sym is None else _emit_closed_form(f, *sym, rhs, t_span, points)
     return NonAutoEvaluator(f.dim, rhs, t_span, closed)
 
 

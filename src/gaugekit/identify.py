@@ -73,14 +73,20 @@ class NonAutoSystem:
                 raise ValueError(
                     f"term {exps} exceeds the degree cap {polyfield.MAX_DEGREE}")
             self.terms[(int(comp), exps)] = tx.as_expr(e)
-        # structural zeros are skipped during evaluation; everything else is
-        # compiled once (grid tables and integrators evaluate these a lot)
-        self._lin_nonzero = [(i, j, tx.compile_expr(e))
-                             for i, row in enumerate(self.linear)
-                             for j, e in enumerate(row) if e != zero]
-        self._const_nonzero = [(i, tx.compile_expr(e))
-                               for i, e in enumerate(self.constant) if e != zero]
-        self._term_fns = {key: tx.compile_expr(e) for key, e in self.terms.items()}
+        # one table holds every coefficient: constants, the linear table row
+        # by row, then the terms; structural zeros are skipped when reading it
+        n2 = dim + dim * dim
+        self._const_idx = [i for i, e in enumerate(self.constant) if e != zero]
+        self._lin_idx = [(i, j, dim + i * dim + j) for i, row in enumerate(self.linear)
+                         for j, e in enumerate(row) if e != zero]
+        self._term_idx = [(comp, exps, n2 + m, tuple((k, p) for k, p in enumerate(exps) if p))
+                          for m, (comp, exps) in enumerate(self.terms)]
+        self._table = None  # compiled on first evaluation
+
+    def _coefficients(self) -> list:
+        """Every coefficient in table order: constants, linear rows, terms."""
+        return self.constant + [e for row in self.linear for e in row] \
+            + list(self.terms.values())
 
     # -- structure -------------------------------------------------------
 
@@ -98,54 +104,69 @@ class NonAutoSystem:
             {key: tx.diff_expr(e) for key, e in self.terms.items()})
 
     # -- evaluation --------------------------------------------------------
+    # Each reader makes one table call per t; the _of helpers read a tuple of
+    # coefficient values in table order.
 
-    def constant_at(self, t: float) -> np.ndarray:
+    def _values(self, t: float) -> tuple:
+        """All coefficient values at t, in the order of _coefficients()."""
+        if self._table is None:
+            self._table = tx.compile_table(self._coefficients())
+        return self._table(t)
+
+    def _constant_of(self, vals: tuple) -> np.ndarray:
         out = np.zeros(self.dim)
-        for i, fn in self._const_nonzero:
-            out[i] = fn(t)
+        for i in self._const_idx:
+            out[i] = vals[i]
         return out
 
-    def linear_at(self, t: float) -> np.ndarray:
+    def _linear_of(self, vals: tuple) -> np.ndarray:
         out = np.zeros((self.dim, self.dim))
-        for i, j, fn in self._lin_nonzero:
-            out[i, j] = fn(t)
+        for i, j, k in self._lin_idx:
+            out[i, j] = vals[k]
         return out
 
-    def degree_part_at(self, t: float, j: int) -> PolyField:
+    def _terms_of(self, vals: tuple, degree: int | None = None) -> PolyField:
         terms = {}
-        for (comp, exps), fn in self._term_fns.items():
-            if sum(exps) == j:
-                v = fn(t)
+        for comp, exps, k, _ in self._term_idx:
+            if degree is None or sum(exps) == degree:
+                v = vals[k]
                 if v != 0.0:
                     terms[(comp, exps)] = v
         return PolyField(self.dim, terms)
 
+    def _eval_of(self, vals: tuple, x) -> np.ndarray:
+        xs = np.asarray(x, dtype=float).tolist()
+        out = [0.0] * self.dim
+        for i in self._const_idx:
+            out[i] = vals[i]
+        for i, j, k in self._lin_idx:
+            out[i] += vals[k] * xs[j]
+        for i, _, k, powers in self._term_idx:
+            m = vals[k]
+            if m == 0.0:
+                continue
+            for var, p in powers:
+                m *= xs[var] ** p
+            out[i] += m
+        return np.array(out, dtype=float)
+
+    def constant_at(self, t: float) -> np.ndarray:
+        return self._constant_of(self._values(t))
+
+    def linear_at(self, t: float) -> np.ndarray:
+        return self._linear_of(self._values(t))
+
+    def degree_part_at(self, t: float, j: int) -> PolyField:
+        return self._terms_of(self._values(t), j)
+
     def freeze(self, t: float) -> PolyField:
         """The autonomous field obtained by evaluating all coefficients at t."""
-        out = PolyField.from_constant(self.constant_at(t)) \
-            + PolyField.from_linear(self.linear_at(t))
-        terms = {}
-        for (comp, exps), fn in self._term_fns.items():
-            v = fn(t)
-            if v != 0.0:
-                terms[(comp, exps)] = v
-        return out + PolyField(self.dim, terms)
+        vals = self._values(t)
+        return PolyField.from_constant(self._constant_of(vals)) \
+            + PolyField.from_linear(self._linear_of(vals)) + self._terms_of(vals)
 
     def eval(self, t: float, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = self.constant_at(t)
-        for i, j, fn in self._lin_nonzero:
-            out[i] += fn(t) * x[j]
-        for (i, exps), fn in self._term_fns.items():
-            c = fn(t)
-            if c == 0.0:
-                continue
-            m = c
-            for k, p in enumerate(exps):
-                if p:
-                    m *= x[k] ** p
-            out[i] += m
-        return out
+        return self._eval_of(self._values(t), x)
 
     def rhs(self, t: float, x) -> np.ndarray:
         return self.eval(t, x)
@@ -220,21 +241,20 @@ class JetData:
 
 def extract_jet(q: NonAutoSystem) -> JetData:
     """Exact jet at t=0 from expression evaluation and differentiation."""
-    c0 = q.constant_at(0.0)
-    cdot0 = np.array([tx.eval_expr(tx.diff_expr(e), 0.0) for e in q.constant])
-    C0 = q.linear_at(0.0)
+    vals = q._values(0.0)
+    # the values of the diff_expr trees, each shared subtree handled once
+    dvals = tx.diff_values(q.constant + list(q.terms.values()), 0.0)
+    cdot0 = np.array(dvals[:q.dim])
     p: dict = {}
     r: dict = {}
     for j in q.degrees():
-        p[j] = q.degree_part_at(0.0, j)
+        p[j] = q._terms_of(vals, j)
         r_terms = {}
-        for (comp, exps), e in q.terms.items():
-            if sum(exps) == j:
-                v = tx.eval_expr(tx.diff_expr(e), 0.0)
-                if v != 0.0:
-                    r_terms[(comp, exps)] = v
+        for key, v in zip(q.terms, dvals[q.dim:]):
+            if sum(key[1]) == j and v != 0.0:
+                r_terms[key] = v
         r[j] = PolyField(q.dim, r_terms)
-    return JetData(q.dim, c0, cdot0, C0, p, r)
+    return JetData(q.dim, q._constant_of(vals), cdot0, q._linear_of(vals), p, r)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +355,10 @@ class _GridTables:
 
     def __init__(self, q: NonAutoSystem, ts: np.ndarray):
         self.ts = np.asarray(ts, dtype=float)
-        self.c = np.array([q.constant_at(t) for t in self.ts])
-        self.C = np.array([q.linear_at(t) for t in self.ts])
-        self.fields = {j: [q.degree_part_at(t, j) for t in self.ts]
-                       for j in q.degrees()}
+        vals = [q._values(t) for t in self.ts]
+        self.c = np.array([q._constant_of(v) for v in vals])
+        self.C = np.array([q._linear_of(v) for v in vals])
+        self.fields = {j: [q._terms_of(v, j) for v in vals] for j in q.degrees()}
 
     @property
     def linear_max(self) -> float:
@@ -630,9 +650,10 @@ def remove_linear_part(q: NonAutoSystem, grid=None, ode_tol: float = 1e-10) -> R
     for k, t in enumerate(ts):
         t = float(t)
         Tinv = T.inverse(t)
-        const_samples[k] = Tinv @ q.constant_at(t)
+        vals = q._values(t)
+        const_samples[k] = Tinv @ q._constant_of(vals)
         for j in q.degrees():
-            field_samples[j].append(linear_pushforward(Tinv, q.degree_part_at(t, j)))
+            field_samples[j].append(linear_pushforward(Tinv, q._terms_of(vals, j)))
     C0_field = PolyField.from_linear(jet.C0)
     reduced_jet = JetData(
         dim=q.dim,

@@ -7,6 +7,8 @@ A' = C(t) A - A B that underpins gauge identification.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 
 import numpy as np
 
@@ -112,12 +114,34 @@ def _diff_entries(entries):
     return [[tx.diff_expr(e) for e in row] for row in entries]
 
 
-def _compile_entries(entries):
-    return [[tx.compile_expr(e) for e in row] for row in entries]
+def _table_of(entries):
+    """The entries compiled as one table: t -> n x n array."""
+    n = len(entries)
+    table = tx.compile_table([e for row in entries for e in row])
+    return lambda t: np.array(table(t)).reshape(n, n)
 
 
-def _eval_compiled(fns, t: float) -> np.ndarray:
-    return np.array([[fn(t) for fn in row] for row in fns])
+# compiled C(t) tables of the latest flows, keyed on the identity of their
+# entries: identification solves many flows of one C table.  A slot holds
+# weak references to its entries, so that it keeps no expression alive; when
+# they are gone, their ids may name new objects, and the table is compiled
+# again.
+_C_TABLES: dict = {}
+_C_TABLES_KEPT = 4
+_C_TABLES_LOCK = threading.Lock()
+
+
+def _C_table(entries):
+    flat = [e for row in entries for e in row]
+    key = tuple(map(id, flat))
+    with _C_TABLES_LOCK:
+        slot = _C_TABLES.pop(key, None)
+        if slot is None or any(ref() is not e for ref, e in zip(slot[0], flat)):
+            slot = ([weakref.ref(e) for e in flat], _table_of(entries))
+        _C_TABLES[key] = slot  # the latest use last
+        while len(_C_TABLES) > _C_TABLES_KEPT:
+            del _C_TABLES[next(iter(_C_TABLES))]
+    return slot[1]
 
 
 def _adjugate_inverse(entries):
@@ -161,9 +185,10 @@ class ClosedFormCurve(MatrixCurve):
         if any(len(row) != self.dim for row in self.entries):
             raise ValueError("entries must form a square table")
         self._dentries = _diff_entries(self.entries)
-        self._fns = _compile_entries(self.entries)
-        self._dfns = _compile_entries(self._dentries)
-        self._ddfns = None
+        self._value = _table_of(self.entries)
+        self._derivative = _table_of(self._dentries)
+        self._second_derivative = None  # compiled on first use
+        self._inverse_supplied = inverse_entries is not None
         if inverse_entries is not None:
             self.inverse_entries = [[tx.as_expr(e) for e in row] for row in inverse_entries]
             if len(self.inverse_entries) != self.dim or any(
@@ -176,35 +201,45 @@ class ClosedFormCurve(MatrixCurve):
                 self.inverse_entries = None
         else:
             self.inverse_entries = None
-        self._inv_fns = (_compile_entries(self.inverse_entries)
+        self._inverse = (_table_of(self.inverse_entries)
                          if self.inverse_entries is not None else None)
         check_invertible(self.value(0.0))
         if inverse_entries is not None:
-            # a user-supplied inverse table must actually invert the curve
+            # a first check of a supplied inverse table; gauge_transform
+            # checks it again over the span it is asked for
             for t in (0.0, 0.5, 1.0):
                 try:
-                    prod = self.value(t) @ _eval_compiled(self._inv_fns, t)
+                    self.check_inverse([t])
                 except tx.EvalError:
-                    continue
-                if np.max(np.abs(prod - np.eye(self.dim))) > 1e-8:
-                    raise ValueError(
-                        f"supplied inverse table does not invert the curve at t={t}")
+                    pass  # a pole here may lie outside the span of any use
+
+    def check_inverse(self, ts) -> None:
+        """Raise ValueError at the first t in ts where a supplied inverse
+        table fails A(t) A^{-1}(t) = I by more than 1e-8 (EvalError where it
+        cannot be evaluated)."""
+        if not self._inverse_supplied:
+            return
+        for t in ts:
+            prod = self.value(t) @ self._inverse(t)
+            if np.max(np.abs(prod - np.eye(self.dim))) > 1e-8:
+                raise ValueError(
+                    f"supplied inverse table does not invert the curve at t={t}")
 
     def value(self, t: float) -> np.ndarray:
-        return _eval_compiled(self._fns, t)
+        return self._value(t)
 
     def derivative(self, t: float) -> np.ndarray:
-        return _eval_compiled(self._dfns, t)
+        return self._derivative(t)
 
     def second_derivative(self, t: float) -> np.ndarray:
-        if self._ddfns is None:
-            self._ddfns = _compile_entries(_diff_entries(self._dentries))
-        return _eval_compiled(self._ddfns, t)
+        if self._second_derivative is None:
+            self._second_derivative = _table_of(_diff_entries(self._dentries))
+        return self._second_derivative(t)
 
     def inverse(self, t: float) -> np.ndarray:
-        if self._inv_fns is not None:
+        if self._inverse is not None:
             try:
-                return _eval_compiled(self._inv_fns, t)
+                return self._inverse(t)
             except tx.EvalError as exc:
                 raise NearSingularMatrixError(str(exc)) from exc
         return invert_checked(self.value(t))
@@ -262,9 +297,8 @@ class FlowCurve(MatrixCurve):
         check_invertible(self.A0)
         self.tol = float(tol)
         self.extend = bool(extend)
-        self._C_fns = (_compile_entries(self.C_entries)
-                       if self.C_entries is not None else None)
-        self._dC_fns = None  # compiled on first use by second_derivative
+        self._C = _C_table(self.C_entries) if self.C_entries is not None else None
+        self._dC = None  # compiled on first use by second_derivative
         self._fwd: DenseSolution | None = None
         self._bwd: DenseSolution | None = None
         lo, hi = float(min(t_span)), float(max(t_span))
@@ -274,9 +308,9 @@ class FlowCurve(MatrixCurve):
             self._bwd = self._integrate(0.0, lo)
 
     def _C_at(self, t: float) -> np.ndarray | None:
-        if self._C_fns is None:
+        if self._C is None:
             return None
-        return _eval_compiled(self._C_fns, t)
+        return self._C(t)
 
     def _rhs(self, t: float, a: np.ndarray) -> np.ndarray:
         A = a.reshape(self.dim, self.dim)
@@ -335,10 +369,10 @@ class FlowCurve(MatrixCurve):
         out = -dA @ self.B
         C = self._C_at(t)
         if C is not None:
-            if self._dC_fns is None:
-                self._dC_fns = _compile_entries(_diff_entries(self.C_entries))
+            if self._dC is None:
+                self._dC = _table_of(_diff_entries(self.C_entries))
             out = out + C @ dA
-            out = out + _eval_compiled(self._dC_fns, t) @ A
+            out = out + self._dC(t) @ A
         return out
 
     def checkpoints(self) -> list[float]:

@@ -13,6 +13,18 @@ expressions is structural (dataclass equality); semantic equality is checked by
 sampled evaluation elsewhere, never by canonicalization.  The operators ``+``,
 ``-`` and ``*`` build trees through the smart constructors below; numbers are
 taken as literals, also on the left of ``+`` and ``*``.
+
+Trees built by the transform share subtrees heavily, so there are three ways
+to evaluate them, all bit-identical to one another:
+
+- ``eval_expr`` walks one tree.  It is the reference the others are tested
+  against, and it serves one-off evaluations.
+- ``compile_table`` compiles a list of expressions into one function of t
+  that evaluates each distinct subtree once per call.  Every repeated
+  evaluation goes through it: system coefficients, curve entries and zero
+  tests.  ``compile_expr`` is its one-entry form.
+- ``diff_values`` gives the values of ``diff_expr`` trees at one t, with each
+  shared subtree differentiated and evaluated once.  The t = 0 jet uses it.
 """
 
 from __future__ import annotations
@@ -25,8 +37,8 @@ from typing import Union
 __all__ = [
     "TimeExpr", "Lit", "TVar", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Fun",
     "T", "ParseError", "EvalError", "parse_expr", "format_expr", "eval_expr",
-    "compile_expr", "diff_expr", "lit", "eadd", "esub", "emul", "ediv", "eneg",
-    "epow", "efun", "as_expr",
+    "compile_expr", "compile_table", "diff_expr", "diff_values", "lit", "eadd",
+    "esub", "emul", "ediv", "eneg", "epow", "efun", "as_expr",
 ]
 
 
@@ -370,76 +382,199 @@ def eval_expr(e: TimeExpr, t: float) -> float:
     Raises EvalError when a quotient denominator falls below 1e-14 in
     magnitude, naming the offending subexpression.
     """
+    return _eval(e, t, None)
+
+
+# memo entries: id(node) -> value, or _TODO for a node worth memoizing whose
+# value is not known yet; nodes without an entry are not memoized
+_TODO = object()
+
+
+def _eval(e: TimeExpr, t: float, memo: dict | None) -> float:
+    key = None
+    if memo is not None:
+        hit = memo.get(id(e))
+        if hit is not None:
+            if hit is not _TODO:
+                return hit
+            key = id(e)
     if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, TVar):
-        return t
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, t)
-    if isinstance(e, Add):
-        return eval_expr(e.left, t) + eval_expr(e.right, t)
-    if isinstance(e, Sub):
-        return eval_expr(e.left, t) - eval_expr(e.right, t)
-    if isinstance(e, Mul):
-        return eval_expr(e.left, t) * eval_expr(e.right, t)
-    if isinstance(e, Div):
-        den = eval_expr(e.right, t)
+        v = e.value
+    elif isinstance(e, TVar):
+        v = t
+    elif isinstance(e, Neg):
+        v = -_eval(e.arg, t, memo)
+    elif isinstance(e, Add):
+        v = _eval(e.left, t, memo) + _eval(e.right, t, memo)
+    elif isinstance(e, Sub):
+        v = _eval(e.left, t, memo) - _eval(e.right, t, memo)
+    elif isinstance(e, Mul):
+        v = _eval(e.left, t, memo) * _eval(e.right, t, memo)
+    elif isinstance(e, Div):
+        den = _eval(e.right, t, memo)
         if abs(den) <= _DENOM_FLOOR:
             raise EvalError("near-zero denominator", e.right, t)
-        return eval_expr(e.left, t) / den
-    if isinstance(e, Pow):
-        return eval_expr(e.base, t) ** e.exponent
-    if isinstance(e, Fun):
-        return _FUNCTIONS[e.name](eval_expr(e.arg, t))
-    raise TypeError(f"not a TimeExpr node: {e!r}")
+        v = _eval(e.left, t, memo) / den
+    elif isinstance(e, Pow):
+        v = _eval(e.base, t, memo) ** e.exponent
+    elif isinstance(e, Fun):
+        v = _FUNCTIONS[e.name](_eval(e.arg, t, memo))
+    else:
+        raise TypeError(f"not a TimeExpr node: {e!r}")
+    if key is not None:
+        memo[key] = v
+    return v
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation (hot paths: grid tables, ODE right-hand sides)
+# Compiled tables (hot paths: grid tables, zero tests, ODE right-hand sides)
 # ---------------------------------------------------------------------------
+
+# single-use nodes are written inline up to this nesting depth; deeper ones,
+# and every node used more than once, get a statement of their own
+_INLINE_DEPTH = 12
+
+_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
+def _kids(node: TimeExpr) -> tuple:
+    cls = type(node)
+    if cls in _BINARY:
+        return (node.left, node.right)
+    if cls is Neg or cls is Fun:
+        return (node.arg,)
+    if cls is Pow:
+        return (node.base,)
+    return ()
+
+
+def _number_nodes(exprs: list) -> tuple[list, list]:
+    """Number the distinct subtrees of `exprs` bottom-up.
+
+    Returns (nodes, roots): nodes[k] is (a node, the numbers of its
+    children), children numbered before parents and left before right;
+    roots[i] is the number of exprs[i].  A node's key is (kind, payload,
+    child numbers), so structurally equal subtrees get one number whether
+    or not they are one object.
+    """
+    num_of: dict[int, int] = {}   # id(node) -> number; exprs keep nodes alive
+    numbers: dict[tuple, int] = {}
+    nodes: list = []
+    for root in exprs:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in num_of:
+                stack.pop()
+                continue
+            cls = type(node)
+            if cls in _BINARY:
+                a, b = num_of.get(id(node.left)), num_of.get(id(node.right))
+                if a is None or b is None:
+                    if b is None:
+                        stack.append(node.right)
+                    if a is None:
+                        stack.append(node.left)
+                    continue
+                kid_nums = (a, b)
+                key = (cls, a, b)
+            elif cls is Lit:
+                kid_nums = ()
+                key = (cls, repr(node.value))  # keeps -0.0 apart from 0.0
+            elif cls is TVar:
+                kid_nums = ()
+                key = (cls,)
+            elif cls is Pow or cls is Neg or cls is Fun:
+                kid = node.base if cls is Pow else node.arg
+                a = num_of.get(id(kid))
+                if a is None:
+                    stack.append(kid)
+                    continue
+                kid_nums = (a,)
+                key = (cls, node.exponent if cls is Pow else
+                       node.name if cls is Fun else None, a)
+            else:
+                raise TypeError(f"not a TimeExpr node: {node!r}")
+            stack.pop()
+            k = numbers.get(key)
+            if k is None:
+                k = numbers[key] = len(nodes)
+                nodes.append((node, kid_nums))
+            num_of[id(node)] = k
+    return nodes, [num_of[id(e)] for e in exprs]
+
+
+def compile_table(exprs):
+    """Compile expressions into one callable t -> tuple of floats.
+
+    Each distinct subtree is evaluated once per call, also when equal
+    subtrees are separate objects.  Values are bit-identical to eval_expr at
+    float(t), and a quotient whose denominator falls below 1e-14 in
+    magnitude raises EvalError naming the denominator.
+    """
+    exprs = list(exprs)
+    nodes, roots = _number_nodes(exprs)
+    uses = [0] * len(nodes)
+    for _, kid_nums in nodes:
+        for k in kid_nums:
+            uses[k] += 1
+    for k in roots:
+        uses[k] += 1
+    dens = {kid_nums[1] for node, kid_nums in nodes if type(node) is Div}
+    consts: dict = {}
+    refs: list = [None] * len(nodes)
+    depth = [0] * len(nodes)
+    body: list = []
+    for k, (node, kid_nums) in enumerate(nodes):
+        cls = type(node)
+        if cls is Lit:
+            v = node.value
+            if not math.isfinite(v):
+                refs[k] = f"_c{k}"
+                consts[refs[k]] = v
+            else:
+                text = repr(v)
+                refs[k] = f"({text})" if text.startswith("-") else text
+        elif cls is TVar:
+            refs[k] = "t"
+        else:
+            args = [refs[c] for c in kid_nums]
+            if cls in _BINARY:
+                text = f"({args[0]}{_BINARY[cls]}{args[1]})"
+            elif cls is Neg:
+                text = f"(-{args[0]})"
+            elif cls is Pow:
+                text = f"({args[0]}**{node.exponent})"
+            else:
+                text = f"{node.name}({args[0]})"
+            depth[k] = 1 + max(depth[c] for c in kid_nums)
+            if uses[k] > 1 or k in dens or depth[k] > _INLINE_DEPTH:
+                body.append(f"    v{k} = {text}")
+                refs[k], depth[k] = f"v{k}", 0
+            else:
+                refs[k] = text
+        if k in dens and not (cls is Lit and abs(node.value) > _DENOM_FLOOR):
+            body.append(f"    if {-_DENOM_FLOOR!r} <= {refs[k]} <= {_DENOM_FLOOR!r}: "
+                        f"_fail({k}, t)")
+    body.append(f"    return ({''.join(refs[k] + ',' for k in roots)})")
+    den_nodes = {k: nodes[k][0] for k in dens}
+
+    def fail(k: int, t: float):
+        raise EvalError("near-zero denominator", den_nodes[k], t)
+
+    src = "def _table(t):\n    t = float(t)\n" + "\n".join(body) + "\n"
+    namespace = {"exp": math.exp, "sin": math.sin, "cos": math.cos,
+                 "_fail": fail, **consts}
+    exec(compile(src, "<timexpr table>", "exec"), namespace)  # noqa: S102 - our own AST
+    # popped, so that the function and its globals form no reference cycle
+    # and are freed as soon as their owner drops the table
+    return namespace.pop("_table")
+
 
 def compile_expr(e: TimeExpr):
-    """Compile `e` into a plain Python callable t -> float.
-
-    Value-equivalent to eval_expr, including the near-zero-denominator guard
-    (each quotient keeps a reference to its denominator subexpression for
-    error reporting).
-    """
-    ctx = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
-
-    def gen(node: TimeExpr) -> str:
-        if isinstance(node, Lit):
-            return repr(node.value)
-        if isinstance(node, TVar):
-            return "t"
-        if isinstance(node, Neg):
-            return f"(-{gen(node.arg)})"
-        if isinstance(node, Add):
-            return f"({gen(node.left)}+{gen(node.right)})"
-        if isinstance(node, Sub):
-            return f"({gen(node.left)}-{gen(node.right)})"
-        if isinstance(node, Mul):
-            return f"({gen(node.left)}*{gen(node.right)})"
-        if isinstance(node, Div):
-            name = f"_dv{len(ctx)}"
-            ctx[name] = _division_guard(node.right)
-            return f"{name}({gen(node.left)},{gen(node.right)},t)"
-        if isinstance(node, Pow):
-            return f"({gen(node.base)}**{node.exponent})"
-        if isinstance(node, Fun):
-            return f"{node.name}({gen(node.arg)})"
-        raise TypeError(f"not a TimeExpr node: {node!r}")
-
-    src = gen(e)
-    return eval(f"lambda t: {src}", ctx)  # noqa: S307 - generated from our own AST
-
-
-def _division_guard(den_expr: TimeExpr):
-    def div(num: float, den: float, t: float):
-        if abs(den) <= _DENOM_FLOOR:
-            raise EvalError("near-zero denominator", den_expr, t)
-        return num / den
-    return div
+    """Compile `e` into a plain Python callable t -> float: a one-entry table."""
+    table = compile_table([e])
+    return lambda t: table(t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -599,31 +734,82 @@ def diff_expr(e: TimeExpr) -> TimeExpr:
     The result is value-equivalent to the analytic derivative; it is not
     canonicalized beyond the trivial constructor cleanups above.
     """
+    return _diff(e, None)
+
+
+def _diff(e: TimeExpr, memo: dict | None) -> TimeExpr:
+    # memo as in _eval, holding derivatives instead of values
+    key = None
+    if memo is not None:
+        hit = memo.get(id(e))
+        if hit is not None:
+            if hit is not _TODO:
+                return hit
+            key = id(e)
     if isinstance(e, Lit):
-        return Lit(0.0)
-    if isinstance(e, TVar):
-        return Lit(1.0)
-    if isinstance(e, Neg):
-        return eneg(diff_expr(e.arg))
-    if isinstance(e, Add):
-        return eadd(diff_expr(e.left), diff_expr(e.right))
-    if isinstance(e, Sub):
-        return esub(diff_expr(e.left), diff_expr(e.right))
-    if isinstance(e, Mul):
-        return eadd(emul(diff_expr(e.left), e.right), emul(e.left, diff_expr(e.right)))
-    if isinstance(e, Div):
-        num = esub(emul(diff_expr(e.left), e.right), emul(e.left, diff_expr(e.right)))
-        return ediv(num, epow(e.right, 2))
-    if isinstance(e, Pow):
+        d = Lit(0.0)
+    elif isinstance(e, TVar):
+        d = Lit(1.0)
+    elif isinstance(e, Neg):
+        d = eneg(_diff(e.arg, memo))
+    elif isinstance(e, Add):
+        d = eadd(_diff(e.left, memo), _diff(e.right, memo))
+    elif isinstance(e, Sub):
+        d = esub(_diff(e.left, memo), _diff(e.right, memo))
+    elif isinstance(e, Mul):
+        d = eadd(emul(_diff(e.left, memo), e.right), emul(e.left, _diff(e.right, memo)))
+    elif isinstance(e, Div):
+        num = esub(emul(_diff(e.left, memo), e.right), emul(e.left, _diff(e.right, memo)))
+        d = ediv(num, epow(e.right, 2))
+    elif isinstance(e, Pow):
         if e.exponent == 0:
-            return Lit(0.0)
-        return emul(emul(Lit(float(e.exponent)), epow(e.base, e.exponent - 1)),
-                    diff_expr(e.base))
-    if isinstance(e, Fun):
-        du = diff_expr(e.arg)
+            d = Lit(0.0)
+        else:
+            d = emul(emul(Lit(float(e.exponent)), epow(e.base, e.exponent - 1)),
+                     _diff(e.base, memo))
+    elif isinstance(e, Fun):
+        du = _diff(e.arg, memo)
         if e.name == "exp":
-            return emul(Fun("exp", e.arg), du)
-        if e.name == "sin":
-            return emul(Fun("cos", e.arg), du)
-        return eneg(emul(Fun("sin", e.arg), du))
-    raise TypeError(f"not a TimeExpr node: {e!r}")
+            d = emul(Fun("exp", e.arg), du)
+        elif e.name == "sin":
+            d = emul(Fun("cos", e.arg), du)
+        else:
+            d = eneg(emul(Fun("sin", e.arg), du))
+    else:
+        raise TypeError(f"not a TimeExpr node: {e!r}")
+    if key is not None:
+        memo[key] = d
+    return d
+
+
+def diff_values(exprs, t: float) -> list:
+    """[eval_expr(diff_expr(e), t) for e in exprs], bit for bit.
+
+    Every subtree with more than one parent (by identity) is differentiated
+    once, and every subtree of `exprs` and every such shared derivative is
+    evaluated once; other derivative nodes are dropped after use.
+    """
+    exprs = list(exprs)
+    parents: dict[int, int] = {}
+    stack = list(exprs)
+    for e in exprs:
+        parents[id(e)] = parents.get(id(e), 0) + 1
+    seen = set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        for k in _kids(node):
+            parents[id(k)] = parents.get(id(k), 0) + 1
+            stack.append(k)
+    # ids stay valid: exprs keep their subtrees alive, dmemo the derivatives
+    dmemo = {key: _TODO for key, count in parents.items() if count > 1}
+    vmemo = dict.fromkeys(seen, _TODO)
+    out = []
+    for e in exprs:
+        d = _diff(e, dmemo)
+        vmemo.update((id(v), _TODO) for v in dmemo.values()
+                     if v is not _TODO and id(v) not in vmemo)
+        out.append(_eval(d, t, vmemo))
+    return out

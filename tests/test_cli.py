@@ -161,6 +161,16 @@ def test_identify_not_gauge_exit_1(files, tmp_path):
     assert main(["identify", "--system", str(sysf)]) == 1
 
 
+def test_identify_long_coefficient(tmp_path, capsys):
+    # a 500-term sum: its parsed tree nests 500 deep
+    sysf = tmp_path / "long.json"
+    sysf.write_text(json.dumps({"dim": 2, "terms": [
+        {"component": 0, "exponents": [2, 0], "coeff": "1"},
+        {"component": 1, "exponents": [0, 2], "coeff": "+".join(["t"] * 500)}]}))
+    assert main(["identify", "--system", str(sysf)]) == 1
+    assert "not_gauge" in capsys.readouterr().out
+
+
 def test_identify_linear_family_exit_0(files, tmp_path, capsys):
     sysf = tmp_path / "lin.json"
     sysf.write_text(json.dumps({"dim": 2, "linear": [["0", "t"], ["0", "0"]]}))

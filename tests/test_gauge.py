@@ -67,6 +67,20 @@ def test_closed_form_keeps_terms_that_grow_inside_the_span():
     assert np.max(np.abs(ev.closed_form.eval(10.0, y) - want)) <= 1e-9 * np.max(np.abs(want))
 
 
+def test_supplied_inverse_is_checked_over_the_span():
+    # 0.1 sin(2 pi t) vanishes at t = 0, 0.5 and 1, where the curve checks
+    # the table on construction; the transform checks its own sample times
+    A = ClosedFormCurve([["exp(t)", "0"], ["0", "1"]],
+                        [["exp(-t) + 0.1*sin(6.283185307179586*t)", "0"], ["0", "1"]])
+    f = PolyField(2, {(0, (2, 0)): 1.0, (1, (1, 1)): 1.0})
+    with pytest.raises(ValueError, match=r"does not invert the curve at t=0\.\d+"):
+        gauge_transform(f, A)
+    with pytest.raises(ValueError, match=r"at t=2\.\d+"):
+        gauge_transform(f, A, t_span=(2.0, 3.0))
+    good = ClosedFormCurve([["exp(t)", "0"], ["0", "1"]], [["exp(-t)", "0"], ["0", "1"]])
+    assert gauge_transform(f, good, t_span=(-2.0, 5.0)).closed_form is not None
+
+
 def test_rotating_frame_cubic_part_invariant():
     # only the linear part changes: the cubic -|x|^2 x is rotation-invariant
     rng = np.random.default_rng(2)

@@ -13,7 +13,7 @@ from gaugekit.matcurve import ClosedFormCurve, ExponentialCurve, mat_exp
 from gaugekit.odeint import integrate
 from gaugekit.polyfield import PolyField, lie_bracket
 
-from conftest import random_field
+from conftest import random_field, random_time_expr
 from oracles import frac_candidate_system, frac_solve, satisfies
 
 
@@ -463,6 +463,59 @@ def test_diff_t_matches_jet_derivatives():
     jet = extract_jet(q)
     for j, r_j in jet.r.items():
         assert dq.degree_part_at(0.0, j).coeff_distance(r_j) == 0.0
+
+
+def _reference_jet_derivatives(q):
+    """cdot0 and r by differentiating and evaluating each coefficient alone."""
+    cdot0 = [tx.eval_expr(tx.diff_expr(e), 0.0) for e in q.constant]
+    r = {key: tx.eval_expr(tx.diff_expr(e), 0.0) for key, e in q.terms.items()}
+    return cdot0, {key: v for key, v in r.items() if v != 0.0}
+
+
+def _jet_derivatives(jet):
+    return jet.cdot0.tolist(), {key: v for f in jet.r.values() for key, v in f.terms.items()}
+
+
+def test_jet_matches_diff_then_eval_on_transformed_n3_system():
+    rng = np.random.default_rng(21)
+    B = np.array([[0.2, -0.9, 0.3], [0.8, 0.1, -0.4], [-0.3, 0.5, -0.2]])
+    f = PolyField.from_constant(rng.uniform(-0.5, 0.5, size=3)) \
+        + PolyField.from_linear(B) + random_field(rng, 3, [2, 3], scale=0.8, density=0.9)
+    q = gauge_transform(f, ExponentialCurve(B, -1)).closed_form
+    assert q is not None
+    jet = extract_jet(q)
+    assert repr(_jet_derivatives(jet)) == repr(_reference_jet_derivatives(q))
+    # the values at t = 0 come from the compiled table, bit for bit as well
+    assert list(jet.c0) == [tx.eval_expr(e, 0.0) for e in q.constant]
+    assert jet.C0.tolist() == [[tx.eval_expr(e, 0.0) for e in row] for row in q.linear]
+
+
+def test_jet_matches_diff_then_eval_on_corpus():
+    rng = np.random.default_rng(8)
+    keys = [(0, (2, 0)), (0, (1, 1)), (1, (0, 2)), (1, (2, 0))]
+    checked = 0
+    for _ in range(150):
+        a, b = random_time_expr(rng, 4), random_time_expr(rng, 3)
+        coeffs = [a, tx.Mul(a, b), tx.Add(b, a), tx.Fun("cos", a)]
+        q = NonAutoSystem(2, constant=[tx.Sub(a, b), b], terms=dict(zip(keys, coeffs)))
+        try:
+            want = _reference_jet_derivatives(q)
+        except (tx.EvalError, OverflowError):
+            with pytest.raises((tx.EvalError, OverflowError)):
+                extract_jet(q)
+            continue
+        assert repr(_jet_derivatives(extract_jet(q))) == repr(want)
+        checked += 1
+    assert checked > 100
+
+
+def test_long_coefficient_loads_and_identifies():
+    # a 500-term sum nests 500 deep when parsed
+    q = NonAutoSystem.from_dict({"dim": 1, "terms": [
+        {"component": 0, "exponents": [2], "coeff": "+".join(["t"] * 500)}]})
+    assert q.eval(0.5, [2.0])[0] == 250.0 * 4.0
+    cert = identify(q)
+    assert cert.status == "not_gauge"
 
 
 def test_identify_rejects_perturbed_roundtrips():

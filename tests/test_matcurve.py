@@ -176,6 +176,17 @@ def test_closed_form_wrong_inverse_rejected():
                         [["cos(t)", "-sin(t)"], ["sin(t)", "cos(t)"]])
 
 
+def test_closed_form_inverse_checked_only_where_asked():
+    # the supplied inverse is off by 0.1 sin(2 pi t): exact at 0, 0.5 and 1
+    A = ClosedFormCurve([["exp(t)", "0"], ["0", "1"]],
+                        [["exp(-t) + 0.1*sin(6.283185307179586*t)", "0"], ["0", "1"]])
+    A.check_inverse([0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="does not invert the curve at t=0.25"):
+        A.check_inverse([0.0, 0.25])
+    # built inverses are exact and never checked
+    ClosedFormCurve([["exp(t)", "0"], ["0", "1"]]).check_inverse([0.25])
+
+
 # ---------------------------------------------------------------------------
 # solve_gauge_ode
 # ---------------------------------------------------------------------------
@@ -328,3 +339,16 @@ def test_curve_json_validation():
         curve_from_dict({"dim": 2, "kind": "exp"})
     with pytest.raises(tx.ParseError):
         curve_from_dict({"dim": 1, "kind": "closed_form", "entries": [["exp(t"]]})
+
+
+def test_gauge_ode_flows_of_one_C_table_share_its_compiled_table():
+    C = [[tx.parse_expr("sin(t)"), tx.parse_expr("1")],
+         [tx.parse_expr("-1"), tx.parse_expr("t")]]
+    first = solve_gauge_ode(C, np.eye(2), np.eye(2))
+    second = solve_gauge_ode(C, np.zeros((2, 2)), np.eye(2))
+    assert second._C is first._C
+    copy = [[tx.parse_expr("sin(t)"), tx.parse_expr("1")],
+            [tx.parse_expr("-1"), tx.parse_expr("t")]]
+    third = solve_gauge_ode(copy, np.eye(2), np.eye(2))
+    assert third._C is not first._C
+    assert np.array_equal(third.value(0.7), first.value(0.7))

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import pytest
@@ -286,6 +287,96 @@ def test_compile_expr_division_guard():
     assert fn(2.0) == 1.5
     with pytest.raises(EvalError, match="near-zero denominator"):
         fn(1e-20)
+
+
+def _outcome(fn, t):
+    """repr of the value (so -0.0, inf and nan compare exactly), or the
+    error kind."""
+    try:
+        return repr(fn(t))
+    except (EvalError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+def _shared_table(rng):
+    """Random entries that share subtrees by identity and by structure."""
+    a, b = random_time_expr(rng, 3), random_time_expr(rng, 3)
+    a2 = copy.deepcopy(a)  # equal to a, distinct objects
+    return [a, Add(a, b), Mul(a2, Neg(a)), Sub(b, a2), Div(a, Add(b, Lit(3.0))),
+            Pow(Add(a, a2), 2), Fun("sin", Mul(a, b)), b]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_compile_table_matches_eval_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    exprs = _shared_table(rng)
+    table = tx.compile_table(exprs)
+    for t in rng.uniform(-1.5, 1.5, size=4):
+        t = float(t)
+        got = _outcome(table, t)
+        want = [_outcome(lambda s: eval_expr(e, s), t) for e in exprs]
+        if any(w in ("EvalError", "OverflowError") for w in want):
+            assert got in ("EvalError", "OverflowError")
+        else:
+            assert got == repr(tuple(map(float, want))), (exprs, t)
+
+
+def test_compile_table_merges_equal_subtrees_of_parsed_trees():
+    src = "exp(0.5*t)*sin(t) + exp(0.5*t)*sin(t)*cos(t)"
+    e = parse_expr(src)
+    nodes, roots = tx._number_nodes([e, parse_expr(src)])
+    assert roots[0] == roots[1]
+    assert sum(1 for node, _ in nodes if isinstance(node, Fun) and node.name == "exp") == 1
+    assert tx.compile_table([e])(0.7) == (eval_expr(e, 0.7),)
+
+
+def test_compile_table_keeps_signed_zeros():
+    exprs = [Lit(-0.0), Lit(0.0), Add(Lit(-0.0), Lit(-0.0)), Add(Lit(0.0), Lit(-0.0)),
+             Neg(T), Mul(Lit(-0.0), T), Mul(Lit(0.0), T)]
+    got = tx.compile_table(exprs)(0.0)
+    want = tuple(eval_expr(e, 0.0) for e in exprs)
+    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+    assert [math.copysign(1.0, v) for v in got] == [-1, 1, -1, 1, -1, -1, 1]
+
+
+def test_compile_table_guard_names_the_denominator():
+    den = parse_expr("t - 0.5")
+    table = tx.compile_table([T, Div(Lit(1.0), den), Div(T, den)])
+    assert table(1.0) == (1.0, 2.0, 2.0)
+    with pytest.raises(EvalError, match="near-zero denominator") as info:
+        table(0.5)
+    assert info.value.subexpr == den
+    assert "t-0.5" in str(info.value)
+    with pytest.raises(EvalError) as info:
+        tx.compile_table([Div(Lit(1.0), Lit(1e-15))])(0.0)
+    assert info.value.subexpr == Lit(1e-15)
+    with pytest.raises(EvalError):
+        tx.compile_table([Div(Lit(2.0), T)])(0.0)
+
+
+def test_compile_table_long_sum():
+    # a parsed 500-term sum nests 500 deep; the table bounds its nesting
+    e = parse_expr("+".join(["t"] * 500))
+    assert tx.compile_table([e])(2.0) == (1000.0,)
+    assert tx.compile_expr(e)(0.5) == eval_expr(e, 0.5) == 250.0
+
+
+def test_compile_table_empty_and_constant():
+    assert tx.compile_table([])(1.0) == ()
+    assert tx.compile_table([Lit(2.5), T])(np.float64(3.0)) == (2.5, 3.0)
+
+
+def test_diff_values_match_diff_then_eval_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        exprs = _shared_table(rng)
+        want = [_outcome(lambda s: eval_expr(diff_expr(e), s), 0.0) for e in exprs]
+        got = _outcome(lambda s: tx.diff_values(exprs, s), 0.0)
+        if any(w in ("EvalError", "OverflowError") for w in want):
+            assert got in ("EvalError", "OverflowError")
+        else:
+            assert got == repr(list(map(float, want)))
 
 
 def test_smart_constructor_values_match_structure():
