@@ -113,7 +113,7 @@ def _initial_step(rhs, t0, y0, f0, direction, rtol, atol):
 
 
 def integrate_dense(rhs, t0: float, t1: float, y0, rtol: float = 1e-10,
-                    atol: float = 1e-10, max_step: float = np.inf,
+                    atol: float = 1e-10,
                     blowup_norm: float | None = None) -> DenseSolution:
     """Integrate y' = rhs(t, y) from t0 to t1 (either direction).
 
@@ -128,8 +128,7 @@ def integrate_dense(rhs, t0: float, t1: float, y0, rtol: float = 1e-10,
 
     t, y = float(t0), y0.copy()
     f = np.asarray(rhs(t, y), dtype=float)
-    h = min(_initial_step(rhs, t, y, f, direction, rtol, atol),
-            abs(t1 - t0), max_step)
+    h = min(_initial_step(rhs, t, y, f, direction, rtol, atol), abs(t1 - t0))
 
     K = np.empty((7, y0.shape[0]))
     n_steps = 0
@@ -168,7 +167,7 @@ def integrate_dense(rhs, t0: float, t1: float, y0, rtol: float = 1e-10,
                 return sol
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err ** -0.2)
-            h = min(h * factor, max_step)
+            h *= factor
         else:
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
 

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _DROP_TOL = 1e-10
+_FLOW_TOL = 1e-10  # rtol and atol of FlowMap's integration
 # zero tests sample these fractions of the caller's span
 _SAMPLE_FRACTIONS = np.linspace(0.025, 0.975, 20)
 
@@ -252,17 +253,16 @@ def transform_solution(traj, A: MatrixCurve):
 class FlowMap:
     """Time-s flow of a polynomial field, used as a solution-preserving map."""
 
-    def __init__(self, field: PolyField, s: float, tol: float = 1e-10):
+    def __init__(self, field: PolyField, s: float):
         self.field = field
         self.s = float(s)
-        self.tol = tol
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.s == 0.0:
             return x.copy()
         sol = integrate_dense(lambda _t, y: self.field.eval(y), 0.0, self.s, x,
-                              rtol=self.tol, atol=self.tol, blowup_norm=1e8)
+                              rtol=_FLOW_TOL, atol=_FLOW_TOL, blowup_norm=1e8)
         if sol.status != "done":
             raise IntegrationError("flow escaped before reaching the requested time")
         return sol.y_end

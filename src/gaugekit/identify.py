@@ -8,6 +8,7 @@ idempotent finder corroborates uniqueness of B for generic nonlinearities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -15,8 +16,8 @@ from . import timexpr as tx
 from ._rk import IntegrationError
 from .matcurve import FlowCurve, mat_exp, solve_gauge_ode
 from .polyfield import (
-    NearSingularMatrixError, PolyField, field_to_dict, lie_bracket,
-    linear_pushforward,
+    NearSingularMatrixError, PolyField, check_invertible, field_to_dict,
+    lie_bracket, linear_pushforward,
 )
 
 __all__ = [
@@ -30,6 +31,8 @@ DEFAULT_GRID_POINTS = 33
 _SV_CUTOFF = 1e-10
 _SOLVE_RESIDUAL_TOL = 1e-8
 _ZERO_COEFF_TOL = 1e-12
+_REFINE_MAX_ITER = 50
+_NEWTON_ITERS = 60
 
 
 def default_grid(t0: float = 0.0, t1: float = 1.0,
@@ -65,6 +68,8 @@ class NonAutoSystem:
             exps = tuple(int(v) for v in exps)
             if not (0 <= comp < dim) or len(exps) != dim:
                 raise ValueError(f"bad term key ({comp}, {exps}) for dim {dim}")
+            if any(v < 0 for v in exps):
+                raise ValueError(f"negative exponent in term {exps}")
             if sum(exps) < 2:
                 raise ValueError(
                     f"term {exps} has total degree {sum(exps)}; "
@@ -167,9 +172,6 @@ class NonAutoSystem:
 
     def eval(self, t: float, x) -> np.ndarray:
         return self._eval_of(self._values(t), x)
-
-    def rhs(self, t: float, x) -> np.ndarray:
-        return self.eval(t, x)
 
     # -- JSON ---------------------------------------------------------------
 
@@ -310,13 +312,12 @@ def _stack_constraints(jet: JetData):
     return np.array(rows, dtype=float), np.array(rhs, dtype=float)
 
 
-def solve_candidate_B(jet: JetData, sv_cutoff: float = _SV_CUTOFF,
-                      residual_tol: float = _SOLVE_RESIDUAL_TOL) -> CandidateFamily | None:
+def solve_candidate_B(jet: JetData) -> CandidateFamily | None:
     """Solve the stacked first-order conditions for B.
 
     Returns the affine solution set (minimum-norm representative plus a
     kernel basis), or None when the best least-squares fit leaves a residual
-    above `residual_tol` * (1 + ||rhs||).
+    above _SOLVE_RESIDUAL_TOL * (1 + ||rhs||).
     """
     n = jet.dim
     G, rhs = _stack_constraints(jet)
@@ -326,10 +327,10 @@ def solve_candidate_B(jet: JetData, sv_cutoff: float = _SV_CUTOFF,
                                residual=0.0, unconstrained=True)
     m, *_ = np.linalg.lstsq(G, rhs, rcond=None)
     residual = float(np.linalg.norm(G @ m - rhs))
-    if residual > residual_tol * (1.0 + np.linalg.norm(rhs)):
+    if residual > _SOLVE_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)):
         return None
     sv = np.linalg.svd(G, compute_uv=False)
-    rank = int(np.sum(sv > sv_cutoff * sv[0])) if sv.size and sv[0] > 0 else 0
+    rank = int(np.sum(sv > _SV_CUTOFF * sv[0])) if sv.size and sv[0] > 0 else 0
     _, _, Vt = np.linalg.svd(G, full_matrices=True)
     kernel = [Vt[k].reshape(n, n) for k in range(rank, n * n)]
     M = m.reshape(n, n)
@@ -351,35 +352,55 @@ class VerificationReport:
 
 
 class _GridTables:
-    """All coefficient data of q evaluated on the grid, computed once."""
+    """All coefficient data of q evaluated on the grid, computed once; q[j]
+    has one row per grid time over keys[j], every degree-j key, sorted."""
 
     def __init__(self, q: NonAutoSystem, ts: np.ndarray):
         self.ts = np.asarray(ts, dtype=float)
         vals = [q._values(t) for t in self.ts]
         self.c = np.array([q._constant_of(v) for v in vals])
         self.C = np.array([q._linear_of(v) for v in vals])
-        self.fields = {j: [q._terms_of(v, j) for v in vals] for j in q.degrees()}
+        self.keys = {j: [(i, e) for i in range(q.dim)
+                         for e in product(range(j + 1), repeat=q.dim) if sum(e) == j]
+                     for j in q.degrees()}
+        self.q = {j: np.array([[f.terms.get(key, 0.0) for key in keys]
+                               for f in (q._terms_of(v, j) for v in vals)])
+                  for j, keys in self.keys.items()}
 
     @property
     def linear_max(self) -> float:
         return float(np.max(np.abs(self.C))) if self.C.size else 0.0
 
     def degree_max(self, j: int) -> float:
-        return max((f.max_abs_coeff() for f in self.fields[j]), default=0.0)
+        return float(np.max(np.abs(self.q[j])))
 
     def constant_max(self) -> float:
         return float(np.max(np.abs(self.c))) if self.c.size else 0.0
 
 
-def _candidate_curve_values(q: NonAutoSystem, B: np.ndarray, tables: _GridTables,
-                            ode_tol: float):
-    """A(t) on the grid: exp(-tB) when C == 0, else the flow of A' = CA - AB."""
+def _grid_residuals(q: NonAutoSystem, B: np.ndarray, jet: JetData,
+                    tables: _GridTables, ode_tol: float) -> tuple[np.ndarray, dict]:
+    """Rows c(t_k) - A(t_k) c(0), and per degree j rows of q_j(t_k, .) minus
+    A(t_k)_* p_j over tables.keys[j], where A is exp(-tB) when C == 0, else
+    the flow of A' = CA - AB.  Each A(t_k) gets one singular-value check."""
     if tables.linear_max <= _ZERO_COEFF_TOL:
-        return [mat_exp(-t * B) for t in tables.ts], None
-    curve = solve_gauge_ode(q.linear, B, np.eye(q.dim),
-                            t_span=(float(tables.ts.min()), float(tables.ts.max())),
-                            tol=ode_tol)
-    return [curve.value(float(t)) for t in tables.ts], curve
+        A_vals = [mat_exp(-t * B) for t in tables.ts]
+    else:
+        curve = solve_gauge_ode(q.linear, B, np.eye(q.dim),
+                                t_span=(float(tables.ts.min()), float(tables.ts.max())),
+                                tol=ode_tol)
+        A_vals = [curve.value(float(t)) for t in tables.ts]
+        curve.assert_invertible_on_span()
+    if not jet.p:
+        for A_t in A_vals:
+            check_invertible(A_t)
+    const = np.array([c_t - A_t @ jet.c0 for c_t, A_t in zip(tables.c, A_vals)])
+    per_degree = {}
+    for j in sorted(jet.p):
+        pushed = [linear_pushforward(A_t, jet.p[j]).terms for A_t in A_vals]
+        per_degree[j] = tables.q[j] - np.array(
+            [[pf.get(key, 0.0) for key in tables.keys[j]] for pf in pushed])
+    return const, per_degree
 
 
 def verify_candidate(q: NonAutoSystem, B: np.ndarray, grid=None, tol: float = 1e-6,
@@ -397,27 +418,17 @@ def verify_candidate(q: NonAutoSystem, B: np.ndarray, grid=None, tol: float = 1e
     diagnostics: list[str] = []
 
     try:
-        A_vals, curve = _candidate_curve_values(q, B, tables, ode_tol)
-        for A_t in A_vals:
-            sv = np.linalg.svd(A_t, compute_uv=False)
-            if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
-                raise NearSingularMatrixError("A(t) numerically singular on the grid")
-        if curve is not None:
-            curve.assert_invertible_on_span()
-        pushed = {j: [linear_pushforward(A_t, jet.p[j]) for A_t in A_vals]
-                  for j in sorted(jet.p)}
+        const, per_degree = _grid_residuals(q, B, jet, tables, ode_tol)
     except (IntegrationError, NearSingularMatrixError, tx.EvalError) as exc:
         diagnostics.append(f"verification aborted: {exc}")
         return VerificationReport(False, "undetermined", {}, {}, ts, diagnostics)
 
-    const_res = max((float(np.linalg.norm(tables.c[k] - A_vals[k] @ jet.c0))
-                     for k in range(len(ts))), default=0.0)
+    const_res = max((float(np.linalg.norm(row)) for row in const), default=0.0)
     residuals = {"constant": const_res, "per_degree": {}}
     scales = {"constant": tables.constant_max(), "per_degree": {}}
     ok = const_res <= tol * (1.0 + scales["constant"])
-    for j in sorted(jet.p):
-        res_j = max(tables.fields[j][k].coeff_distance(pushed[j][k])
-                    for k in range(len(ts)))
+    for j, res in per_degree.items():
+        res_j = float(np.max(np.abs(res)))
         residuals["per_degree"][j] = res_j
         scales["per_degree"][j] = tables.degree_max(j)
         ok = ok and res_j <= tol * (1.0 + scales["per_degree"][j])
@@ -428,26 +439,8 @@ def verify_candidate(q: NonAutoSystem, B: np.ndarray, grid=None, tol: float = 1e
 # Refinement over the affine family
 # ---------------------------------------------------------------------------
 
-def _residual_vector(q: NonAutoSystem, B: np.ndarray, jet: JetData,
-                     tables: _GridTables, ode_tol: float) -> np.ndarray:
-    A_vals, _ = _candidate_curve_values(q, B, tables, ode_tol)
-    parts = []
-    for k in range(len(tables.ts)):
-        parts.append(tables.c[k] - A_vals[k] @ jet.c0)
-    key_order = {j: sorted({key for f in tables.fields[j] for key in f.terms}
-                           | set(jet.p[j].terms)) for j in sorted(jet.p)}
-    for j in sorted(jet.p):
-        for k, A_t in enumerate(A_vals):
-            pf = linear_pushforward(A_t, jet.p[j])
-            q_t = tables.fields[j][k]
-            parts.append(np.array([q_t.terms.get(key, 0.0) - pf.terms.get(key, 0.0)
-                                   for key in key_order[j]]))
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
 def _refine_candidate(q: NonAutoSystem, cand: CandidateFamily, jet: JetData,
-                      tables: _GridTables, ode_tol: float,
-                      max_iter: int = 50) -> tuple[np.ndarray, list[str]]:
+                      tables: _GridTables, ode_tol: float) -> tuple[np.ndarray, list[str]]:
     """Bounded Gauss-Newton over the kernel directions of the affine family."""
     notes = []
     theta = np.zeros(len(cand.kernel))
@@ -457,7 +450,8 @@ def _refine_candidate(q: NonAutoSystem, cand: CandidateFamily, jet: JetData,
         return jet.C0 + M
 
     def r_of(th):
-        return _residual_vector(q, B_of(th), jet, tables, ode_tol)
+        const, per_degree = _grid_residuals(q, B_of(th), jet, tables, ode_tol)
+        return np.concatenate([const.ravel()] + [r.ravel() for r in per_degree.values()])
 
     try:
         r = r_of(theta)
@@ -465,7 +459,7 @@ def _refine_candidate(q: NonAutoSystem, cand: CandidateFamily, jet: JetData,
         return B_of(theta), ["refinement aborted at the starting point"]
     best = float(r @ r)
     delta = 1e-7
-    for it in range(max_iter):
+    for it in range(_REFINE_MAX_ITER):
         J = np.empty((r.size, theta.size))
         for i in range(theta.size):
             step = theta.copy()
@@ -494,7 +488,7 @@ def _refine_candidate(q: NonAutoSystem, cand: CandidateFamily, jet: JetData,
             notes.append(f"refinement stopped after {it + 1} iterations")
             break
     else:
-        notes.append(f"refinement exhausted {max_iter} iterations")
+        notes.append(f"refinement exhausted {_REFINE_MAX_ITER} iterations")
     return B_of(theta), notes
 
 
@@ -541,9 +535,7 @@ def _reconstructed_field(jet: JetData, B: np.ndarray) -> PolyField:
 
 
 def identify(q: NonAutoSystem, grid=None, tol: float = 1e-6,
-             ode_tol: float = 1e-10,
-             solve_residual_tol: float = _SOLVE_RESIDUAL_TOL,
-             refine_max_iter: int = 50) -> GaugeCertificate:
+             ode_tol: float = 1e-10) -> GaugeCertificate:
     """Full identification pipeline; returns a GaugeCertificate.
 
     Statuses: gauge (certified, residuals within tol), linear_family (purely
@@ -585,7 +577,7 @@ def identify(q: NonAutoSystem, grid=None, tol: float = 1e-6,
                                 PolyField.from_linear(B), report.residuals, ts,
                                 diagnostics + report.diagnostics)
 
-    cand = solve_candidate_B(jet, residual_tol=solve_residual_tol)
+    cand = solve_candidate_B(jet)
     if cand is None:
         diagnostics.append("first-order conditions at t=0 are inconsistent")
         return GaugeCertificate("not_gauge", None, [], jet.c0, None, None,
@@ -601,8 +593,7 @@ def identify(q: NonAutoSystem, grid=None, tol: float = 1e-6,
         diagnostics.append(
             f"minimum-norm candidate failed; refining over the "
             f"{cand.kernel_dim}-dimensional solution family")
-        B, notes = _refine_candidate(q, cand, jet, tables, ode_tol,
-                                     max_iter=refine_max_iter)
+        B, notes = _refine_candidate(q, cand, jet, tables, ode_tol)
         diagnostics.extend(notes)
         report = verify_candidate(q, B, ts, tol=tol, ode_tol=ode_tol,
                                   jet=jet, tables=tables)
@@ -682,8 +673,7 @@ class IdempotentSet:
         return len(self.points)
 
 
-def find_idempotents(p: PolyField, starts: int = 200, seed: int = 0,
-                     newton_iters: int = 60) -> IdempotentSet:
+def find_idempotents(p: PolyField, starts: int = 200, seed: int = 0) -> IdempotentSet:
     """Complex solutions of p(c) = c, c != 0, by multistart Newton.
 
     A spanning set of idempotents certifies that B -> [B, p] is injective,
@@ -705,7 +695,7 @@ def find_idempotents(p: PolyField, starts: int = 200, seed: int = 0,
     for _ in range(starts):
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
         ok = False
-        for _ in range(newton_iters):
+        for _ in range(_NEWTON_ITERS):
             F = p.eval(c) - c
             if np.linalg.norm(F) <= 1e-12:
                 ok = True

@@ -252,6 +252,8 @@ class ExponentialCurve(MatrixCurve):
         self.generator = np.asarray(generator, dtype=float)
         if self.generator.ndim != 2 or self.generator.shape[0] != self.generator.shape[1]:
             raise ValueError("generator must be square")
+        if not np.all(np.isfinite(self.generator)):
+            raise ValueError("generator entries must be finite")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         self.sign = int(sign)

@@ -31,18 +31,18 @@ class NearSingularMatrixError(ValueError):
     """Matrix failed the invertibility threshold (smallest/largest singular value)."""
 
 
-def check_invertible(A: np.ndarray, ratio: float = _SV_RATIO) -> None:
+def check_invertible(A: np.ndarray) -> None:
     A = np.asarray(A, dtype=float)
     sv = np.linalg.svd(A, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= ratio * sv[0]:
+    if sv[0] == 0.0 or sv[-1] <= _SV_RATIO * sv[0]:
         raise NearSingularMatrixError(
             f"matrix is numerically singular (sv ratio {sv[-1] / sv[0] if sv[0] else 0.0:.3e})")
 
 
-def invert_checked(A: np.ndarray, ratio: float = _SV_RATIO) -> np.ndarray:
+def invert_checked(A: np.ndarray) -> np.ndarray:
     """Inverse via a solve against the identity, after the singular-value check."""
     A = np.asarray(A, dtype=float)
-    check_invertible(A, ratio)
+    check_invertible(A)
     return np.linalg.solve(A, np.eye(A.shape[0]))
 
 
@@ -55,11 +55,9 @@ class PolyField:
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim: int, terms: dict | None = None,
-                 max_degree: int | None = None):
+    def __init__(self, dim: int, terms: dict | None = None):
         if dim < 1:
             raise ValueError("dim must be positive")
-        cap = MAX_DEGREE if max_degree is None else max_degree
         self.dim = dim
         clean = {}
         for (comp, exps), coeff in (terms or {}).items():
@@ -70,10 +68,10 @@ class PolyField:
                 raise ValueError(f"multi-index {exps} has length {len(exps)}, expected {dim}")
             if any(k < 0 for k in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            if sum(exps) > cap:
+            if sum(exps) > MAX_DEGREE:
                 raise ValueError(
-                    f"term {exps} exceeds the degree cap {cap} "
-                    "(pass max_degree or raise polyfield.MAX_DEGREE)")
+                    f"term {exps} exceeds the degree cap {MAX_DEGREE} "
+                    "(raise polyfield.MAX_DEGREE)")
             c = float(coeff)
             if c != 0.0:
                 clean[(int(comp), exps)] = c

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,21 @@ def test_transform_numeric_failure_exit_3(files, tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("generator", ['[["nan"]]', "[[1e999]]"])
+def test_transform_nonfinite_generator_exit_2_names_file(files, tmp_path, capsys,
+                                                         generator):
+    f1 = tmp_path / "f1.json"
+    f1.write_text(json.dumps({"dim": 1, "terms": [
+        {"component": 0, "exponents": [2], "coeff": 1.0}]}))
+    cpath = tmp_path / "bad-generator.json"
+    cpath.write_text('{"dim": 1, "kind": "exp", "generator": %s}' % generator)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["transform", "--field", str(f1), "--curve", str(cpath)]) == 2
+    err = capsys.readouterr().err
+    assert "bad-generator.json" in err and "bad generator matrix" in err
+
+
 # ---------------------------------------------------------------------------
 # identify
 # ---------------------------------------------------------------------------
@@ -212,6 +228,18 @@ def test_integrate_trajectory_file(files):
     assert len(traj["t"]) == 200
     assert traj["t"][0] == 0.0 and abs(traj["t"][-1] - 0.5) < 1e-12
     assert len(traj["x"][0]) == 2
+
+
+def test_system_with_negative_exponent_exit_2_names_file(tmp_path, capsys):
+    sysf = tmp_path / "neg.json"
+    sysf.write_text(json.dumps({"dim": 2, "terms": [
+        {"component": 0, "exponents": [3, -1], "coeff": "1"}]}))
+    for argv in (["identify", "--system", str(sysf)],
+                 ["integrate", "--system", str(sysf), "--x0", "0.5,0.5", "--t1", "0.1"],
+                 ["integrate", "--system", str(sysf), "--x0", "0.5,0", "--t1", "0.1"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "neg.json" in err and "negative exponent" in err
 
 
 def test_integrate_field_and_arg_validation(files, capsys):

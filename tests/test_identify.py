@@ -6,8 +6,9 @@ import pytest
 from gaugekit import timexpr as tx
 from gaugekit.gauge import gauge_transform
 from gaugekit.identify import (
-    JetData, NonAutoSystem, extract_jet, find_idempotents,
-    identify, remove_linear_part, solve_candidate_B, verify_candidate,
+    JetData, NonAutoSystem, _grid_residuals, _GridTables, default_grid,
+    extract_jet, find_idempotents, identify, remove_linear_part,
+    solve_candidate_B, verify_candidate,
 )
 from gaugekit.matcurve import ClosedFormCurve, ExponentialCurve, mat_exp
 from gaugekit.odeint import integrate
@@ -286,6 +287,28 @@ def test_verify_undetermined_on_integration_failure():
 def test_degree_cap_enforced_at_construction():
     with pytest.raises(ValueError, match="degree cap"):
         NonAutoSystem(2, terms={(0, (7, 0)): "1"})
+
+
+def test_negative_exponent_rejected_at_construction():
+    with pytest.raises(ValueError, match=r"negative exponent in term \(3, -1\)"):
+        NonAutoSystem(2, terms={(0, (3, -1)): "1"})
+    with pytest.raises(ValueError, match="negative exponent"):
+        NonAutoSystem.from_dict({"dim": 2, "terms": [
+            {"component": 0, "exponents": [3, -1], "coeff": "1"}]})
+
+
+def test_refinement_and_certification_measure_the_same_coefficients():
+    # A = exp(-tB) pushes x1^2 e1 to (x1 + t x2)^2 e1; its x1 x2 and x2^2
+    # coefficients 2t and t^2 are absent from q, so the residual is 2, at t = 1
+    q = NonAutoSystem(2, terms={(0, (2, 0)): "1"})
+    B = np.array([[0.0, 1.0], [0.0, 0.0]])
+    report = verify_candidate(q, B)
+    assert report.residuals["per_degree"][2] == 2.0
+    ts = default_grid()
+    const, per_degree = _grid_residuals(q, B, extract_jet(q), _GridTables(q, ts), 1e-10)
+    assert const.shape == (len(ts), 2) and not const.any()
+    assert per_degree[2].shape == (len(ts), 6)  # every (component, monomial) of degree 2
+    assert np.max(np.abs(per_degree[2])) == report.residuals["per_degree"][2]
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,14 @@ def test_curve_json_validation():
         curve_from_dict({"dim": 1, "kind": "closed_form", "entries": [["exp(t"]]})
 
 
+@pytest.mark.parametrize("entry", ["nan", float("inf"), float("-inf")])
+def test_exponential_curve_rejects_nonfinite_generator(entry):
+    with pytest.raises(ValueError, match="finite"):
+        ExponentialCurve(np.array([[float(entry)]]))
+    with pytest.raises(ValueError, match="bad generator matrix"):
+        curve_from_dict({"dim": 1, "kind": "exp", "generator": [[entry]]})
+
+
 def test_gauge_ode_flows_of_one_C_table_share_its_compiled_table():
     C = [[tx.parse_expr("sin(t)"), tx.parse_expr("1")],
          [tx.parse_expr("-1"), tx.parse_expr("t")]]
