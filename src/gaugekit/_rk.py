@@ -94,7 +94,25 @@ class DenseSolution:
         return self.Qs[i] @ dp
 
     def sample(self, ts) -> np.ndarray:
-        return np.array([self(float(t)) for t in ts])
+        """The interpolant at every t of ts, one row per t: one segment
+        search and one stacked product, equal to calling the solution at
+        each t."""
+        ts = np.asarray(ts, dtype=float)
+        lo, hi = sorted((self.t_start, self.t_end))
+        outside = (ts < lo - 1e-12) | (ts > hi + 1e-12)
+        if outside.any():
+            self._check(float(ts[np.argmax(outside)]))
+        t_starts = np.asarray(self.t_starts)
+        idx = np.searchsorted(t_starts * self.direction, ts * self.direction,
+                              side="right") - 1
+        idx = np.clip(idx, 0, len(self.t_starts) - 1)
+        hs = np.asarray(self.hs)[idx]
+        x = ((ts - t_starts[idx]) / hs).tolist()
+        # scalar powers, as __call__ takes them: numpy's vectorized power can
+        # round differently in the last bit
+        p = np.array([(v, v * v, v ** 3, v ** 4) for v in x]).reshape(len(x), 4, 1)
+        Q = np.asarray(self.Qs)[idx]
+        return np.asarray(self.y_olds)[idx] + hs[:, None] * (Q @ p)[:, :, 0]
 
 
 def _initial_step(rhs, t0, y0, f0, direction, rtol, atol):

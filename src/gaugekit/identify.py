@@ -382,24 +382,26 @@ def _grid_residuals(q: NonAutoSystem, B: np.ndarray, jet: JetData,
                     tables: _GridTables, ode_tol: float) -> tuple[np.ndarray, dict]:
     """Rows c(t_k) - A(t_k) c(0), and per degree j rows of q_j(t_k, .) minus
     A(t_k)_* p_j over tables.keys[j], where A is exp(-tB) when C == 0, else
-    the flow of A' = CA - AB.  Each A(t_k) gets one singular-value check."""
+    the flow of A' = CA - AB.  A(t) is one (K, n, n) stack for the K grid
+    times, pushed forward once per degree; the first singular-value check
+    that fails raises."""
     if tables.linear_max <= _ZERO_COEFF_TOL:
-        A_vals = [mat_exp(-t * B) for t in tables.ts]
+        A = np.array([mat_exp(-t * B) for t in tables.ts])
     else:
         curve = solve_gauge_ode(q.linear, B, np.eye(q.dim),
                                 t_span=(float(tables.ts.min()), float(tables.ts.max())),
                                 tol=ode_tol)
-        A_vals = [curve.value(float(t)) for t in tables.ts]
+        A = curve.sample(tables.ts)
         curve.assert_invertible_on_span()
     if not jet.p:
-        for A_t in A_vals:
-            check_invertible(A_t)
-    const = np.array([c_t - A_t @ jet.c0 for c_t, A_t in zip(tables.c, A_vals)])
+        check_invertible(A)
+    const = tables.c - A @ jet.c0
+    zero = np.zeros(len(tables.ts))
     per_degree = {}
     for j in sorted(jet.p):
-        pushed = [linear_pushforward(A_t, jet.p[j]).terms for A_t in A_vals]
-        per_degree[j] = tables.q[j] - np.array(
-            [[pf.get(key, 0.0) for key in tables.keys[j]] for pf in pushed])
+        pushed = linear_pushforward(A, jet.p[j])
+        per_degree[j] = tables.q[j] - np.column_stack(
+            [pushed.get(key, zero) for key in tables.keys[j]])
     return const, per_degree
 
 

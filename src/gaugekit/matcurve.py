@@ -362,6 +362,23 @@ class FlowCurve(MatrixCurve):
             return self.A0.copy()
         return self._solution_for(t)(t).reshape(self.dim, self.dim)
 
+    def sample(self, ts) -> np.ndarray:
+        """value(t) for every t of ts, as one (K, n, n) stack: A0 at t = 0,
+        and one DenseSolution.sample per direction."""
+        ts = np.asarray(ts, dtype=float)
+        n = self.dim
+        out = np.empty((ts.size, n, n))
+        # extends the integrated span as value() does
+        self._solution_for(float(ts.min()))
+        self._solution_for(float(ts.max()))
+        fwd = self._fwd if self._fwd is not None else self._bwd
+        bwd = self._bwd if self._bwd is not None else self._fwd
+        for sol, mask in ((fwd, ts > 0.0), (bwd, ts < 0.0)):
+            if mask.any():
+                out[mask] = sol.sample(ts[mask]).reshape(-1, n, n)
+        out[ts == 0.0] = self.A0
+        return out
+
     def derivative(self, t: float) -> np.ndarray:
         return self._rhs(t, self.value(t).ravel()).reshape(self.dim, self.dim)
 
@@ -407,12 +424,11 @@ class FlowCurve(MatrixCurve):
         for sol in (self._fwd, self._bwd):
             if sol is None:
                 continue
-            for y in sol.y_olds + [sol.y_end]:
-                A = y.reshape(self.dim, self.dim)
-                det = np.linalg.det(A)
-                if det == 0.0 or math.copysign(1.0, det) != sign0:
-                    raise NearSingularMatrixError(
-                        "flow curve lost invertibility inside the integrated span")
+            dets = np.linalg.det(np.stack(sol.y_olds + [sol.y_end])
+                                 .reshape(-1, self.dim, self.dim))
+            if np.any((dets == 0.0) | (np.copysign(1.0, dets) != sign0)):
+                raise NearSingularMatrixError(
+                    "flow curve lost invertibility inside the integrated span")
 
 
 def _concat(base: DenseSolution | None, ext: DenseSolution) -> DenseSolution:

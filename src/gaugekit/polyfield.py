@@ -32,18 +32,34 @@ class NearSingularMatrixError(ValueError):
 
 
 def check_invertible(A: np.ndarray) -> None:
+    """Raise NearSingularMatrixError unless the smallest singular value of A
+    exceeds _SV_RATIO times the largest.  A (K, n, n) stack is checked by one
+    SVD and raises for its first failing matrix, with that matrix's message."""
     A = np.asarray(A, dtype=float)
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= _SV_RATIO * sv[0]:
+    try:
+        sv = np.linalg.svd(A, compute_uv=False)
+    except np.linalg.LinAlgError:
+        if A.ndim != 3:
+            raise
+        # an SVD that fails fails the whole stack: check the matrices in
+        # order, so that the first failing one decides the error
+        for M in A:
+            check_invertible(M)
+        raise
+    big, small = sv[..., 0].ravel(), sv[..., -1].ravel()
+    bad = np.flatnonzero((big == 0.0) | (small <= _SV_RATIO * big))
+    if bad.size:
+        s0, s1 = big[bad[0]], small[bad[0]]
         raise NearSingularMatrixError(
-            f"matrix is numerically singular (sv ratio {sv[-1] / sv[0] if sv[0] else 0.0:.3e})")
+            f"matrix is numerically singular (sv ratio {s1 / s0 if s0 else 0.0:.3e})")
 
 
 def invert_checked(A: np.ndarray) -> np.ndarray:
-    """Inverse via a solve against the identity, after the singular-value check."""
+    """Inverse via a solve against the identity, after the singular-value
+    check; a (K, n, n) stack gives the stack of inverses."""
     A = np.asarray(A, dtype=float)
     check_invertible(A)
-    return np.linalg.solve(A, np.eye(A.shape[0]))
+    return np.linalg.solve(A, np.eye(A.shape[-1]))
 
 
 class PolyField:
@@ -275,10 +291,16 @@ def lie_bracket(f: PolyField, g: PolyField) -> PolyField:
 # Pushforward by an invertible matrix
 # ---------------------------------------------------------------------------
 
+def _is_zero(c) -> bool:
+    """The pushforward's skip test; a stack of coefficients is skipped when
+    it is zero in every slice."""
+    return not c.any() if isinstance(c, np.ndarray) else c in _ZEROS
+
+
 def _linear_form(row: list, dim: int) -> dict:
     out = {}
     for l, c in enumerate(row):
-        if c not in _ZEROS:
+        if not _is_zero(c):
             e = [0] * dim
             e[l] = 1
             out[tuple(e)] = c
@@ -300,9 +322,11 @@ def _poly_pow(p: dict, k: int, dim: int) -> dict:
 def pushforward_terms(A: list, Ainv: list, f: PolyField) -> dict:
     """Coefficients of A f(A^{-1} x), keyed like PolyField terms.
 
-    A and Ainv are n x n tables (lists of rows) of floats or TimeExprs; the
-    coefficients come out in the same arithmetic.  Exact multinomial
-    expansion, degree-preserving on each graded part.
+    A and Ainv are n x n tables (rows) of floats, TimeExprs or (K,) arrays,
+    one slice per matrix of a stack; the coefficients come out in the same
+    arithmetic.  Exact multinomial expansion, degree-preserving on each
+    graded part.  An entry that is zero (in every slice) is skipped, so a
+    key can be missing or hold zeros where another arithmetic has none.
     """
     n = f.dim
     lin_forms = [_linear_form(Ainv[k], n) for k in range(n)]
@@ -322,7 +346,7 @@ def pushforward_terms(A: list, Ainv: list, f: PolyField) -> dict:
         expanded = expand(exps)
         for i in range(n):
             aij = A[i][j]
-            if aij in _ZEROS:
+            if _is_zero(aij):
                 continue
             for e, v in expanded.items():
                 key = (i, e)
@@ -331,18 +355,27 @@ def pushforward_terms(A: list, Ainv: list, f: PolyField) -> dict:
     return terms
 
 
-def linear_pushforward(A, f: PolyField) -> PolyField:
+def linear_pushforward(A, f: PolyField):
     """The field x -> A f(A^{-1} x), with exact multinomial expansion.
 
     Degree-preserving on each graded part.  A must pass the invertibility
     threshold; its inverse is obtained by a solve, not an inverse formula.
+    An (n, n) matrix gives a PolyField.  A (K, n, n) stack is pushed forward
+    in one expansion and gives the pushforward_terms mapping, whose
+    coefficients are (K,) arrays, slice k belonging to A[k]; every matrix
+    must pass the threshold, and a key absent from the mapping is zero in
+    every slice.
     """
     A = np.asarray(A, dtype=float)
     n = f.dim
-    if A.shape != (n, n):
+    if A.ndim not in (2, 3) or A.shape[-2:] != (n, n):
         raise ValueError(f"matrix shape {A.shape} does not match field dim {n}")
+    Ainv = invert_checked(A)
+    if A.ndim == 3:
+        # entry (i, j) of the tables is the (K,) array of the stack's (i, j) entries
+        return pushforward_terms(A.transpose(1, 2, 0), Ainv.transpose(1, 2, 0), f)
     # Python floats, not numpy scalars: the shared expansion is faster on them
-    return PolyField(n, pushforward_terms(A.tolist(), invert_checked(A).tolist(), f))
+    return PolyField(n, pushforward_terms(A.tolist(), Ainv.tolist(), f))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ from gaugekit.identify import (
     extract_jet, find_idempotents, identify, remove_linear_part,
     solve_candidate_B, verify_candidate,
 )
-from gaugekit.matcurve import ClosedFormCurve, ExponentialCurve, mat_exp
+from gaugekit.matcurve import ClosedFormCurve, ExponentialCurve, mat_exp, solve_gauge_ode
 from gaugekit.odeint import integrate
-from gaugekit.polyfield import PolyField, lie_bracket
+from gaugekit.polyfield import (
+    NearSingularMatrixError, PolyField, check_invertible, lie_bracket, linear_pushforward,
+)
 
 from conftest import random_field, random_time_expr
 from oracles import frac_candidate_system, frac_solve, satisfies
@@ -309,6 +311,75 @@ def test_refinement_and_certification_measure_the_same_coefficients():
     assert const.shape == (len(ts), 2) and not const.any()
     assert per_degree[2].shape == (len(ts), 6)  # every (component, monomial) of degree 2
     assert np.max(np.abs(per_degree[2])) == report.residuals["per_degree"][2]
+
+
+def grid_residuals_per_time(q, B, jet, tables, ode_tol):
+    """_grid_residuals one grid time at a time: A(t_k) from mat_exp or the
+    flow's value(t), pushed forward matrix by matrix."""
+    if tables.linear_max <= 1e-12:
+        A_vals = [mat_exp(-t * B) for t in tables.ts]
+    else:
+        curve = solve_gauge_ode(q.linear, B, np.eye(q.dim), tol=ode_tol,
+                                t_span=(float(tables.ts.min()), float(tables.ts.max())))
+        A_vals = [curve.value(float(t)) for t in tables.ts]
+    const = np.array([c_t - A_t @ jet.c0 for c_t, A_t in zip(tables.c, A_vals)])
+    per_degree = {}
+    for j in sorted(jet.p):
+        pushed = [linear_pushforward(A_t, jet.p[j]).terms for A_t in A_vals]
+        per_degree[j] = tables.q[j] - np.array(
+            [[pf.get(key, 0.0) for key in tables.keys[j]] for pf in pushed])
+    return const, per_degree
+
+
+def test_grid_residuals_equal_the_per_time_reference():
+    rng = np.random.default_rng(21)
+    # n = 2 with a linear symmetry of x1^2 e1: the candidate family has a
+    # kernel, so identify refines over it
+    f2 = PolyField.from_linear(rng.uniform(-1, 1, size=(2, 2))) \
+        + PolyField(2, {(0, (2, 0)): 0.8})
+    refining = gauge_transform(f2, ExponentialCurve(rng.uniform(-1, 1, size=(2, 2)), -1))
+    f3 = PolyField.from_constant(rng.uniform(-0.5, 0.5, size=3)) \
+        + PolyField.from_linear(rng.uniform(-0.8, 0.8, size=(3, 3))) \
+        + random_field(rng, 3, [2, 3], scale=0.7, density=0.6)
+    n3 = gauge_transform(f3, ExponentialCurve(rng.uniform(-0.6, 0.6, size=(3, 3)), -1))
+    around_zero = np.concatenate([np.linspace(-0.5, 0.0, 6), np.linspace(0.1, 1.0, 10)])
+    cases = [(refining.closed_form, default_grid()), (n3.closed_form, default_grid()),
+             (exp_quadratic_system(), default_grid()), (refining.closed_form, around_zero)]
+    for q, ts in cases:
+        jet = extract_jet(q)
+        tables = _GridTables(q, ts)
+        cand = solve_candidate_B(jet)
+        assert cand is not None
+        for B in (cand.B, cand.B + rng.uniform(-0.3, 0.3, size=(q.dim, q.dim))):
+            const, per_degree = _grid_residuals(q, B, jet, tables, 1e-10)
+            want_const, want_degree = grid_residuals_per_time(q, B, jet, tables, 1e-10)
+            assert np.array_equal(const, want_const)
+            assert per_degree.keys() == want_degree.keys()
+            for j, res in per_degree.items():
+                assert np.array_equal(res, want_degree[j])
+    # the cases take both paths: a flow where C != 0, mat_exp where C == 0
+    assert _GridTables(refining.closed_form, around_zero).linear_max > 0.0
+    assert solve_candidate_B(extract_jet(refining.closed_form)).kernel_dim > 0
+
+
+def test_verification_aborts_at_the_first_singular_grid_time():
+    # exp(-tB) for B = diag(40, -40) has sv ratio exp(-80 t), below 1e-12
+    # from t = 0.35 on: the abort names the first such grid time's matrix
+    q = exp_quadratic_system()
+    B = np.diag([40.0, -40.0])
+    ts = default_grid()
+    messages = []
+    for t in ts:
+        try:
+            check_invertible(mat_exp(-t * B))
+        except NearSingularMatrixError as exc:
+            messages.append(str(exc))
+    assert len(set(messages)) > 1
+    report = verify_candidate(q, B, grid=ts)
+    assert report.status == "undetermined"
+    assert report.diagnostics == [f"verification aborted: {messages[0]}"]
+    report = verify_candidate(NonAutoSystem(2, constant=["t", "0"]), B, grid=ts)
+    assert report.diagnostics == [f"verification aborted: {messages[0]}"]
 
 
 # ---------------------------------------------------------------------------

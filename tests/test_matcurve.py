@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaugekit import timexpr as tx
+from gaugekit._rk import DenseSolution
 from gaugekit.matcurve import (
     ClosedFormCurve, ExponentialCurve, IntegrationError,
     curve_from_dict, curve_to_dict, mat_exp, second_order_lift, solve_gauge_ode,
@@ -240,6 +241,57 @@ def test_gauge_ode_residual_and_liouville():
                           np.array([[0.2, 0.0], [0.1, -0.4]]), np.eye(2), tol=1e-13)
     for t in np.linspace(0, 1, 33):
         assert np.max(np.abs(A.value(t) - ref.value(t))) <= 1e-9
+
+
+def test_dense_sample_equals_pointwise_calls():
+    B = np.array([[0.2, -0.7], [0.4, -0.1]])
+    A0 = np.array([[2.0, 1.0], [0.0, 1.0]])
+    C = [["sin(3*t)", "t"], ["0.3", "cos(2*t)"]]
+    for span in ((0.0, 1.0), (-0.7, 1.3)):
+        A = solve_gauge_ode(C, B, A0, t_span=span)
+        for sol in (A._fwd, A._bwd):
+            if sol is None:
+                continue
+            # segment boundaries (t = 0 among them), the end point, and
+            # points inside each segment
+            starts = np.array(sol.t_starts)
+            ends = np.append(starts[1:], sol.t_end)
+            ts = np.concatenate([starts, [sol.t_end], (starts + ends) / 2,
+                                 starts + 0.3 * (ends - starts)])
+            assert np.array_equal(sol.sample(ts), np.array([sol(float(t)) for t in ts]))
+            with pytest.raises(IntegrationError, match=f"t={2.0 * sol.t_end!r}"):
+                sol.sample([sol.t_end, 2.0 * sol.t_end, 3.0 * sol.t_end])
+        ts = np.concatenate([np.linspace(span[0], 0.0, 7), np.linspace(0.1, span[1], 11)])
+        got = A.sample(ts)
+        assert np.array_equal(got, np.array([A.value(float(t)) for t in ts]))
+        assert np.array_equal(got[6], A0)
+    # an interpolant that is x^3 and x^4 itself: sample takes its powers as
+    # the pointwise call does, which numpy's vectorized power does not always
+    sol = DenseSolution(1, 2)
+    sol.t_starts, sol.hs, sol.y_olds = [0.0], [1.0], [np.zeros(2)]
+    sol.Qs = [np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])]
+    sol.t_end, sol.y_end = 1.0, np.ones(2)
+    ts = np.linspace(0.0, 1.0, 101)
+    assert np.array_equal(sol.sample(ts), np.array([sol(float(t)) for t in ts]))
+
+
+def test_gauge_ode_invertibility_check_reads_every_checkpoint():
+    A = solve_gauge_ode([["sin(t)", "t"], ["0", "cos(t)"]],
+                        np.array([[0.2, 0.0], [0.1, -0.4]]), np.eye(2), t_span=(-1.0, 1.0))
+    A.assert_invertible_on_span()
+    for sol in (A._fwd, A._bwd):
+        for bad in (np.diag([1.0, -1.0]), np.zeros((2, 2))):
+            kept = sol.y_olds[-2]
+            sol.y_olds[-2] = bad.ravel()
+            with pytest.raises(NearSingularMatrixError, match="lost invertibility"):
+                A.assert_invertible_on_span()
+            sol.y_olds[-2] = kept
+        kept = sol.y_end
+        sol.y_end = kept * np.array([-1.0, -1.0, 1.0, 1.0])  # first row negated
+        with pytest.raises(NearSingularMatrixError, match="lost invertibility"):
+            A.assert_invertible_on_span()
+        sol.y_end = kept
+    A.assert_invertible_on_span()
 
 
 def test_gauge_ode_second_derivative_matches_difference_of_derivative():

@@ -5,8 +5,8 @@ import pytest
 
 from gaugekit import timexpr as tx
 from gaugekit.polyfield import (
-    NearSingularMatrixError, PolyField, field_from_dict, field_to_dict,
-    format_field, invert_checked, lie_bracket, linear_pushforward,
+    NearSingularMatrixError, PolyField, check_invertible, field_from_dict,
+    field_to_dict, format_field, invert_checked, lie_bracket, linear_pushforward,
     pushforward_terms,
 )
 
@@ -242,6 +242,64 @@ def test_pushforward_near_singular_rejected():
     A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
     with pytest.raises(NearSingularMatrixError):
         linear_pushforward(A, p2_field())
+
+
+def partly_zero_stack(rng, n: int, K: int) -> np.ndarray:
+    """K diagonally dominant n x n matrices whose off-diagonal entries are
+    exactly 0 in some slices only; a triangular slice has exact zeros in its
+    inverse too."""
+    A = rng.uniform(-0.4, 0.4, size=(K, n, n))
+    A[rng.random((K, n, n)) < 0.4] = 0.0
+    idx = np.arange(n)
+    A[:, idx, idx] = rng.uniform(1.0, 2.0, size=(K, n)) * rng.choice([-1.0, 1.0], size=(K, n))
+    return A
+
+
+def test_stacked_pushforward_equals_each_slice_exactly():
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=2, max_value=4), st.sampled_from([1, 2, 5, 9]))
+    def run(seed, n, degree, K):
+        rng = np.random.default_rng(seed)
+        f = random_field(rng, n, [degree])
+        A = partly_zero_stack(rng, n, K)
+        stacked = linear_pushforward(A, f)
+        slices = [linear_pushforward(M, f).terms for M in A]
+        assert set().union(*slices) <= stacked.keys()
+        for key, coeffs in stacked.items():
+            assert coeffs.shape == (K,)
+            assert np.array_equal(coeffs, [terms.get(key, 0.0) for terms in slices])
+
+    run()
+
+
+def test_stacked_check_raises_for_the_first_failing_matrix_alone():
+    good = np.array([[2.0, 1.0], [0.5, 1.5]])
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    zero = np.zeros((2, 2))
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+    def message(M) -> str:
+        with pytest.raises(NearSingularMatrixError) as exc:
+            invert_checked(M)
+        return str(exc.value)
+
+    assert message(near) != message(zero)
+    for stack, first in (([good, near, good], near), ([good, near, zero], near),
+                         ([zero, good, near], zero), ([good, near, nan], near)):
+        for call in (check_invertible, invert_checked,
+                     lambda S: linear_pushforward(S, p2_field())):
+            with pytest.raises(NearSingularMatrixError) as exc:
+                call(np.array(stack))
+            assert str(exc.value) == message(first)
+    # an SVD that fails fails the stack; the matrices before it decide first
+    with pytest.raises(np.linalg.LinAlgError):
+        check_invertible(np.array([good, nan, near]))
+    check_invertible(np.array([good, good]))
+    assert np.array_equal(invert_checked(np.array([good, good.T])),
+                          [invert_checked(good), invert_checked(good.T)])
 
 
 # ---------------------------------------------------------------------------
