@@ -151,7 +151,8 @@ def integrate_dense(rhs, t0: float, t1: float, y0, rtol: float = 1e-10,
     K = np.empty((7, y0.shape[0]))
     n_steps = 0
     while (t1 - t) * direction > 0:
-        if h < 1e-14 * max(1.0, abs(t)):
+        # a remaining span below the step resolution is taken in one step
+        if h < 1e-14 * max(1.0, abs(t)) and h < abs(t1 - t):
             raise IntegrationError(f"step size underflow at t={t!r}")
         if n_steps > _MAX_STEPS:
             raise IntegrationError("step budget exhausted")

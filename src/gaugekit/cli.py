@@ -342,12 +342,12 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _NUMERIC_ERRORS as exc:  # before ValueError, a base of some of them
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

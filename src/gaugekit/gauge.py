@@ -202,7 +202,9 @@ def _emit_closed_form(f: PolyField, S: list, Sinv: list, Sdot: list,
     for t, x in points:
         want = direct_rhs(t, x)
         got = system.eval(t, x)
-        if np.max(np.abs(got - want)) > 1e-9 * (1.0 + np.max(np.abs(want))):
+        # NaN fails no comparison: non-finite values refuse the closed form
+        if not (np.isfinite(want).all() and np.isfinite(got).all()) \
+                or np.max(np.abs(got - want)) > 1e-9 * (1.0 + np.max(np.abs(want))):
             return None
     return system
 

@@ -1,8 +1,9 @@
 """Deciding whether a nonautonomous system is a gauge transform of an autonomous one.
 
 Pipeline: extract the jet at t=0, solve the linear system for the candidate
-matrix B, then certify the candidate by residuals over a time grid.  The
-idempotent finder corroborates uniqueness of B for generic nonlinearities.
+matrix B, then certify the candidate by residuals over a time grid, along
+A(t) = T(t) exp(-tB) with T' = C(t)T, T(0) = I integrated once for every B.
+The idempotent finder corroborates uniqueness of B for generic nonlinearities.
 """
 
 from __future__ import annotations
@@ -355,8 +356,9 @@ class _GridTables:
     """All coefficient data of q evaluated on the grid, computed once; q[j]
     has one row per grid time over keys[j], every degree-j key, sorted."""
 
-    def __init__(self, q: NonAutoSystem, ts: np.ndarray):
+    def __init__(self, q: NonAutoSystem, ts: np.ndarray, ode_tol: float):
         self.ts = np.asarray(ts, dtype=float)
+        self._linear, self._ode_tol, self._T = q.linear, ode_tol, None
         vals = [q._values(t) for t in self.ts]
         self.c = np.array([q._constant_of(v) for v in vals])
         self.C = np.array([q._linear_of(v) for v in vals])
@@ -377,32 +379,43 @@ class _GridTables:
     def constant_max(self) -> float:
         return float(np.max(np.abs(self.c))) if self.c.size else 0.0
 
+    def fundamental(self) -> np.ndarray | None:
+        """T(t_k) for T' = C(t) T, T(0) = I, as a (K, n, n) stack; None when C
+        vanishes on the grid.  One flow over the grid's span, integrated on
+        the first call.  Its determinant keeps its sign there, and so does
+        that of every A = T exp(-tB), as det A = det T exp(-t tr B)."""
+        if self._T is None and self.linear_max > _ZERO_COEFF_TOL:
+            n = len(self._linear)
+            curve = solve_gauge_ode(self._linear, np.zeros((n, n)), np.eye(n),
+                                    t_span=(float(self.ts.min()), float(self.ts.max())),
+                                    tol=self._ode_tol)
+            curve.assert_invertible_on_span()
+            self._T = curve.sample(self.ts)
+        return self._T
 
-def _grid_residuals(q: NonAutoSystem, B: np.ndarray, jet: JetData,
-                    tables: _GridTables, ode_tol: float) -> tuple[np.ndarray, dict]:
+
+def _grid_residuals(B: np.ndarray, jet: JetData,
+                    tables: _GridTables) -> tuple[np.ndarray, dict]:
     """Rows c(t_k) - A(t_k) c(0), and per degree j rows of q_j(t_k, .) minus
-    A(t_k)_* p_j over tables.keys[j], where A is exp(-tB) when C == 0, else
-    the flow of A' = CA - AB.  A(t) is one (K, n, n) stack for the K grid
-    times, pushed forward once per degree; the first singular-value check
-    that fails raises."""
-    if tables.linear_max <= _ZERO_COEFF_TOL:
-        A = np.array([mat_exp(-t * B) for t in tables.ts])
-    else:
-        curve = solve_gauge_ode(q.linear, B, np.eye(q.dim),
-                                t_span=(float(tables.ts.min()), float(tables.ts.max())),
-                                tol=ode_tol)
-        A = curve.sample(tables.ts)
-        curve.assert_invertible_on_span()
+    A(t_k)_* p_j over tables.keys[j], where A(t) = T(t) exp(-tB) solves
+    A' = CA - AB, A(0) = I, for T = tables.fundamental() (the identity when
+    C == 0).  A(t) is one (K, n, n) stack for the K grid times from one
+    stacked mat_exp, pushed forward once per degree; the first
+    singular-value check that fails raises, also for non-finite entries."""
+    T = tables.fundamental()
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite A fails its check
+        A = mat_exp(-tables.ts[:, None, None] * B)
+        if T is not None:
+            A = T @ A
     if not jet.p:
         check_invertible(A)
-    const = tables.c - A @ jet.c0
     zero = np.zeros(len(tables.ts))
     per_degree = {}
     for j in sorted(jet.p):
         pushed = linear_pushforward(A, jet.p[j])
         per_degree[j] = tables.q[j] - np.column_stack(
             [pushed.get(key, zero) for key in tables.keys[j]])
-    return const, per_degree
+    return tables.c - A @ jet.c0, per_degree
 
 
 def verify_candidate(q: NonAutoSystem, B: np.ndarray, grid=None, tol: float = 1e-6,
@@ -411,16 +424,16 @@ def verify_candidate(q: NonAutoSystem, B: np.ndarray, grid=None, tol: float = 1e
     """Certify B against the full coefficient identities on the grid.
 
     Checks ||c(t) - A(t) c(0)|| and, per degree j, the coefficient distance
-    between q_j(t, .) and the pushforward of q_j(0, .) by A(t), where A is
-    exp(-tB) (vanishing linear part) or the solution of A' = CA - AB.
+    between q_j(t, .) and the pushforward of q_j(0, .) by A(t), the solution
+    of A' = CA - AB, A(0) = I (exp(-tB) when the linear part vanishes).
     """
     ts = default_grid() if grid is None else np.asarray(grid, dtype=float)
     jet = jet if jet is not None else extract_jet(q)
-    tables = tables if tables is not None else _GridTables(q, ts)
+    tables = tables if tables is not None else _GridTables(q, ts, ode_tol)
     diagnostics: list[str] = []
 
     try:
-        const, per_degree = _grid_residuals(q, B, jet, tables, ode_tol)
+        const, per_degree = _grid_residuals(B, jet, tables)
     except (IntegrationError, NearSingularMatrixError, tx.EvalError) as exc:
         diagnostics.append(f"verification aborted: {exc}")
         return VerificationReport(False, "undetermined", {}, {}, ts, diagnostics)
@@ -441,8 +454,8 @@ def verify_candidate(q: NonAutoSystem, B: np.ndarray, grid=None, tol: float = 1e
 # Refinement over the affine family
 # ---------------------------------------------------------------------------
 
-def _refine_candidate(q: NonAutoSystem, cand: CandidateFamily, jet: JetData,
-                      tables: _GridTables, ode_tol: float) -> tuple[np.ndarray, list[str]]:
+def _refine_candidate(cand: CandidateFamily, jet: JetData,
+                      tables: _GridTables) -> tuple[np.ndarray, list[str]]:
     """Bounded Gauss-Newton over the kernel directions of the affine family."""
     notes = []
     theta = np.zeros(len(cand.kernel))
@@ -452,7 +465,7 @@ def _refine_candidate(q: NonAutoSystem, cand: CandidateFamily, jet: JetData,
         return jet.C0 + M
 
     def r_of(th):
-        const, per_degree = _grid_residuals(q, B_of(th), jet, tables, ode_tol)
+        const, per_degree = _grid_residuals(B_of(th), jet, tables)
         return np.concatenate([const.ravel()] + [r.ravel() for r in per_degree.values()])
 
     try:
@@ -545,7 +558,7 @@ def identify(q: NonAutoSystem, grid=None, tol: float = 1e-6,
     failure, not a verdict).
     """
     ts = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    tables = _GridTables(q, ts)  # also validates evaluability on the grid
+    tables = _GridTables(q, ts, ode_tol)  # also validates evaluability on the grid
     jet = extract_jet(q)
     diagnostics: list[str] = []
 
@@ -595,7 +608,7 @@ def identify(q: NonAutoSystem, grid=None, tol: float = 1e-6,
         diagnostics.append(
             f"minimum-norm candidate failed; refining over the "
             f"{cand.kernel_dim}-dimensional solution family")
-        B, notes = _refine_candidate(q, cand, jet, tables, ode_tol)
+        B, notes = _refine_candidate(cand, jet, tables)
         diagnostics.extend(notes)
         report = verify_candidate(q, B, ts, tol=tol, ode_tol=ode_tol,
                                   jet=jet, tables=tables)

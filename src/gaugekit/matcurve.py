@@ -7,8 +7,6 @@ A' = C(t) A - A B that underpins gauge identification.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 
 import numpy as np
 
@@ -45,8 +43,7 @@ _PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
 
 def _pade_uv(A: np.ndarray, m: int):
     b = _PADE_B[m]
-    n = A.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(A.shape[-1])
     A2 = A @ A
     if m == 13:
         A4 = A2 @ A2
@@ -64,26 +61,45 @@ def _pade_uv(A: np.ndarray, m: int):
     return U, V
 
 
-def mat_exp(M) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with Pade approximants.
-
-    Accurate to ~1e-13 relative in operator norm at desk scale
-    (n <= 8, ||M|| <= 50).
-    """
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    norm = np.linalg.norm(A, 1)
+def _pade_order(norm: float) -> tuple[int, int]:
+    """Pade order m and scaling exponent s for a 1-norm; (13, 0) if not finite."""
     for m in (3, 5, 7, 9):
         if norm <= _PADE_THETA[m]:
-            U, V = _pade_uv(A, m)
-            return np.linalg.solve(V - U, V + U)
-    s = max(0, int(math.ceil(math.log2(norm / _PADE_THETA[13]))))
-    U, V = _pade_uv(A / 2.0 ** s, 13)
+            return m, 0
+    if not math.isfinite(norm):
+        return 13, 0
+    return 13, max(0, int(math.ceil(math.log2(norm / _PADE_THETA[13]))))
+
+
+def _scaled_pade(A: np.ndarray, m: int, s: int) -> np.ndarray:
+    """exp(A) from the order-m Pade approximant of A / 2^s, squared s times."""
+    U, V = _pade_uv(A / 2.0 ** s, m)
     E = np.linalg.solve(V - U, V + U)
     for _ in range(s):
         E = E @ E
     return E
+
+
+def mat_exp(M) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with Pade approximants.
+
+    M is one (n, n) matrix or a (K, n, n) stack.  The slices of a stack are
+    grouped by Pade order and scaling, so each equals its lone call bit for
+    bit.  Accurate to ~1e-13 relative in operator norm at desk scale
+    (n <= 8, ||M|| <= 50).
+    """
+    A = np.asarray(M, dtype=float)
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim == 2:
+        return _scaled_pade(A, *_pade_order(float(np.linalg.norm(A, 1))))
+    groups: dict = {}
+    for k, norm in enumerate(np.linalg.norm(A, 1, axis=(-2, -1)).tolist()):
+        groups.setdefault(_pade_order(norm), []).append(k)
+    out = np.empty_like(A)
+    for (m, s), idx in groups.items():
+        out[idx] = _scaled_pade(A[idx], m, s)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -119,29 +135,6 @@ def _table_of(entries):
     n = len(entries)
     table = tx.compile_table([e for row in entries for e in row])
     return lambda t: np.array(table(t)).reshape(n, n)
-
-
-# compiled C(t) tables of the latest flows, keyed on the identity of their
-# entries: identification solves many flows of one C table.  A slot holds
-# weak references to its entries, so that it keeps no expression alive; when
-# they are gone, their ids may name new objects, and the table is compiled
-# again.
-_C_TABLES: dict = {}
-_C_TABLES_KEPT = 4
-_C_TABLES_LOCK = threading.Lock()
-
-
-def _C_table(entries):
-    flat = [e for row in entries for e in row]
-    key = tuple(map(id, flat))
-    with _C_TABLES_LOCK:
-        slot = _C_TABLES.pop(key, None)
-        if slot is None or any(ref() is not e for ref, e in zip(slot[0], flat)):
-            slot = ([weakref.ref(e) for e in flat], _table_of(entries))
-        _C_TABLES[key] = slot  # the latest use last
-        while len(_C_TABLES) > _C_TABLES_KEPT:
-            del _C_TABLES[next(iter(_C_TABLES))]
-    return slot[1]
 
 
 def _adjugate_inverse(entries):
@@ -299,7 +292,7 @@ class FlowCurve(MatrixCurve):
         check_invertible(self.A0)
         self.tol = float(tol)
         self.extend = bool(extend)
-        self._C = _C_table(self.C_entries) if self.C_entries is not None else None
+        self._C = _table_of(self.C_entries) if self.C_entries is not None else lambda t: None
         self._dC = None  # compiled on first use by second_derivative
         self._fwd: DenseSolution | None = None
         self._bwd: DenseSolution | None = None
@@ -309,14 +302,9 @@ class FlowCurve(MatrixCurve):
         if lo < 0:
             self._bwd = self._integrate(0.0, lo)
 
-    def _C_at(self, t: float) -> np.ndarray | None:
-        if self._C is None:
-            return None
-        return self._C(t)
-
     def _rhs(self, t: float, a: np.ndarray) -> np.ndarray:
         A = a.reshape(self.dim, self.dim)
-        C = self._C_at(t)
+        C = self._C(t)
         dA = -A @ self.B
         if C is not None:
             dA = dA + C @ A
@@ -386,7 +374,7 @@ class FlowCurve(MatrixCurve):
         A = self.value(t)
         dA = self.derivative(t)
         out = -dA @ self.B
-        C = self._C_at(t)
+        C = self._C(t)
         if C is not None:
             if self._dC is None:
                 self._dC = _table_of(_diff_entries(self.C_entries))

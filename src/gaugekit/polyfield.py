@@ -32,23 +32,19 @@ class NearSingularMatrixError(ValueError):
 
 
 def check_invertible(A: np.ndarray) -> None:
-    """Raise NearSingularMatrixError unless the smallest singular value of A
-    exceeds _SV_RATIO times the largest.  A (K, n, n) stack is checked by one
-    SVD and raises for its first failing matrix, with that matrix's message."""
+    """Raise NearSingularMatrixError unless A is finite and its smallest singular
+    value exceeds _SV_RATIO times the largest.  A (K, n, n) stack is checked by
+    one SVD and raises for its first failing matrix, with that matrix's message."""
     A = np.asarray(A, dtype=float)
-    try:
-        sv = np.linalg.svd(A, compute_uv=False)
-    except np.linalg.LinAlgError:
-        if A.ndim != 3:
-            raise
-        # an SVD that fails fails the whole stack: check the matrices in
-        # order, so that the first failing one decides the error
-        for M in A:
-            check_invertible(M)
-        raise
+    finite = np.isfinite(A).all(axis=(-2, -1))
+    # a non-finite matrix fails on its own; the SVD sees the identity there
+    sv = np.linalg.svd(np.where(finite[..., None, None], A, np.eye(A.shape[-1])),
+                       compute_uv=False)
     big, small = sv[..., 0].ravel(), sv[..., -1].ravel()
-    bad = np.flatnonzero((big == 0.0) | (small <= _SV_RATIO * big))
+    bad = np.flatnonzero(~finite.ravel() | (big == 0.0) | (small <= _SV_RATIO * big))
     if bad.size:
+        if not finite.ravel()[bad[0]]:
+            raise NearSingularMatrixError("matrix has non-finite entries")
         s0, s1 = big[bad[0]], small[bad[0]]
         raise NearSingularMatrixError(
             f"matrix is numerically singular (sv ratio {s1 / s0 if s0 else 0.0:.3e})")

@@ -141,6 +141,24 @@ def test_transform_numeric_failure_exit_3(files, tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_transform_emits_no_closed_form_validated_against_nan(tmp_path, capsys):
+    # exp(1000 t) overflows inside [0, 1]: the closed form y' = 1000 y (its
+    # exp(-1000 t) y^2 term dropped) is refused, and the sampled output
+    # cannot be written either, so the run is a numeric failure, not exit 0
+    f1 = tmp_path / "f1.json"
+    f1.write_text(json.dumps({"dim": 1, "terms": [
+        {"component": 0, "exponents": [2], "coeff": 1.0}]}))
+    cpath = tmp_path / "exp1000.json"
+    cpath.write_text(json.dumps({"dim": 1, "kind": "exp", "generator": [[1000]]}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["transform", "--field", str(f1), "--curve", str(cpath),
+                     "--format", "json"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numeric failure: matrix has non-finite entries" in captured.err
+
+
 @pytest.mark.parametrize("generator", ['[["nan"]]', "[[1e999]]"])
 def test_transform_nonfinite_generator_exit_2_names_file(files, tmp_path, capsys,
                                                          generator):

@@ -67,6 +67,17 @@ def test_closed_form_keeps_terms_that_grow_inside_the_span():
     assert np.max(np.abs(ev.closed_form.eval(10.0, y) - want)) <= 1e-9 * np.max(np.abs(want))
 
 
+def test_closed_form_refused_where_the_direct_rhs_is_not_finite():
+    # exp(1000 t) overflows from t ~ 0.71, where the direct RHS is NaN; the
+    # candidate y' = 1000 y lacks the exp(-1000 t) y^2 term, and a NaN
+    # comparison must not let it pass
+    f = PolyField(1, {(0, (2,)): 1.0})
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev = gauge_transform(f, ExponentialCurve(np.array([[1000.0]])))
+    assert ev.closed_form is None
+    assert ev.rhs(0.0, np.array([1.0]))[0] == pytest.approx(1001.0, rel=1e-12)
+
+
 def test_supplied_inverse_is_checked_over_the_span():
     # 0.1 sin(2 pi t) vanishes at t = 0, 0.5 and 1, where the curve checks
     # the table on construction; the transform checks its own sample times

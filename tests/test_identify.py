@@ -307,21 +307,21 @@ def test_refinement_and_certification_measure_the_same_coefficients():
     report = verify_candidate(q, B)
     assert report.residuals["per_degree"][2] == 2.0
     ts = default_grid()
-    const, per_degree = _grid_residuals(q, B, extract_jet(q), _GridTables(q, ts), 1e-10)
+    const, per_degree = _grid_residuals(B, extract_jet(q), _GridTables(q, ts, 1e-10))
     assert const.shape == (len(ts), 2) and not const.any()
     assert per_degree[2].shape == (len(ts), 6)  # every (component, monomial) of degree 2
     assert np.max(np.abs(per_degree[2])) == report.residuals["per_degree"][2]
 
 
 def grid_residuals_per_time(q, B, jet, tables, ode_tol):
-    """_grid_residuals one grid time at a time: A(t_k) from mat_exp or the
-    flow's value(t), pushed forward matrix by matrix."""
-    if tables.linear_max <= 1e-12:
-        A_vals = [mat_exp(-t * B) for t in tables.ts]
-    else:
-        curve = solve_gauge_ode(q.linear, B, np.eye(q.dim), tol=ode_tol,
-                                t_span=(float(tables.ts.min()), float(tables.ts.max())))
-        A_vals = [curve.value(float(t)) for t in tables.ts]
+    """_grid_residuals one grid time at a time: A(t_k) = T(t_k) exp(-t_k B)
+    from mat_exp and, where C != 0, the value(t) of the flow T' = CT, T(0) = I,
+    pushed forward matrix by matrix."""
+    A_vals = [mat_exp(-t * B) for t in tables.ts]
+    if tables.linear_max > 1e-12:
+        T = solve_gauge_ode(q.linear, np.zeros((q.dim, q.dim)), np.eye(q.dim), tol=ode_tol,
+                            t_span=(float(tables.ts.min()), float(tables.ts.max())))
+        A_vals = [T.value(float(t)) @ A_t for t, A_t in zip(tables.ts, A_vals)]
     const = np.array([c_t - A_t @ jet.c0 for c_t, A_t in zip(tables.c, A_vals)])
     per_degree = {}
     for j in sorted(jet.p):
@@ -347,19 +347,110 @@ def test_grid_residuals_equal_the_per_time_reference():
              (exp_quadratic_system(), default_grid()), (refining.closed_form, around_zero)]
     for q, ts in cases:
         jet = extract_jet(q)
-        tables = _GridTables(q, ts)
+        tables = _GridTables(q, ts, 1e-10)
         cand = solve_candidate_B(jet)
         assert cand is not None
         for B in (cand.B, cand.B + rng.uniform(-0.3, 0.3, size=(q.dim, q.dim))):
-            const, per_degree = _grid_residuals(q, B, jet, tables, 1e-10)
+            const, per_degree = _grid_residuals(B, jet, tables)
             want_const, want_degree = grid_residuals_per_time(q, B, jet, tables, 1e-10)
             assert np.array_equal(const, want_const)
             assert per_degree.keys() == want_degree.keys()
             for j, res in per_degree.items():
                 assert np.array_equal(res, want_degree[j])
-    # the cases take both paths: a flow where C != 0, mat_exp where C == 0
-    assert _GridTables(refining.closed_form, around_zero).linear_max > 0.0
+    # the cases take both paths: T from a flow where C != 0, none where C == 0
+    assert _GridTables(refining.closed_form, around_zero, 1e-10).linear_max > 0.0
     assert solve_candidate_B(extract_jet(refining.closed_form)).kernel_dim > 0
+
+
+def test_factored_curve_equals_the_direct_flow():
+    # A(t) = T(t) exp(-tB), T' = CT, T(0) = I, solves A' = CA - AB, A(0) = I;
+    # against the flow of that equation, relative to the curve's size.  Both
+    # are read through the quartic dense output of a tol-1e-10 solve, whose
+    # error between steps the step control does not bound: 5e-8 relative on
+    # [-1, 0] at seed 2555, n = 1
+    from hypothesis import example, given, settings, strategies as st
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=3),
+           st.floats(min_value=-1.5, max_value=0.5), st.floats(min_value=0.3, max_value=2.0))
+    @example(seed=2555, n=1, t0=-1.0, length=1.0)
+    @example(seed=0, n=2, t0=-1.401298464324817e-45, length=1.0)  # a span just below 0
+    def run(seed, n, t0, length):
+        rng = np.random.default_rng(seed)
+        a, b, c, d = rng.uniform(-1, 1, size=(4, n, n))
+        linear = [[f"{a[i, j]:.6f}*sin({2 * b[i, j]:.6f}*t) + {c[i, j]:.6f}*t + {d[i, j]:.6f}"
+                   for j in range(n)] for i in range(n)]
+        q = NonAutoSystem(n, linear=linear)
+        ts = default_grid(t0, t0 + length)
+        B = rng.uniform(-1.5, 1.5, size=(n, n))
+        T = _GridTables(q, ts, 1e-10).fundamental()
+        factored = T @ mat_exp(-ts[:, None, None] * B)
+        direct = solve_gauge_ode(q.linear, B, np.eye(n), t_span=(ts[0], ts[-1])).sample(ts)
+        bound = 1e-7 * (1.0 + np.max(np.abs(direct)))
+        assert np.max(np.abs(factored - direct)) <= bound
+
+    run()
+
+
+def test_identify_integrates_one_flow_whatever_the_refinement(monkeypatch):
+    # every candidate, Jacobian column and line-search trial of the
+    # Gauss-Newton refinement reuses the one fundamental matrix T
+    from gaugekit import matcurve
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return integrate_dense(*args, **kwargs)
+
+    integrate_dense = matcurve.integrate_dense
+    monkeypatch.setattr(matcurve, "integrate_dense", counting)
+    rng = np.random.default_rng(21)
+    f2 = PolyField.from_linear(rng.uniform(-1, 1, size=(2, 2))) \
+        + PolyField(2, {(0, (2, 0)): 0.8})
+    with_C = gauge_transform(f2, ExponentialCurve(rng.uniform(-1, 1, size=(2, 2)), -1))
+    without_C = NonAutoSystem(2, constant=["cos(t)", "-sin(t)"])
+    for q, flows in ((with_C.closed_form, 1), (without_C, 0)):
+        calls.clear()
+        cert = identify(q)
+        assert cert.status == "gauge"
+        assert any(d.startswith("refinement stopped after") for d in cert.diagnostics)
+        assert len(calls) == flows, calls
+    # a grid with negative times: one flow, integrated in each direction
+    calls.clear()
+    assert identify(with_C.closed_form, grid=np.linspace(-0.5, 1.0, 31)).status == "gauge"
+    assert sorted(calls) == [(0.0, -0.5), (0.0, 1.0)]
+
+
+def test_failing_fundamental_matrix_is_undetermined(monkeypatch):
+    # the pole of C(t) at 0.51 lies between grid times: T's flow fails there
+    q = NonAutoSystem(2, linear=[["0", "1/(t-0.51)"], ["0", "0"]], terms={(0, (2, 0)): "1"})
+    cert = identify(q)
+    assert cert.status == "undetermined"
+    assert len(cert.diagnostics) == 1
+    assert cert.diagnostics[0].startswith("verification aborted: step size underflow at t=")
+    # the determinant-sign check of T is the check of every candidate's A
+    from gaugekit import matcurve
+
+    def lost(curve):
+        raise NearSingularMatrixError("flow curve lost invertibility")
+
+    monkeypatch.setattr(matcurve.FlowCurve, "assert_invertible_on_span", lost)
+    q = NonAutoSystem(2, linear=[["0", "t"], ["0", "0"]], terms={(0, (2, 0)): "1"})
+    report = verify_candidate(q, np.zeros((2, 2)))
+    assert report.diagnostics == ["verification aborted: flow curve lost invertibility"]
+    assert identify(q).status == "undetermined"
+
+
+def test_nonfinite_curve_is_a_failed_check_not_a_pass():
+    # exp(-tB) overflows for this B; the residual would be NaN, which no
+    # tolerance comparison rejects
+    q = NonAutoSystem(2, terms={(0, (2, 0)): "1"})
+    B = np.array([[0.0, 1e300], [1e300, 0.0]])
+    report = verify_candidate(q, B)
+    assert report.status == "undetermined"
+    assert report.diagnostics == ["verification aborted: matrix has non-finite entries"]
+    q_lin = NonAutoSystem(2, linear=[["0", "t"], ["0", "0"]], terms={(0, (2, 0)): "1"})
+    assert verify_candidate(q_lin, B).status == "undetermined"
 
 
 def test_verification_aborts_at_the_first_singular_grid_time():

@@ -7,7 +7,8 @@ from gaugekit import timexpr as tx
 from gaugekit._rk import DenseSolution
 from gaugekit.matcurve import (
     ClosedFormCurve, ExponentialCurve, IntegrationError,
-    curve_from_dict, curve_to_dict, mat_exp, second_order_lift, solve_gauge_ode,
+    _pade_order, curve_from_dict, curve_to_dict, mat_exp, second_order_lift,
+    solve_gauge_ode,
 )
 from gaugekit.polyfield import NearSingularMatrixError
 
@@ -93,6 +94,41 @@ def test_mat_exp_derivative_fd():
 def test_mat_exp_rejects_nonsquare():
     with pytest.raises(ValueError):
         mat_exp(np.zeros((2, 3)))
+
+
+def test_stacked_mat_exp_equals_each_lone_call_bit_for_bit():
+    # norms from 1e-3 to ~1e3 reach every Pade order (3, 5, 7, 9, 13) and
+    # scalings s = 0..8 within one stack, negative times included
+    rng = np.random.default_rng(11)
+    ts = np.linspace(-1.5, 2.0, 36)
+    orders = set()
+    for n in (1, 2, 3, 4):
+        for scale in (1e-3, 0.1, 1.0, 10.0, 100.0):
+            B = rng.normal(size=(n, n)) * scale
+            stack = ts[:, None, None] * B
+            got = mat_exp(stack)
+            assert got.shape == stack.shape
+            for k, M in enumerate(stack):
+                orders.add(_pade_order(float(np.linalg.norm(M, 1))))
+                lone = mat_exp(M)
+                assert lone.shape == (n, n)
+                assert np.array_equal(got[k], lone)
+    assert {m for m, _ in orders} == {3, 5, 7, 9, 13}
+    assert {s for _, s in orders} >= set(range(9))
+    one = rng.normal(size=(1, 3, 3))
+    assert np.array_equal(mat_exp(one), [mat_exp(one[0])])
+    with pytest.raises(ValueError, match=r"got shape \(2, 2, 3\)"):
+        mat_exp(np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match=r"got shape \(2, 2, 2, 2\)"):
+        mat_exp(np.zeros((2, 2, 2, 2)))
+
+
+def test_mat_exp_of_a_nonfinite_slice_is_nonfinite():
+    stack = np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = mat_exp(stack)
+    assert np.array_equal(got[0], mat_exp(np.eye(2)))
+    assert not np.isfinite(got[1]).all() and not np.isfinite(got[2]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +351,15 @@ def test_gauge_ode_span_extension():
         A2.value(0.75)
 
 
+def test_gauge_ode_span_reaching_just_below_zero():
+    # the backward leg from 0 to -1.4e-45 is one step shorter than the step
+    # resolution, not a step-size underflow
+    C = [["sin(t)", "1"], ["-1", "t"]]
+    A = solve_gauge_ode(C, np.eye(2), np.eye(2), t_span=(-1.401298464324817e-45, 1.0))
+    assert A.span == (-1.401298464324817e-45, 1.0)
+    assert np.max(np.abs(A.sample([-1.401298464324817e-45])[0] - np.eye(2))) <= 1e-44
+
+
 def test_gauge_ode_pole_in_coefficient():
     # off-diagonal forcing 1/(t-0.5) makes the solution blow up logarithmically
     # at the pole; the solver must fail loudly rather than step across it
@@ -400,15 +445,3 @@ def test_exponential_curve_rejects_nonfinite_generator(entry):
     with pytest.raises(ValueError, match="bad generator matrix"):
         curve_from_dict({"dim": 1, "kind": "exp", "generator": [[entry]]})
 
-
-def test_gauge_ode_flows_of_one_C_table_share_its_compiled_table():
-    C = [[tx.parse_expr("sin(t)"), tx.parse_expr("1")],
-         [tx.parse_expr("-1"), tx.parse_expr("t")]]
-    first = solve_gauge_ode(C, np.eye(2), np.eye(2))
-    second = solve_gauge_ode(C, np.zeros((2, 2)), np.eye(2))
-    assert second._C is first._C
-    copy = [[tx.parse_expr("sin(t)"), tx.parse_expr("1")],
-            [tx.parse_expr("-1"), tx.parse_expr("t")]]
-    third = solve_gauge_ode(copy, np.eye(2), np.eye(2))
-    assert third._C is not first._C
-    assert np.array_equal(third.value(0.7), first.value(0.7))

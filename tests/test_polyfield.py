@@ -244,6 +244,17 @@ def test_pushforward_near_singular_rejected():
         linear_pushforward(A, p2_field())
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nonfinite_matrix_rejected(bad):
+    # an infinite entry once passed the singular-value test, and NaN made
+    # the SVD raise a bare LinAlgError
+    A = np.array([[bad, 0.0], [0.0, 1.0]])
+    for call in (check_invertible, invert_checked,
+                 lambda M: linear_pushforward(M, p2_field())):
+        with pytest.raises(NearSingularMatrixError, match="non-finite"):
+            call(A)
+
+
 def partly_zero_stack(rng, n: int, K: int) -> np.ndarray:
     """K diagonally dominant n x n matrices whose off-diagonal entries are
     exactly 0 in some slices only; a triangular slice has exact zeros in its
@@ -294,8 +305,8 @@ def test_stacked_check_raises_for_the_first_failing_matrix_alone():
             with pytest.raises(NearSingularMatrixError) as exc:
                 call(np.array(stack))
             assert str(exc.value) == message(first)
-    # an SVD that fails fails the stack; the matrices before it decide first
-    with pytest.raises(np.linalg.LinAlgError):
+    # a non-finite matrix fails alone, with its own message
+    with pytest.raises(NearSingularMatrixError, match="non-finite"):
         check_invertible(np.array([good, nan, near]))
     check_invertible(np.array([good, good]))
     assert np.array_equal(invert_checked(np.array([good, good.T])),
