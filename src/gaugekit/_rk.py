@@ -4,13 +4,25 @@ Shared numerical core for trajectory integration and matrix-curve flows.
 The propagated solution is 5th order; the embedded 4th-order solution
 drives step control.  Dense output uses the standard quartic interpolant
 for this tableau.
+
+Every integration in gaugekit runs at TOL unless its caller states another
+tolerance: flows, trajectories and the solution-correspondence check.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["IntegrationError", "DenseSolution", "integrate_dense", "rk_fixed_step"]
+__all__ = ["IntegrationError", "DenseSolution", "integrate_dense", "rk_fixed_step",
+           "TOL", "BLOWUP_NORM"]
+
+# relative and absolute tolerance of the mixed error norm (Hairer, Norsett &
+# Wanner, Solving ODEs I, II.4), one value for both
+TOL = 1e-10
+# a trajectory whose state norm passes this has blown up
+BLOWUP_NORM = 1e8
 
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
 
@@ -73,10 +85,10 @@ class DenseSolution:
         return min(max(idx, 0), len(self.t_starts) - 1)
 
     def _check(self, t: float):
-        lo, hi = sorted((self.t_start, self.t_end))
+        lo, hi = sorted((float(self.t_start), float(self.t_end)))
         if t < lo - 1e-12 or t > hi + 1e-12:
             raise IntegrationError(
-                f"t={t!r} outside the integrated span [{lo!r}, {hi!r}]")
+                f"t={float(t)!r} outside the integrated span [{lo!r}, {hi!r}]")
 
     def __call__(self, t: float) -> np.ndarray:
         self._check(t)
@@ -115,14 +127,20 @@ class DenseSolution:
         return np.asarray(self.y_olds)[idx] + hs[:, None] * (Q @ p)[:, :, 0]
 
 
-def _initial_step(rhs, t0, y0, f0, direction, rtol, atol):
-    scale = atol + rtol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+def _rms(v: np.ndarray) -> float:
+    """Root mean square of a 1-D array; equal to np.sqrt(np.mean(v ** 2)) bit
+    for bit, without its dispatch cost on the few entries of a state."""
+    return math.sqrt(np.add.reduce(v * v) / v.size)
+
+
+def _initial_step(rhs, t0, y0, f0, direction, tol):
+    scale = tol + tol * np.abs(y0)
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = y0 + h0 * direction * f0
     f1 = rhs(t0 + h0 * direction, y1)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+    d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -130,10 +148,10 @@ def _initial_step(rhs, t0, y0, f0, direction, rtol, atol):
     return min(100 * h0, h1)
 
 
-def integrate_dense(rhs, t0: float, t1: float, y0, rtol: float = 1e-10,
-                    atol: float = 1e-10,
+def integrate_dense(rhs, t0: float, t1: float, y0, tol: float = TOL,
                     blowup_norm: float | None = None) -> DenseSolution:
-    """Integrate y' = rhs(t, y) from t0 to t1 (either direction).
+    """Integrate y' = rhs(t, y) from t0 to t1 (either direction), with tol
+    as both the relative and the absolute tolerance.
 
     Returns a DenseSolution; status "blowup" means the trajectory passed
     `blowup_norm` and integration stopped early at sol.t_end.
@@ -146,14 +164,14 @@ def integrate_dense(rhs, t0: float, t1: float, y0, rtol: float = 1e-10,
 
     t, y = float(t0), y0.copy()
     f = np.asarray(rhs(t, y), dtype=float)
-    h = min(_initial_step(rhs, t, y, f, direction, rtol, atol), abs(t1 - t0))
+    h = min(_initial_step(rhs, t, y, f, direction, tol), abs(t1 - t0))
 
     K = np.empty((7, y0.shape[0]))
     n_steps = 0
     while (t1 - t) * direction > 0:
         # a remaining span below the step resolution is taken in one step
         if h < 1e-14 * max(1.0, abs(t)) and h < abs(t1 - t):
-            raise IntegrationError(f"step size underflow at t={t!r}")
+            raise IntegrationError(f"step size underflow at t={float(t)!r}")
         if n_steps > _MAX_STEPS:
             raise IntegrationError("step budget exhausted")
         n_steps += 1
@@ -172,8 +190,8 @@ def integrate_dense(rhs, t0: float, t1: float, y0, rtol: float = 1e-10,
         y_new = y + hd * (_B @ K[:6])
         K[6] = rhs(t_new, y_new)
 
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean((hd * (_E @ K) / scale) ** 2))
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+        err = _rms(hd * (_E @ K) / scale)
 
         if err <= 1.0:
             sol.t_starts.append(t)

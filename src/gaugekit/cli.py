@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import timexpr as tx
-from ._rk import IntegrationError
+from ._rk import TOL, IntegrationError
 from .gauge import frozen_transform_field, gauge_transform
 from .identify import (
     NonAutoSystem, default_grid, find_idempotents, identify,
@@ -214,7 +214,7 @@ def _run_integrate(args) -> int:
     rhs = _load_system(args.system) if args.system else _load_field(args.field)
     x0 = _parse_x0(args.x0, rhs.dim)
     traj = integrate_traj(rhs, x0, (args.t0, args.t1),
-                          tol=args.tol if args.tol is not None else 1e-10)
+                          tol=args.tol if args.tol is not None else TOL)
     data = traj.to_dict()
 
     def render(d: dict) -> str:
@@ -284,7 +284,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--grid", type=int, default=33,
                     help="number of grid points (default 33)")
     sp.add_argument("--tol", type=float, default=None,
-                    help="tolerance (default 1e-6; integrate: 1e-10)")
+                    help=f"tolerance (default 1e-6; integrate: {TOL:g})")
     sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sp.add_argument("--out", help="output file (JSON unless --format text)")
     sp.add_argument("--format", choices=("json", "text"),

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import timexpr as tx
-from ._rk import IntegrationError, integrate_dense
+from ._rk import BLOWUP_NORM, IntegrationError, integrate_dense
 from .identify import NonAutoSystem
 from .matcurve import ClosedFormCurve, ExponentialCurve, MatrixCurve
 from .polyfield import PolyField, lie_bracket, linear_pushforward, pushforward_terms
@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 _DROP_TOL = 1e-10
-_FLOW_TOL = 1e-10  # rtol and atol of FlowMap's integration
 # zero tests sample these fractions of the caller's span
 _SAMPLE_FRACTIONS = np.linspace(0.025, 0.975, 20)
 
@@ -264,7 +263,7 @@ class FlowMap:
         if self.s == 0.0:
             return x.copy()
         sol = integrate_dense(lambda _t, y: self.field.eval(y), 0.0, self.s, x,
-                              rtol=_FLOW_TOL, atol=_FLOW_TOL, blowup_norm=1e8)
+                              blowup_norm=BLOWUP_NORM)
         if sol.status != "done":
             raise IntegrationError("flow escaped before reaching the requested time")
         return sol.y_end

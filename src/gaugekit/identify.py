@@ -131,10 +131,10 @@ class NonAutoSystem:
             out[i, j] = vals[k]
         return out
 
-    def _terms_of(self, vals: tuple, degree: int | None = None) -> PolyField:
+    def _terms_of(self, vals: tuple, degree: int) -> PolyField:
         terms = {}
         for comp, exps, k, _ in self._term_idx:
-            if degree is None or sum(exps) == degree:
+            if sum(exps) == degree:
                 v = vals[k]
                 if v != 0.0:
                     terms[(comp, exps)] = v
@@ -164,12 +164,6 @@ class NonAutoSystem:
 
     def degree_part_at(self, t: float, j: int) -> PolyField:
         return self._terms_of(self._values(t), j)
-
-    def freeze(self, t: float) -> PolyField:
-        """The autonomous field obtained by evaluating all coefficients at t."""
-        vals = self._values(t)
-        return PolyField.from_constant(self._constant_of(vals)) \
-            + PolyField.from_linear(self._linear_of(vals)) + self._terms_of(vals)
 
     def eval(self, t: float, x) -> np.ndarray:
         return self._eval_of(self._values(t), x)
@@ -356,17 +350,20 @@ class _GridTables:
     """All coefficient data of q evaluated on the grid, computed once; q[j]
     has one row per grid time over keys[j], every degree-j key, sorted."""
 
-    def __init__(self, q: NonAutoSystem, ts: np.ndarray, ode_tol: float):
+    def __init__(self, q: NonAutoSystem, ts: np.ndarray):
         self.ts = np.asarray(ts, dtype=float)
-        self._linear, self._ode_tol, self._T = q.linear, ode_tol, None
-        vals = [q._values(t) for t in self.ts]
-        self.c = np.array([q._constant_of(v) for v in vals])
-        self.C = np.array([q._linear_of(v) for v in vals])
-        self.keys = {j: [(i, e) for i in range(q.dim)
-                         for e in product(range(j + 1), repeat=q.dim) if sum(e) == j]
+        self._linear, self._T = q.linear, None
+        n = q.dim
+        # one row of q's table per grid time; + 0.0 reads a -0 literal as 0.0
+        vals = np.array([q._values(t) for t in self.ts]) + 0.0
+        self.c = vals[:, :n]
+        self.C = vals[:, n:n + n * n].reshape(-1, n, n)
+        self.keys = {j: [(i, e) for i in range(n)
+                         for e in product(range(j + 1), repeat=n) if sum(e) == j]
                      for j in q.degrees()}
-        self.q = {j: np.array([[f.terms.get(key, 0.0) for key in keys]
-                               for f in (q._terms_of(v, j) for v in vals)])
+        column = {key: vals[:, n + n * n + m] for m, key in enumerate(q.terms)}
+        zero = np.zeros(len(self.ts))
+        self.q = {j: np.column_stack([column.get(key, zero) for key in keys])
                   for j, keys in self.keys.items()}
 
     @property
@@ -387,8 +384,7 @@ class _GridTables:
         if self._T is None and self.linear_max > _ZERO_COEFF_TOL:
             n = len(self._linear)
             curve = solve_gauge_ode(self._linear, np.zeros((n, n)), np.eye(n),
-                                    t_span=(float(self.ts.min()), float(self.ts.max())),
-                                    tol=self._ode_tol)
+                                    t_span=(float(self.ts.min()), float(self.ts.max())))
             curve.assert_invertible_on_span()
             self._T = curve.sample(self.ts)
         return self._T
@@ -419,7 +415,7 @@ def _grid_residuals(B: np.ndarray, jet: JetData,
 
 
 def verify_candidate(q: NonAutoSystem, B: np.ndarray, grid=None, tol: float = 1e-6,
-                     ode_tol: float = 1e-10, jet: JetData | None = None,
+                     jet: JetData | None = None,
                      tables: _GridTables | None = None) -> VerificationReport:
     """Certify B against the full coefficient identities on the grid.
 
@@ -429,7 +425,7 @@ def verify_candidate(q: NonAutoSystem, B: np.ndarray, grid=None, tol: float = 1e
     """
     ts = default_grid() if grid is None else np.asarray(grid, dtype=float)
     jet = jet if jet is not None else extract_jet(q)
-    tables = tables if tables is not None else _GridTables(q, ts, ode_tol)
+    tables = tables if tables is not None else _GridTables(q, ts)
     diagnostics: list[str] = []
 
     try:
@@ -549,8 +545,7 @@ def _reconstructed_field(jet: JetData, B: np.ndarray) -> PolyField:
     return f
 
 
-def identify(q: NonAutoSystem, grid=None, tol: float = 1e-6,
-             ode_tol: float = 1e-10) -> GaugeCertificate:
+def identify(q: NonAutoSystem, grid=None, tol: float = 1e-6) -> GaugeCertificate:
     """Full identification pipeline; returns a GaugeCertificate.
 
     Statuses: gauge (certified, residuals within tol), linear_family (purely
@@ -558,7 +553,7 @@ def identify(q: NonAutoSystem, grid=None, tol: float = 1e-6,
     failure, not a verdict).
     """
     ts = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    tables = _GridTables(q, ts, ode_tol)  # also validates evaluability on the grid
+    tables = _GridTables(q, ts)  # also validates evaluability on the grid
     jet = extract_jet(q)
     diagnostics: list[str] = []
 
@@ -580,8 +575,7 @@ def identify(q: NonAutoSystem, grid=None, tol: float = 1e-6,
     if not nonlinear_active and not constant_active:
         # purely linear in x: a gauge transform of any linear autonomous system
         B = jet.C0.copy()
-        report = verify_candidate(q, B, ts, tol=tol, ode_tol=ode_tol,
-                                  jet=jet, tables=tables)
+        report = verify_candidate(q, B, ts, tol=tol, jet=jet, tables=tables)
         if report.status == "undetermined":
             return GaugeCertificate("undetermined", B, [], jet.c0, None,
                                     report.residuals, ts,
@@ -598,8 +592,7 @@ def identify(q: NonAutoSystem, grid=None, tol: float = 1e-6,
         return GaugeCertificate("not_gauge", None, [], jet.c0, None, None,
                                 ts, diagnostics)
 
-    report = verify_candidate(q, cand.B, ts, tol=tol, ode_tol=ode_tol,
-                              jet=jet, tables=tables)
+    report = verify_candidate(q, cand.B, ts, tol=tol, jet=jet, tables=tables)
     B = cand.B
     if report.status == "undetermined":
         return GaugeCertificate("undetermined", B, cand.kernel, jet.c0, None,
@@ -610,8 +603,7 @@ def identify(q: NonAutoSystem, grid=None, tol: float = 1e-6,
             f"{cand.kernel_dim}-dimensional solution family")
         B, notes = _refine_candidate(cand, jet, tables)
         diagnostics.extend(notes)
-        report = verify_candidate(q, B, ts, tol=tol, ode_tol=ode_tol,
-                                  jet=jet, tables=tables)
+        report = verify_candidate(q, B, ts, tol=tol, jet=jet, tables=tables)
         if report.status == "undetermined":
             return GaugeCertificate("undetermined", B, cand.kernel, jet.c0, None,
                                     report.residuals, ts,
@@ -641,7 +633,7 @@ class ReducedSystem:
     T: FlowCurve
 
 
-def remove_linear_part(q: NonAutoSystem, grid=None, ode_tol: float = 1e-10) -> ReducedSystem:
+def remove_linear_part(q: NonAutoSystem, grid=None) -> ReducedSystem:
     """Strip the linear part using the fundamental matrix T.
 
     The sampled tables are numeric; the returned jet is exact:
@@ -650,7 +642,7 @@ def remove_linear_part(q: NonAutoSystem, grid=None, ode_tol: float = 1e-10) -> R
     ts = default_grid() if grid is None else np.asarray(grid, dtype=float)
     jet = extract_jet(q)
     T = solve_gauge_ode(q.linear, np.zeros((q.dim, q.dim)), np.eye(q.dim),
-                        t_span=(float(ts.min()), float(ts.max())), tol=ode_tol)
+                        t_span=(float(ts.min()), float(ts.max())))
     const_samples = np.empty((len(ts), q.dim))
     field_samples: dict = {j: [] for j in q.degrees()}
     for k, t in enumerate(ts):

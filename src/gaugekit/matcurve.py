@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import timexpr as tx
-from ._rk import DenseSolution, IntegrationError, integrate_dense
+from ._rk import TOL, DenseSolution, IntegrationError, integrate_dense
 from .polyfield import NearSingularMatrixError, check_invertible, invert_checked
 
 __all__ = [
@@ -270,14 +270,13 @@ class FlowCurve(MatrixCurve):
     """Solution of A' = C(t) A - A B, A(0) = A0, via dense-output integration.
 
     The requested span is integrated eagerly and memoized; evaluation
-    outside it extends the integration from the nearest endpoint (or
-    raises when extend=False).  Reads inside an integrated span are safe to
-    share across threads; extending the span mutates the cache, so integrate
-    the full span up front before evaluating in parallel.
+    outside it extends the integration from the nearest endpoint.  Reads
+    inside an integrated span are safe to share across threads; extending
+    the span mutates the cache, so integrate the full span up front before
+    evaluating in parallel.
     """
 
-    def __init__(self, C_entries, B, A0, t_span=(0.0, 1.0), tol: float = 1e-10,
-                 extend: bool = True):
+    def __init__(self, C_entries, B, A0, t_span=(0.0, 1.0), tol: float = TOL):
         self.C_entries = ([[tx.as_expr(e) for e in row] for row in C_entries]
                           if C_entries is not None else None)
         self.B = np.asarray(B, dtype=float)
@@ -291,7 +290,6 @@ class FlowCurve(MatrixCurve):
             raise ValueError("C table must match the curve dimension")
         check_invertible(self.A0)
         self.tol = float(tol)
-        self.extend = bool(extend)
         self._C = _table_of(self.C_entries) if self.C_entries is not None else lambda t: None
         self._dC = None  # compiled on first use by second_derivative
         self._fwd: DenseSolution | None = None
@@ -313,9 +311,7 @@ class FlowCurve(MatrixCurve):
     def _integrate(self, t_from: float, t_to: float,
                    y_from: np.ndarray | None = None) -> DenseSolution:
         y0 = (self.A0 if y_from is None else y_from).ravel()
-        sol = integrate_dense(self._rhs, t_from, t_to, y0,
-                              rtol=self.tol, atol=self.tol)
-        return sol
+        return integrate_dense(self._rhs, t_from, t_to, y0, tol=self.tol)
 
     @property
     def span(self) -> tuple[float, float]:
@@ -326,15 +322,11 @@ class FlowCurve(MatrixCurve):
     def _solution_for(self, t: float) -> DenseSolution:
         lo, hi = self.span
         if t > hi + 1e-12:
-            if not self.extend:
-                raise IntegrationError(f"t={t!r} outside integrated span [{lo}, {hi}]")
             start = (hi, self._fwd.y_end.reshape(self.dim, self.dim)) \
                 if self._fwd is not None else (0.0, self.A0)
             ext = self._integrate(start[0], t, start[1])
             self._fwd = _concat(self._fwd, ext)
         elif t < lo - 1e-12:
-            if not self.extend:
-                raise IntegrationError(f"t={t!r} outside integrated span [{lo}, {hi}]")
             start = (lo, self._bwd.y_end.reshape(self.dim, self.dim)) \
                 if self._bwd is not None else (0.0, self.A0)
             ext = self._integrate(start[0], t, start[1])
@@ -391,11 +383,11 @@ class FlowCurve(MatrixCurve):
                 out.append(sol.t_end)
         return sorted(out)
 
-    def residual_max(self, ts=None) -> float:
-        """max of ||A'_interp - (C A - A B)|| / (1 + ||A||) over the given times
-        (default: the dense-output checkpoints)."""
+    def residual_max(self) -> float:
+        """max of ||A'_interp - (C A - A B)|| / (1 + ||A||) over the
+        dense-output checkpoints."""
         worst = 0.0
-        for t in (self.checkpoints() if ts is None else ts):
+        for t in self.checkpoints():
             t = float(t)
             sol = self._solution_for(t)
             a = sol(t)
@@ -471,7 +463,7 @@ def second_order_lift(A: MatrixCurve) -> LiftedCurve:
     return LiftedCurve(A)
 
 
-def solve_gauge_ode(C, B, A0, t_span=(0.0, 1.0), tol: float = 1e-10) -> FlowCurve:
+def solve_gauge_ode(C, B, A0, t_span=(0.0, 1.0), tol: float = TOL) -> FlowCurve:
     """Solve A' = C(t) A - A B with A(0) = A0 over t_span.
 
     C is an n x n table of TimeExpr (or expression strings), or None for

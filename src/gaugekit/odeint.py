@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rk import IntegrationError, integrate_dense
+from ._rk import BLOWUP_NORM, TOL, IntegrationError, integrate_dense
 from .gauge import NonAutoEvaluator, transform_rhs
 from .identify import NonAutoSystem
 from .matcurve import MatrixCurve
@@ -14,7 +14,6 @@ from .polyfield import PolyField
 
 __all__ = ["Trajectory", "integrate", "verify_correspondence", "IntegrationError"]
 
-BLOWUP_NORM = 1e8
 _COMPARE_POINTS = 200
 
 
@@ -58,19 +57,19 @@ def _as_rhs(rhs):
     raise TypeError(f"cannot integrate object of type {type(rhs).__name__}")
 
 
-def integrate(rhs, x0, t_span=(0.0, 1.0), tol: float = 1e-10,
+def integrate(rhs, x0, t_span=(0.0, 1.0), tol: float = TOL,
               samples: int = _COMPARE_POINTS) -> Trajectory:
     """Adaptive 5(4) trajectory of x' = rhs(t, x), sampled on `samples`
     equispaced dense-output points.
 
     rhs may be a PolyField (autonomous), a NonAutoSystem/NonAutoEvaluator,
-    or a plain (t, x) callable.  Finite-time blow-up (norm above 1e8)
-    truncates the trajectory and sets meta["blowup"].
+    or a plain (t, x) callable.  Finite-time blow-up (norm above
+    BLOWUP_NORM) truncates the trajectory and sets meta["blowup"].
     """
     fun = _as_rhs(rhs)
     t0, t1 = float(t_span[0]), float(t_span[1])
-    sol = integrate_dense(fun, t0, t1, np.asarray(x0, dtype=float),
-                          rtol=tol, atol=tol, blowup_norm=BLOWUP_NORM)
+    sol = integrate_dense(fun, t0, t1, np.asarray(x0, dtype=float), tol=tol,
+                          blowup_norm=BLOWUP_NORM)
     ts = np.linspace(t0, sol.t_end, samples)
     states = sol.sample(ts)
     if ts[0] > ts[-1]:  # backward span: report in increasing time
@@ -79,26 +78,24 @@ def integrate(rhs, x0, t_span=(0.0, 1.0), tol: float = 1e-10,
     return Trajectory(ts, states, meta)
 
 
-def verify_correspondence(f: PolyField, A: MatrixCurve, x0, t_span=(0.0, 1.0),
-                          tol: float = 1e-10, samples: int = _COMPARE_POINTS) -> float:
+def verify_correspondence(f: PolyField, A: MatrixCurve, x0, t_span=(0.0, 1.0)) -> float:
     """Max relative deviation between A(t) z(t) and the integrated gauge transform.
 
     Integrates z' = f(z) from x0 and w' = f*(t, w) from A(0) x0 (the
-    transform's numeric right-hand side; no closed form is emitted), then returns
-    max_t ||w(t) - A(t) z(t)|| / (1 + ||A(t) z(t)||) over equispaced dense
-    samples.  If either trajectory blows up, the comparison interval is
-    truncated to the span both trajectories reached.
+    transform's numeric right-hand side; no closed form is emitted), both at
+    tolerance TOL, then returns max_t ||w(t) - A(t) z(t)|| / (1 + ||A(t) z(t)||)
+    over _COMPARE_POINTS equispaced dense samples.  If either trajectory
+    blows up, the comparison interval is truncated to the span both
+    trajectories reached.
     """
     x0 = np.asarray(x0, dtype=float)
     t0, t1 = float(t_span[0]), float(t_span[1])
     fstar = transform_rhs(f, A)
-    sol_z = integrate_dense(lambda _t, x: f.eval(x), t0, t1, x0,
-                            rtol=tol, atol=tol, blowup_norm=BLOWUP_NORM)
-    sol_w = integrate_dense(fstar, t0, t1, A.value(t0) @ x0,
-                            rtol=tol, atol=tol, blowup_norm=BLOWUP_NORM)
+    sol_z = integrate_dense(lambda _t, x: f.eval(x), t0, t1, x0, blowup_norm=BLOWUP_NORM)
+    sol_w = integrate_dense(fstar, t0, t1, A.value(t0) @ x0, blowup_norm=BLOWUP_NORM)
     t_hi = min(sol_z.t_end, sol_w.t_end) if t1 > t0 else max(sol_z.t_end, sol_w.t_end)
     worst = 0.0
-    for t in np.linspace(t0, t_hi, samples):
+    for t in np.linspace(t0, t_hi, _COMPARE_POINTS):
         t = float(t)
         ref = A.value(t) @ sol_z(t)
         dev = np.linalg.norm(sol_w(t) - ref) / (1.0 + np.linalg.norm(ref))

@@ -307,19 +307,19 @@ def test_refinement_and_certification_measure_the_same_coefficients():
     report = verify_candidate(q, B)
     assert report.residuals["per_degree"][2] == 2.0
     ts = default_grid()
-    const, per_degree = _grid_residuals(B, extract_jet(q), _GridTables(q, ts, 1e-10))
+    const, per_degree = _grid_residuals(B, extract_jet(q), _GridTables(q, ts))
     assert const.shape == (len(ts), 2) and not const.any()
     assert per_degree[2].shape == (len(ts), 6)  # every (component, monomial) of degree 2
     assert np.max(np.abs(per_degree[2])) == report.residuals["per_degree"][2]
 
 
-def grid_residuals_per_time(q, B, jet, tables, ode_tol):
+def grid_residuals_per_time(q, B, jet, tables):
     """_grid_residuals one grid time at a time: A(t_k) = T(t_k) exp(-t_k B)
     from mat_exp and, where C != 0, the value(t) of the flow T' = CT, T(0) = I,
     pushed forward matrix by matrix."""
     A_vals = [mat_exp(-t * B) for t in tables.ts]
     if tables.linear_max > 1e-12:
-        T = solve_gauge_ode(q.linear, np.zeros((q.dim, q.dim)), np.eye(q.dim), tol=ode_tol,
+        T = solve_gauge_ode(q.linear, np.zeros((q.dim, q.dim)), np.eye(q.dim),
                             t_span=(float(tables.ts.min()), float(tables.ts.max())))
         A_vals = [T.value(float(t)) @ A_t for t, A_t in zip(tables.ts, A_vals)]
     const = np.array([c_t - A_t @ jet.c0 for c_t, A_t in zip(tables.c, A_vals)])
@@ -347,19 +347,49 @@ def test_grid_residuals_equal_the_per_time_reference():
              (exp_quadratic_system(), default_grid()), (refining.closed_form, around_zero)]
     for q, ts in cases:
         jet = extract_jet(q)
-        tables = _GridTables(q, ts, 1e-10)
+        tables = _GridTables(q, ts)
         cand = solve_candidate_B(jet)
         assert cand is not None
         for B in (cand.B, cand.B + rng.uniform(-0.3, 0.3, size=(q.dim, q.dim))):
             const, per_degree = _grid_residuals(B, jet, tables)
-            want_const, want_degree = grid_residuals_per_time(q, B, jet, tables, 1e-10)
+            want_const, want_degree = grid_residuals_per_time(q, B, jet, tables)
             assert np.array_equal(const, want_const)
             assert per_degree.keys() == want_degree.keys()
             for j, res in per_degree.items():
                 assert np.array_equal(res, want_degree[j])
     # the cases take both paths: T from a flow where C != 0, none where C == 0
-    assert _GridTables(refining.closed_form, around_zero, 1e-10).linear_max > 0.0
+    assert _GridTables(refining.closed_form, around_zero).linear_max > 0.0
     assert solve_candidate_B(extract_jet(refining.closed_form)).kernel_dim > 0
+
+
+def test_grid_tables_equal_the_per_time_readers():
+    # c, C and q[j] are column slices of q's table rows; a -0 literal, a
+    # value -0.0 and a key q lacks all read as 0.0
+    q = NonAutoSystem(2, constant=["-0", "-t"], linear=[["sin(t)", "-0.0"], ["0", "t^2"]],
+                      terms={(0, (2, 0)): "1 + t", (1, (1, 1)): "-0", (0, (1, 2)): "-t"})
+    ts = np.linspace(0.0, 1.0, 5)
+    tables = _GridTables(q, ts)
+    vals = [q._values(t) for t in ts]
+    assert np.array_equal(tables.c, [q._constant_of(v) for v in vals])
+    assert np.array_equal(tables.C, [q._linear_of(v) for v in vals])
+    assert tables.keys.keys() == tables.q.keys() == {2, 3}
+    for j, keys in tables.keys.items():
+        want = [[q._terms_of(v, j).terms.get(key, 0.0) for key in keys] for v in vals]
+        assert np.array_equal(tables.q[j], want)
+    for table in (tables.c, tables.C, *tables.q.values()):
+        assert not np.signbit(table[table == 0.0]).any()
+
+
+def test_integration_failure_diagnostic_prints_a_plain_float():
+    # C has a pole at t = 0.51, so the T flow underflows its step there
+    q = NonAutoSystem(2, linear=[["0", "1/(t - 0.51)"], ["0", "0"]],
+                      terms={(0, (2, 0)): "1"})
+    cert = identify(q)
+    assert cert.status == "undetermined"
+    note = cert.diagnostics[-1]
+    assert note.startswith("verification aborted: step size underflow at t=0.50999")
+    assert "np." not in note
+    float(note.rsplit("t=", 1)[1])
 
 
 def test_factored_curve_equals_the_direct_flow():
@@ -383,7 +413,7 @@ def test_factored_curve_equals_the_direct_flow():
         q = NonAutoSystem(n, linear=linear)
         ts = default_grid(t0, t0 + length)
         B = rng.uniform(-1.5, 1.5, size=(n, n))
-        T = _GridTables(q, ts, 1e-10).fundamental()
+        T = _GridTables(q, ts).fundamental()
         factored = T @ mat_exp(-ts[:, None, None] * B)
         direct = solve_gauge_ode(q.linear, B, np.eye(n), t_span=(ts[0], ts[-1])).sample(ts)
         bound = 1e-7 * (1.0 + np.max(np.abs(direct)))

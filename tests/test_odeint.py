@@ -1,11 +1,13 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from gaugekit import timexpr as tx
-from gaugekit._rk import rk_fixed_step
-from gaugekit.gauge import gauge_transform
+from gaugekit._rk import IntegrationError, _rms, integrate_dense, rk_fixed_step
+from gaugekit.gauge import FlowMap, gauge_transform
+from gaugekit.identify import identify
 from gaugekit.matcurve import ClosedFormCurve, ExponentialCurve, solve_gauge_ode
 from gaugekit.odeint import Trajectory, integrate, verify_correspondence
 from gaugekit.polyfield import PolyField
@@ -100,7 +102,7 @@ def test_trajectory_validation_and_json():
 def test_correspondence_identity_curve():
     f = random_field(np.random.default_rng(0), 2, [1, 2], scale=0.5)
     A = ClosedFormCurve([["1", "0"], ["0", "1"]])
-    assert verify_correspondence(f, A, [0.2, -0.1], (0.0, 1.0), tol=1e-10) <= 2e-10
+    assert verify_correspondence(f, A, [0.2, -0.1], (0.0, 1.0)) <= 2e-10
 
 
 def test_correspondence_p2_exponential_matches_paper_solution():
@@ -235,3 +237,60 @@ def test_integrator_error_tracks_tolerance():
         errs.append(np.linalg.norm(traj.states[-1] - exact))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the integrator's settings
+# ---------------------------------------------------------------------------
+
+def test_every_integration_runs_at_the_one_tolerance(monkeypatch):
+    # flows, trajectories and the correspondence check all integrate at
+    # _rk.TOL unless told otherwise; trajectories stop at _rk.BLOWUP_NORM,
+    # flows never stop early
+    from gaugekit import _rk, gauge, matcurve, odeint
+    assert (_rk.TOL, _rk.BLOWUP_NORM) == (1e-10, 1e8)
+    signature = inspect.signature(integrate_dense)
+    calls = []
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments["tol"], bound.arguments["blowup_norm"]))
+        return integrate_dense(*args, **kwargs)
+
+    for mod in (gauge, matcurve, odeint):
+        monkeypatch.setattr(mod, "integrate_dense", recording)
+    flow, trajectory = (_rk.TOL, None), (_rk.TOL, _rk.BLOWUP_NORM)
+    A = ExponentialCurve(np.array([[0.3, -0.8], [0.5, 0.1]]), -1)
+    q = gauge_transform(p2_field(), A).closed_form
+    x0 = np.array([0.3, 0.4])
+    runs = [
+        (lambda: identify(q), [flow]),  # C = A'A^-1 is not 0: the T flow
+        (lambda: FlowMap(p2_field(), 0.3)(x0), [trajectory]),
+        (lambda: integrate(q, x0, (0.0, 0.5)), [trajectory]),
+        (lambda: verify_correspondence(p2_field(), A, x0, (0.0, 0.5)), [trajectory] * 2),
+        (lambda: solve_gauge_ode(q.linear, np.eye(2), np.eye(2)), [flow]),
+    ]
+    for run, want in runs:
+        calls.clear()
+        run()
+        assert calls == want
+
+
+def test_rms_equals_sqrt_of_mean_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for _ in range(5000):
+        n = int(rng.integers(1, 20))
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 12, size=n)
+        got = _rms(v)
+        assert got == np.sqrt(np.mean(v ** 2)) and type(got) is float
+
+
+def test_integration_messages_print_times_as_floats():
+    sol = integrate_dense(lambda _t, y: -y, 0.0, 1.0, np.ones(2))
+    assert all(type(t) is float for t in sol.t_starts + sol.hs + [sol.t_end])
+    # a span whose end was left as a numpy float still prints plain numbers
+    sol.t_end = np.float64(sol.t_end)
+    with pytest.raises(IntegrationError) as err:
+        sol(np.float64(2.0))
+    assert str(err.value) == "t=2.0 outside the integrated span [0.0, 1.0]"
