@@ -8,6 +8,7 @@ error, 3 numeric failure, 4 undetermined.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -291,6 +292,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="output format (default: json to file, text to console)")
 
 
+@functools.cache  # built on the first main() call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gaugekit",

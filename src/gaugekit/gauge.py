@@ -18,7 +18,7 @@ import numpy as np
 from . import timexpr as tx
 from ._rk import BLOWUP_NORM, IntegrationError, integrate_dense
 from .identify import NonAutoSystem
-from .matcurve import ClosedFormCurve, ExponentialCurve, MatrixCurve
+from .matcurve import ClosedFormCurve, ExponentialCurve, MatrixCurve, mat_exp
 from .polyfield import PolyField, lie_bracket, linear_pushforward, pushforward_terms
 
 __all__ = [
@@ -54,36 +54,23 @@ def _table_product(A: list, B: list) -> list:
             for i in range(n)]
 
 
-def _nonzero(exprs: list, ts: list) -> list:
-    """For each expression, whether it exceeds the drop threshold in
-    magnitude, or fails to evaluate, at some t in ts."""
-    table = tx.compile_table(exprs)
-    keep = [False] * len(exprs)
-    for t in ts:
-        try:
-            vals = table(t)
-        except (tx.EvalError, OverflowError):
-            vals = [_value_or_inf(e, t) for e in exprs]
-        keep = [k or abs(v) > _DROP_TOL for k, v in zip(keep, vals)]
-    return keep
-
-
-def _value_or_inf(e: tx.TimeExpr, t: float) -> float:
-    try:
-        return tx.eval_expr(e, t)
-    except (tx.EvalError, OverflowError):
-        return np.inf
-
-
 def _exp_lin(c: float) -> tx.TimeExpr:
     if abs(c) <= 1e-15:
         return tx.Lit(1.0)
     return tx.efun("exp", c * tx.T)
 
 
-def _symbolic_expm_entries(M: np.ndarray, sign: int) -> list | None:
+def _sample_times(t_span: tuple) -> np.ndarray:
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    return t0 + (t1 - t0) * _SAMPLE_FRACTIONS
+
+
+def _symbolic_expm_entries(M: np.ndarray, sign: int, t_span: tuple,
+                           samples: np.ndarray | None = None) -> list | None:
     """TimeExpr entries of exp(sign * t * M), or None when no reliable
-    closed form is available (defective or ill-conditioned generator)."""
+    closed form is available: a defective or ill-conditioned generator, or
+    entries off the (K, n, n) samples of mat_exp (computed when not given)
+    at the zero test's times in t_span."""
     n = M.shape[0]
     if np.max(np.abs(M - np.diag(np.diag(M)))) == 0.0:
         return [[_exp_lin(sign * M[i, i]) if i == j else tx.Lit(0.0)
@@ -128,38 +115,52 @@ def _symbolic_expm_entries(M: np.ndarray, sign: int) -> list | None:
                 acc = acc + _exp_lin(sign * a) * osc
             row.append(acc)
         entries.append(row)
-    from .matcurve import mat_exp
+    ts = _sample_times(t_span)
+    ref = mat_exp(sign * ts[:, None, None] * M) if samples is None else samples
     table = tx.compile_table([e for row in entries for e in row])
-    for t in np.linspace(0.0, 1.0, 7):
-        ref = mat_exp(sign * t * M)
-        got = np.array(table(float(t))).reshape(n, n)
-        if np.max(np.abs(got - ref)) > 1e-9 * (1.0 + np.max(np.abs(ref))):
-            return None
-    return entries
+    try:
+        got = np.array([table(t) for t in ts.tolist()]).reshape(ref.shape)
+    except (tx.EvalError, OverflowError):
+        return None
+    bound = 1e-9 * (1.0 + np.max(np.abs(ref), axis=(1, 2)))
+    # NaN fails `<=`: the entries must match a finite mat_exp
+    return entries if np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= bound) else None
 
 
-def _symbolic_entries(A: MatrixCurve):
-    """(S, S_inv, S_dot) as TimeExpr tables, or None."""
+def _symbolic_entries(A: MatrixCurve, t_span: tuple):
+    """(S, S_inv, S_dot) as TimeExpr tables, and as (K, n, n) stacks at the
+    zero test's sample times in t_span (None when the curve cannot be
+    evaluated at one of them); None when the curve has no closed form."""
+    ts = _sample_times(t_span)
     if isinstance(A, ClosedFormCurve):
         if A.inverse_entries is None:
             return None
-        return A.entries, A.inverse_entries, A._dentries
+        try:
+            samples = tuple(np.array([fn(t) for t in ts.tolist()])
+                            for fn in (A.value, A._inverse, A.derivative))
+        except (tx.EvalError, OverflowError):
+            samples = None
+        return (A.entries, A.inverse_entries, A._dentries), samples
     if isinstance(A, ExponentialCurve):
-        S = _symbolic_expm_entries(A.generator, A.sign)
-        Sinv = _symbolic_expm_entries(A.generator, -A.sign)
+        G = A.sign * A.generator
+        E, Einv = mat_exp(ts[:, None, None] * G), mat_exp(-ts[:, None, None] * G)
+        S = _symbolic_expm_entries(A.generator, A.sign, t_span, E)
+        Sinv = _symbolic_expm_entries(A.generator, -A.sign, t_span, Einv)
         if S is None or Sinv is None:
             return None
-        return S, Sinv, _table_product((A.sign * A.generator).tolist(), S)
+        return (S, Sinv, _table_product(G.tolist(), S)), (E, Einv, G @ E)
     return None
 
 
 def symbolic_pushforward(f: PolyField, S: list, Sinv: list, Sdot: list) -> tuple:
-    """The coefficients of S'(t) S(t)^{-1} y + S(t) f(S(t)^{-1} y) as TimeExpr
-    tables (constant, linear, terms of degree >= 2 keyed like PolyField
-    terms), before any coefficient is dropped as zero."""
+    """The coefficients of S'(t) S(t)^{-1} y + S(t) f(S(t)^{-1} y) as tables
+    (constant, linear, terms of degree >= 2 keyed like PolyField terms),
+    before any coefficient is dropped as zero.  S, Sinv and Sdot are n x n
+    tables of TimeExprs, or of (K,) arrays, one slice per sample time; the
+    coefficients come out in the same arithmetic."""
     n = f.dim
     b = f.constant_vector().tolist()
-    const = [sum((S[i][j] * b[j] for j in range(n) if b[j] != 0.0), tx.Lit(0.0))
+    const = [sum((S[i][j] * b[j] for j in range(n) if b[j] != 0.0), 0.0)
              for i in range(n)]
     linear = _table_product(Sdot, Sinv)
     Bf = f.linear_matrix()
@@ -184,15 +185,26 @@ def _validation_points(n: int, t_span: tuple) -> list:
     return points
 
 
-def _emit_closed_form(f: PolyField, S: list, Sinv: list, Sdot: list,
-                      direct_rhs, t_span: tuple, points: list) -> NonAutoSystem | None:
+def _kept(f: PolyField, samples: tuple | None, terms: dict) -> list:
+    """The zero test of the candidates (constant, linear rows, terms): kept
+    unless below _DROP_TOL in magnitude at every sample time, from
+    symbolic_pushforward of the sampled S, S^{-1} and S'; all kept when the
+    curve has no samples."""
+    if samples is None:
+        return [True] * (f.dim * (f.dim + 1) + len(terms))
+    with np.errstate(all="ignore"):  # a non-finite sample keeps its coefficient
+        const, linear, values = symbolic_pushforward(
+            f, *(s.transpose(1, 2, 0) for s in samples))
+        flat = const + [v for row in linear for v in row] \
+            + [values.get(key, 0.0) for key in terms]
+        return [not np.all(np.abs(v) <= _DROP_TOL) for v in flat]
+
+
+def _emit_closed_form(f: PolyField, symbolic: tuple, samples: tuple | None,
+                      direct_rhs, points: list) -> NonAutoSystem | None:
     n = f.dim
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    ts = (t0 + (t1 - t0) * _SAMPLE_FRACTIONS).tolist()
-    const, linear, terms = symbolic_pushforward(f, S, Sinv, Sdot)
-    # one zero test over every candidate coefficient
-    flat = const + [e for row in linear for e in row] + list(terms.values())
-    keep = iter(_nonzero(flat, ts))
+    const, linear, terms = symbolic_pushforward(f, *symbolic)
+    keep = iter(_kept(f, samples, terms))
     zero = tx.Lit(0.0)
     const = [e if next(keep) else zero for e in const]
     linear = [[e if next(keep) else zero for e in row] for row in linear]
@@ -239,8 +251,8 @@ def gauge_transform(f: PolyField, A: MatrixCurve,
     points = _validation_points(f.dim, t_span)
     if isinstance(A, ClosedFormCurve):
         A.check_inverse([t for t, _ in points])
-    sym = _symbolic_entries(A)
-    closed = None if sym is None else _emit_closed_form(f, *sym, rhs, t_span, points)
+    sym = _symbolic_entries(A, t_span)
+    closed = None if sym is None else _emit_closed_form(f, *sym, rhs, points)
     return NonAutoEvaluator(f.dim, rhs, t_span, closed)
 
 

@@ -352,7 +352,7 @@ class _GridTables:
 
     def __init__(self, q: NonAutoSystem, ts: np.ndarray):
         self.ts = np.asarray(ts, dtype=float)
-        self._linear, self._T = q.linear, None
+        self._linear_at, self._T = q.linear_at, None
         n = q.dim
         # one row of q's table per grid time; + 0.0 reads a -0 literal as 0.0
         vals = np.array([q._values(t) for t in self.ts]) + 0.0
@@ -379,11 +379,12 @@ class _GridTables:
     def fundamental(self) -> np.ndarray | None:
         """T(t_k) for T' = C(t) T, T(0) = I, as a (K, n, n) stack; None when C
         vanishes on the grid.  One flow over the grid's span, integrated on
-        the first call.  Its determinant keeps its sign there, and so does
-        that of every A = T exp(-tB), as det A = det T exp(-t tr B)."""
+        the first call, which reads C(t) through q's own compiled table.  Its
+        determinant keeps its sign there, and so does that of every
+        A = T exp(-tB), as det A = det T exp(-t tr B)."""
         if self._T is None and self.linear_max > _ZERO_COEFF_TOL:
-            n = len(self._linear)
-            curve = solve_gauge_ode(self._linear, np.zeros((n, n)), np.eye(n),
+            n = self.C.shape[-1]
+            curve = solve_gauge_ode(self._linear_at, np.zeros((n, n)), np.eye(n),
                                     t_span=(float(self.ts.min()), float(self.ts.max())))
             curve.assert_invertible_on_span()
             self._T = curve.sample(self.ts)
@@ -641,7 +642,7 @@ def remove_linear_part(q: NonAutoSystem, grid=None) -> ReducedSystem:
     """
     ts = default_grid() if grid is None else np.asarray(grid, dtype=float)
     jet = extract_jet(q)
-    T = solve_gauge_ode(q.linear, np.zeros((q.dim, q.dim)), np.eye(q.dim),
+    T = solve_gauge_ode(q.linear_at, np.zeros((q.dim, q.dim)), np.eye(q.dim),
                         t_span=(float(ts.min()), float(ts.max())))
     const_samples = np.empty((len(ts), q.dim))
     field_samples: dict = {j: [] for j in q.degrees()}

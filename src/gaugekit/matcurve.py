@@ -269,16 +269,16 @@ class ExponentialCurve(MatrixCurve):
 class FlowCurve(MatrixCurve):
     """Solution of A' = C(t) A - A B, A(0) = A0, via dense-output integration.
 
-    The requested span is integrated eagerly and memoized; evaluation
-    outside it extends the integration from the nearest endpoint.  Reads
-    inside an integrated span are safe to share across threads; extending
-    the span mutates the cache, so integrate the full span up front before
-    evaluating in parallel.
+    C is as for solve_gauge_ode.  The requested span is integrated eagerly
+    and memoized; evaluation outside it extends the integration from the
+    nearest endpoint.  Reads inside an integrated span are safe to share
+    across threads; extending the span mutates the cache, so integrate the
+    full span up front before evaluating in parallel.
     """
 
-    def __init__(self, C_entries, B, A0, t_span=(0.0, 1.0), tol: float = TOL):
-        self.C_entries = ([[tx.as_expr(e) for e in row] for row in C_entries]
-                          if C_entries is not None else None)
+    def __init__(self, C, B, A0, t_span=(0.0, 1.0), tol: float = TOL):
+        self.C_entries = ([[tx.as_expr(e) for e in row] for row in C]
+                          if C is not None and not callable(C) else None)
         self.B = np.asarray(B, dtype=float)
         self.A0 = np.asarray(A0, dtype=float)
         self.dim = self.A0.shape[0]
@@ -290,7 +290,8 @@ class FlowCurve(MatrixCurve):
             raise ValueError("C table must match the curve dimension")
         check_invertible(self.A0)
         self.tol = float(tol)
-        self._C = _table_of(self.C_entries) if self.C_entries is not None else lambda t: None
+        self._C = (_table_of(self.C_entries) if self.C_entries is not None
+                   else C or (lambda t: None))
         self._dC = None  # compiled on first use by second_derivative
         self._fwd: DenseSolution | None = None
         self._bwd: DenseSolution | None = None
@@ -368,6 +369,8 @@ class FlowCurve(MatrixCurve):
         out = -dA @ self.B
         C = self._C(t)
         if C is not None:
+            if self.C_entries is None:
+                raise ValueError("a flow's second derivative needs C(t) as an expression table")
             if self._dC is None:
                 self._dC = _table_of(_diff_entries(self.C_entries))
             out = out + C @ dA
@@ -466,8 +469,9 @@ def second_order_lift(A: MatrixCurve) -> LiftedCurve:
 def solve_gauge_ode(C, B, A0, t_span=(0.0, 1.0), tol: float = TOL) -> FlowCurve:
     """Solve A' = C(t) A - A B with A(0) = A0 over t_span.
 
-    C is an n x n table of TimeExpr (or expression strings), or None for
-    C identically zero.
+    C is an n x n table of TimeExpr (or expression strings), compiled for
+    the flow; a callable t -> n x n array, such as a system's linear_at,
+    which reads its own compiled table; or None for C identically zero.
     """
     return FlowCurve(C, B, A0, t_span=t_span, tol=tol)
 

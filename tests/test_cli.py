@@ -142,9 +142,10 @@ def test_transform_numeric_failure_exit_3(files, tmp_path, capsys):
 
 
 def test_transform_emits_no_closed_form_validated_against_nan(tmp_path, capsys):
-    # exp(1000 t) overflows inside [0, 1]: the closed form y' = 1000 y (its
-    # exp(-1000 t) y^2 term dropped) is refused, and the sampled output
-    # cannot be written either, so the run is a numeric failure, not exit 0
+    # exp(1000 t) overflows inside [0, 1]: the closed form
+    # y' = 1000 y + exp(-1000 t) y^2 is refused where it is NaN, and the
+    # sampled output cannot be written either, so the run is a numeric
+    # failure, not exit 0
     f1 = tmp_path / "f1.json"
     f1.write_text(json.dumps({"dim": 1, "terms": [
         {"component": 0, "exponents": [2], "coeff": 1.0}]}))
@@ -318,6 +319,34 @@ def test_reports_byte_identical(files):
         assert main(["integrate", "--system", files["quad"], "--x0", "0.3,0.4",
                      "--t1", "0.5", "--out", str(out)]) == 0
     assert t1.read_bytes() == t2.read_bytes()
+
+
+def test_parser_is_built_once_and_reused(files, capsys):
+    # built lazily on the first main() call, not at import
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from gaugekit import cli
+    probe = ("import gaugekit.cli as c; "
+             "print(c._build_parser.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env,
+                          text=True, check=True).stdout.strip() == "0"
+    cli._build_parser.cache_clear()
+    out = files["tmp"] / "q.json"
+    assert main(["transform", "--field", files["p2"], "--curve", files["expB"],
+                 "--out", str(out)]) == 0
+    assert main(["identify", "--system", str(out), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "gauge"
+    with pytest.raises(SystemExit) as exc:
+        main(["identify", "--system", files["quad"], "--grid", "many"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gaugekit identify")
+    assert "argument --grid: invalid int value: 'many'" in err
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_format_overrides(files, capsys):

@@ -69,7 +69,7 @@ def test_closed_form_keeps_terms_that_grow_inside_the_span():
 
 def test_closed_form_refused_where_the_direct_rhs_is_not_finite():
     # exp(1000 t) overflows from t ~ 0.71, where the direct RHS is NaN; the
-    # candidate y' = 1000 y lacks the exp(-1000 t) y^2 term, and a NaN
+    # candidate y' = 1000 y + exp(-1000 t) y^2 is NaN there too, and a NaN
     # comparison must not let it pass
     f = PolyField(1, {(0, (2,)): 1.0})
     with np.errstate(over="ignore", invalid="ignore"):
@@ -162,7 +162,7 @@ def test_symbolic_exponential_entries_complex_pair():
     from gaugekit.gauge import _symbolic_expm_entries
     from gaugekit.matcurve import mat_exp
     M = np.array([[0.3, -2.0], [2.0, 0.3]])  # eigenvalues 0.3 +- 2i
-    S = _symbolic_expm_entries(M, 1)
+    S = _symbolic_expm_entries(M, 1, (0.0, 1.0))
     assert S is not None
     for t in np.linspace(0.0, 1.0, 9):
         got = np.array([[tx.eval_expr(e, float(t)) for e in row] for row in S])
@@ -174,7 +174,7 @@ def test_symbolic_exponential_entries_complex_pair():
 def test_defective_generator_has_no_closed_form():
     from gaugekit.gauge import _symbolic_expm_entries
     M = np.array([[0.0, 1.0], [0.0, 0.0]])  # defective: one eigenvector
-    assert _symbolic_expm_entries(M, -1) is None
+    assert _symbolic_expm_entries(M, -1, (0.0, 1.0)) is None
     ev = gauge_transform(p2_field(), ExponentialCurve(M, -1))
     assert ev.closed_form is None
     assert np.all(np.isfinite(ev(0.5, np.array([0.2, 0.1]))))
@@ -191,6 +191,206 @@ def test_flow_curve_has_no_closed_form():
 def test_gauge_transform_dim_mismatch():
     with pytest.raises(ValueError, match="dim"):
         gauge_transform(PolyField.zero(3), identity_curve(2))
+
+
+# ---------------------------------------------------------------------------
+# The zero test and the tables a transform compiles
+# ---------------------------------------------------------------------------
+
+def _recording_compiles(monkeypatch) -> list:
+    """Every expression list compiled from here on, in call order."""
+    compiled = []
+    real = tx.compile_table
+
+    def recording(exprs):
+        exprs = list(exprs)
+        compiled.append(exprs)
+        return real(exprs)
+
+    monkeypatch.setattr(tx, "compile_table", recording)
+    return compiled
+
+
+@pytest.mark.parametrize("kind", ["exp", "closed_form"])
+def test_a_transform_compiles_only_the_emitted_systems_table(monkeypatch, kind):
+    # besides the curve's own entry tables (an exponential's validation
+    # compiles exp(-tM) and exp(tM)), one table per transform: the emitted
+    # system's, which identification, its T flow and integration reuse
+    from gaugekit.identify import identify
+    f = random_field(np.random.default_rng(5), 2, [0, 1, 2, 3])
+    if kind == "exp":
+        A = ExponentialCurve(np.array([[0.5, -0.4], [0.4, 0.1]]), -1)
+    else:
+        A = rotation_curve("t + 0.5*t^2")
+    compiled = _recording_compiles(monkeypatch)
+    q = gauge_transform(f, A).closed_form
+    assert q is not None and any(e != tx.Lit(0.0) for row in q.linear for e in row)
+    assert identify(q).status == "gauge"
+    integrate(q, [0.1, -0.2], (0.0, 0.5))
+    entry_tables = 2 if kind == "exp" else 0
+    assert len(compiled) == entry_tables + 1
+    assert all(len(exprs) == 4 for exprs in compiled[:entry_tables])
+    system = q._coefficients()
+    assert len(compiled[-1]) == len(system)
+    assert all(a is b for a, b in zip(compiled[-1], system))
+
+
+def _reference_peaks(exprs: list, ts: list) -> np.ndarray:
+    """max |e(t)| over ts for each expression, from one compiled table of
+    the candidates (inf where an expression cannot be evaluated)."""
+    exprs = [tx.as_expr(e) for e in exprs]
+    table = tx.compile_table(exprs)
+    peaks = np.zeros(len(exprs))
+    for t in ts:
+        try:
+            vals = table(t)
+        except (tx.EvalError, OverflowError):
+            vals = []
+            for e in exprs:
+                try:
+                    vals.append(tx.eval_expr(e, t))
+                except (tx.EvalError, OverflowError):
+                    vals.append(math.inf)
+        peaks = np.maximum(peaks, np.abs(vals))
+    return peaks
+
+
+def _random_curve(rng, n: int, kind: str, cancel: bool):
+    """A curve, and a linear part L whose transform has C(t) = 0 (None when
+    no constant L does that); with cancel, a rotation turns at a constant
+    rate, so that it has such an L."""
+    V = rng.uniform(-1.0, 1.0, size=(n, n)) + 2.0 * np.eye(n)
+    if kind == "rotation" and n >= 2:
+        # theta = a t (+ b t^2): R' R^-1 = a J in the plane of the first two axes
+        a, b = np.round(rng.uniform(-1.5, 1.5, size=2), 6)
+        b = 0.0 if cancel else b
+        th = tx.parse_expr(f"{a}*t + {b}*t^2")
+        c, s = tx.Fun("cos", th), tx.Fun("sin", th)
+        entries = [[tx.Lit(float(i == j)) for j in range(n)] for i in range(n)]
+        entries[0][:2], entries[1][:2] = [c, tx.Neg(s)], [s, c]
+        L = np.zeros((n, n))
+        L[0, 1], L[1, 0] = a, -a
+        return ClosedFormCurve(entries), (L if b == 0.0 else None)
+    if kind == "complex" and n >= 2:
+        D = np.diag(rng.uniform(-1.0, 1.0, size=n))
+        D[0, 1], D[1, 0] = -1.5, 1.5
+        D[1, 1] = D[0, 0]  # eigenvalues D00 +- 1.5i
+        M = V @ D @ np.linalg.inv(V)
+    elif kind == "diagonal":
+        M = np.diag(rng.uniform(-1.5, 1.5, size=n))
+    else:
+        M = V @ np.diag(rng.uniform(-1.5, 1.5, size=n)) @ np.linalg.inv(V)
+    sign = int(rng.choice([-1, 1]))
+    return ExponentialCurve(M, sign), -sign * M
+
+
+def test_zero_test_agrees_with_the_compiled_candidates():
+    # the drop decision of every candidate coefficient, from the pushforward
+    # of the sampled curve, against the candidates' expressions compiled and
+    # evaluated at the same 20 times; coefficients within a factor 10 of the
+    # threshold may fall either way in the two arithmetics
+    from hypothesis import assume, example, given, settings, strategies as st
+    from gaugekit import gauge
+
+    seen = {True: 0, False: 0}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=3),
+           st.sampled_from(["real", "complex", "diagonal", "rotation"]), st.booleans(),
+           st.floats(min_value=-1.5, max_value=0.5), st.floats(min_value=0.3, max_value=2.0))
+    @example(seed=0, n=2, kind="rotation", cancel=True, t0=-1.0, length=2.0)
+    @example(seed=0, n=3, kind="complex", cancel=True, t0=-1.0, length=2.0)
+    def run(seed, n, kind, cancel, t0, length):
+        rng = np.random.default_rng(seed)
+        A, L = _random_curve(rng, n, kind, cancel)
+        degrees = sorted(rng.choice([2, 3, 4], size=int(rng.integers(1, 3)), replace=False))
+        f = random_field(rng, n, [0, 1, *degrees], density=0.5 if n == 3 else 0.8)
+        f = PolyField(n, {key: c * 10.0 ** rng.uniform(-14.0, 0.0)
+                          for key, c in f.terms.items()})
+        if cancel and L is not None:
+            # C(t) cancels to 0, as for four of the six perfbench round trips
+            f = PolyField(n, {key: c for key, c in f.terms.items() if sum(key[1]) != 1}) \
+                + PolyField.from_linear(L)
+        if cancel and isinstance(A, ClosedFormCurve):
+            # and -(x1^2 + x2^2)(x1, x2) is invariant under the rotation
+            cubic = {(i, e + (0,) * (n - 2)): c
+                     for (i, e), c in cubic_norm_field().terms.items()}
+            f = PolyField(n, {key: c for key, c in f.terms.items() if sum(key[1]) != 3}) \
+                + PolyField(n, cubic)
+        span = (t0, t0 + length)
+        sym = gauge._symbolic_entries(A, span)
+        assume(sym is not None)
+        symbolic, samples = sym
+        assert samples is not None
+        const, linear, terms = gauge.symbolic_pushforward(f, *symbolic)
+        flat = const + [e for row in linear for e in row] + list(terms.values())
+        peaks = _reference_peaks(flat, gauge._sample_times(span).tolist())
+        kept = gauge._kept(f, samples, terms)
+        assert len(kept) == len(flat)
+        for peak, keep in zip(peaks, kept):
+            if not gauge._DROP_TOL / 10 <= peak <= 10 * gauge._DROP_TOL:
+                assert keep == (peak > gauge._DROP_TOL)
+                seen[keep] += 1
+
+    run()
+    assert seen[True] > 0 and seen[False] > 0
+
+
+def test_a_non_finite_sample_keeps_its_coefficient():
+    # exp(1000 t) overflows from t ~ 0.71: there the sampled exp(-1000 t) y^2
+    # coefficient is inf * 0 = NaN, so it is kept, although it is below the
+    # threshold wherever it is finite; the validation then refuses the
+    # closed form, as the direct RHS is NaN there too
+    from gaugekit import gauge
+    f = PolyField(1, {(0, (2,)): 1.0})
+    A = ExponentialCurve(np.array([[1000.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        symbolic, samples = gauge._symbolic_entries(A, (0.0, 1.0))
+        assert not np.all(np.isfinite(samples[0]))
+        const, linear, terms = gauge.symbolic_pushforward(f, *symbolic)
+        assert list(terms) == [(0, (2,))]
+        assert gauge._kept(f, samples, terms) == [False, True, True]
+        assert gauge_transform(f, A).closed_form is None
+
+
+def test_a_curve_failing_at_a_sample_time_keeps_every_candidate():
+    # the second diagonal entry has its pole at one of the zero test's sample
+    # times in [0, 1], so no candidate is dropped there, not even the
+    # 1e-13 exp(-t) x1^2 coefficient, which [0, 0.4] drops
+    from gaugekit import gauge
+    pole = float(gauge._sample_times((0.0, 1.0))[10])
+    A = ClosedFormCurve([["exp(t)", "0"], ["0", f"1/(t - {pole!r})"]])
+    f = PolyField(2, {(0, (2, 0)): 1e-13, (1, (0, 2)): 1.0})
+    assert gauge._symbolic_entries(A, (0.0, 1.0))[1] is None
+    q = gauge_transform(f, A).closed_form
+    assert q is not None and (0, (2, 0)) in q.terms
+    assert (0, (2, 0)) not in gauge_transform(f, A, t_span=(0.0, 0.4)).closed_form.terms
+
+
+def test_symbolic_exponential_entries_are_validated_on_the_span(monkeypatch):
+    from gaugekit.gauge import _symbolic_expm_entries
+    times = []
+    real = tx.compile_table
+
+    def recording(exprs):
+        table = real(exprs)
+
+        def timed(t):
+            times.append(t)
+            return table(t)
+
+        return timed
+
+    monkeypatch.setattr(tx, "compile_table", recording)
+    M = np.array([[0.3, -2.0], [2.0, 0.3]])
+    for span in ((2.0, 3.5), (-3.0, -1.0)):
+        times.clear()
+        assert _symbolic_expm_entries(M, 1, span) is not None
+        assert len(times) == 20 and all(span[0] <= t <= span[1] for t in times)
+    # exp(300 t) overflows on [0, 3]: no closed form is validated there
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _symbolic_expm_entries(1000.0 * M, 1, (0.0, 1.0)) is not None
+        assert _symbolic_expm_entries(1000.0 * M, 1, (0.0, 3.0)) is None
 
 
 # ---------------------------------------------------------------------------

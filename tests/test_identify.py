@@ -451,6 +451,33 @@ def test_identify_integrates_one_flow_whatever_the_refinement(monkeypatch):
     assert sorted(calls) == [(0.0, -0.5), (0.0, 1.0)]
 
 
+def test_identify_compiles_the_systems_table_alone(monkeypatch):
+    # C(t) of the T flow is read through q's own table: a refining identify
+    # of a system with C != 0 compiles that one table, fundamental() none
+    rng = np.random.default_rng(21)
+    f2 = PolyField.from_linear(rng.uniform(-1, 1, size=(2, 2))) \
+        + PolyField(2, {(0, (2, 0)): 0.8})
+    src = gauge_transform(f2, ExponentialCurve(rng.uniform(-1, 1, size=(2, 2)), -1))
+    compiled = []
+    compile_table = tx.compile_table
+
+    def recording(exprs):
+        compiled.append(list(exprs))
+        return compile_table(compiled[-1])
+
+    monkeypatch.setattr(tx, "compile_table", recording)
+    q = NonAutoSystem.from_dict(src.closed_form.to_dict())
+    cert = identify(q)
+    assert cert.status == "gauge"
+    assert any(d.startswith("refinement stopped after") for d in cert.diagnostics)
+    assert len(compiled) == 1
+    assert all(a is b for a, b in zip(compiled[0], q._coefficients()))
+    tables = _GridTables(q, default_grid(-0.5, 1.0))
+    compiled.clear()
+    assert tables.fundamental() is not None
+    assert compiled == []
+
+
 def test_failing_fundamental_matrix_is_undetermined(monkeypatch):
     # the pole of C(t) at 0.51 lies between grid times: T's flow fails there
     q = NonAutoSystem(2, linear=[["0", "1/(t-0.51)"], ["0", "0"]], terms={(0, (2, 0)): "1"})

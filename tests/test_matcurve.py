@@ -339,6 +339,22 @@ def test_gauge_ode_second_derivative_matches_difference_of_derivative():
         assert np.max(np.abs(A.second_derivative(t) - fd)) <= 1e-6
 
 
+def test_gauge_ode_with_C_as_a_callable():
+    # C(t) read through a compiled system table gives the flow of its
+    # expression table bit for bit; its second derivative needs the table
+    from gaugekit.identify import NonAutoSystem
+    q = NonAutoSystem(2, linear=[["sin(t)", "t^2"], ["exp(-t)", "cos(2*t)"]])
+    B = np.array([[0.2, 0.0], [0.1, -0.4]])
+    ts = np.linspace(-0.5, 1.0, 13)
+    A = solve_gauge_ode(q.linear_at, B, np.eye(2), t_span=(-0.5, 1.0))
+    ref = solve_gauge_ode(q.linear, B, np.eye(2), t_span=(-0.5, 1.0))
+    assert np.array_equal(A.sample(ts), ref.sample(ts))
+    assert np.array_equal(A.derivative(0.3), ref.derivative(0.3))
+    with pytest.raises(ValueError, match="second derivative needs C.t. as an expression table"):
+        A.second_derivative(0.3)
+    ref.second_derivative(0.3)
+
+
 def test_gauge_ode_span_extension():
     B = np.array([[0.0, -1.0], [1.0, 0.0]])
     A = solve_gauge_ode(None, B, np.eye(2), t_span=(0.0, 0.5))
