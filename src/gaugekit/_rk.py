@@ -79,52 +79,42 @@ class DenseSolution:
     def t_start(self) -> float:
         return self.t_starts[0]
 
-    def _segment(self, t: float) -> int:
-        keys = np.asarray(self.t_starts) * self.direction
-        idx = int(np.searchsorted(keys, t * self.direction, side="right")) - 1
-        return min(max(idx, 0), len(self.t_starts) - 1)
-
-    def _check(self, t: float):
+    def _locate(self, ts) -> tuple:
+        """Segment index, step and local coordinate of every t of ts: a
+        list, an array and a list of Python floats, so that powers of a
+        coordinate round as scalar powers do.  Raises IntegrationError for
+        the first t outside the integrated span."""
+        ts = np.asarray(ts, dtype=float)
         lo, hi = sorted((float(self.t_start), float(self.t_end)))
-        if t < lo - 1e-12 or t > hi + 1e-12:
-            raise IntegrationError(
-                f"t={float(t)!r} outside the integrated span [{lo!r}, {hi!r}]")
+        outside = (ts < lo - 1e-12) | (ts > hi + 1e-12)
+        if outside.any():
+            raise IntegrationError(f"t={float(ts[np.argmax(outside)])!r} "
+                                   f"outside the integrated span [{lo!r}, {hi!r}]")
+        t_starts = np.asarray(self.t_starts)
+        # a t up to 1e-12 before the start belongs to the first segment
+        idx = np.maximum(np.searchsorted(t_starts * self.direction, ts * self.direction,
+                                         side="right") - 1, 0).tolist()
+        hs = np.array([self.hs[i] for i in idx])
+        return idx, hs, ((ts - t_starts[idx]) / hs).tolist()
 
     def __call__(self, t: float) -> np.ndarray:
-        self._check(t)
-        i = self._segment(t)
-        x = (t - self.t_starts[i]) / self.hs[i]
-        p = np.array([x, x * x, x ** 3, x ** 4])
-        return self.y_olds[i] + self.hs[i] * (self.Qs[i] @ p)
+        return self.sample([t])[0]
 
     def derivative(self, t: float) -> np.ndarray:
         """Derivative of the interpolant (not an extra RHS evaluation)."""
-        self._check(t)
-        i = self._segment(t)
-        x = (t - self.t_starts[i]) / self.hs[i]
-        dp = np.array([1.0, 2 * x, 3 * x * x, 4 * x ** 3])
-        return self.Qs[i] @ dp
+        idx, _, (x,) = self._locate([t])
+        return self.Qs[idx[0]] @ np.array([1.0, 2 * x, 3 * x * x, 4 * x ** 3])
 
     def sample(self, ts) -> np.ndarray:
         """The interpolant at every t of ts, one row per t: one segment
-        search and one stacked product, equal to calling the solution at
-        each t."""
-        ts = np.asarray(ts, dtype=float)
-        lo, hi = sorted((self.t_start, self.t_end))
-        outside = (ts < lo - 1e-12) | (ts > hi + 1e-12)
-        if outside.any():
-            self._check(float(ts[np.argmax(outside)]))
-        t_starts = np.asarray(self.t_starts)
-        idx = np.searchsorted(t_starts * self.direction, ts * self.direction,
-                              side="right") - 1
-        idx = np.clip(idx, 0, len(self.t_starts) - 1)
-        hs = np.asarray(self.hs)[idx]
-        x = ((ts - t_starts[idx]) / hs).tolist()
-        # scalar powers, as __call__ takes them: numpy's vectorized power can
-        # round differently in the last bit
+        search and one stacked product."""
+        idx, hs, x = self._locate(ts)
         p = np.array([(v, v * v, v ** 3, v ** 4) for v in x]).reshape(len(x), 4, 1)
-        Q = np.asarray(self.Qs)[idx]
-        return np.asarray(self.y_olds)[idx] + hs[:, None] * (Q @ p)[:, :, 0]
+        # only the segments in use: stacking all of them would make a
+        # one-row read cost as much as the whole solution
+        Q = np.array([self.Qs[i] for i in idx]).reshape(len(x), self.dim, 4)
+        y_old = np.array([self.y_olds[i] for i in idx]).reshape(len(x), self.dim)
+        return y_old + hs[:, None] * (Q @ p)[:, :, 0]
 
 
 def _rms(v: np.ndarray) -> float:

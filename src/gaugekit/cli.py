@@ -92,24 +92,10 @@ def _load_json(path: str) -> dict:
                           f"column {exc.colno}") from exc
 
 
-def _load_field(path: str):
+def _load(path: str, parse):
     try:
-        return field_from_dict(_load_json(path))
-    except ValueError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
-
-
-def _load_curve(path: str):
-    try:
-        return curve_from_dict(_load_json(path))
-    except (ValueError, tx.ParseError) as exc:
-        raise _InputError(f"{path}: {exc}") from exc
-
-
-def _load_system(path: str) -> NonAutoSystem:
-    try:
-        return NonAutoSystem.from_dict(_load_json(path))
-    except ValueError as exc:
+        return parse(_load_json(path))
+    except ValueError as exc:  # tx.ParseError among them
         raise _InputError(f"{path}: {exc}") from exc
 
 
@@ -137,8 +123,8 @@ def _emit(data: dict, render_text, args) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_transform(args) -> int:
-    f = _load_field(args.field)
-    A = _load_curve(args.curve)
+    f = _load(args.field, field_from_dict)
+    A = _load(args.curve, curve_from_dict)
     if f.dim != A.dim:
         raise _InputError(f"{args.field}: field dim {f.dim} does not match "
                           f"curve dim {A.dim} from {args.curve}")
@@ -200,7 +186,7 @@ def _render_certificate(d: dict) -> str:
 
 
 def _run_identify(args) -> int:
-    q = _load_system(args.system)
+    q = _load(args.system, NonAutoSystem.from_dict)
     grid = default_grid(args.t0, args.t1, args.grid)
     cert = identify(q, grid, tol=args.tol if args.tol is not None else 1e-6)
     _emit(cert.to_dict(), _render_certificate, args)
@@ -212,7 +198,8 @@ def _run_identify(args) -> int:
 def _run_integrate(args) -> int:
     if bool(args.system) == bool(args.field):
         raise _InputError("provide exactly one of --system or --field")
-    rhs = _load_system(args.system) if args.system else _load_field(args.field)
+    rhs = (_load(args.system, NonAutoSystem.from_dict) if args.system
+           else _load(args.field, field_from_dict))
     x0 = _parse_x0(args.x0, rhs.dim)
     traj = integrate_traj(rhs, x0, (args.t0, args.t1),
                           tol=args.tol if args.tol is not None else TOL)
@@ -232,8 +219,8 @@ def _run_integrate(args) -> int:
 
 
 def _run_verify(args) -> int:
-    f = _load_field(args.field)
-    A = _load_curve(args.curve)
+    f = _load(args.field, field_from_dict)
+    A = _load(args.curve, curve_from_dict)
     x0 = _parse_x0(args.x0, f.dim)
     tol = args.tol if args.tol is not None else 1e-6
     dev = verify_correspondence(f, A, x0, (args.t0, args.t1))
@@ -249,7 +236,7 @@ def _run_verify(args) -> int:
 
 
 def _run_idempotents(args) -> int:
-    p = _load_field(args.field)
+    p = _load(args.field, field_from_dict)
     try:
         res = find_idempotents(p, starts=args.starts, seed=args.seed)
     except ValueError as exc:

@@ -13,11 +13,12 @@ from itertools import product
 
 import numpy as np
 
+from . import polyfield
 from . import timexpr as tx
 from ._rk import IntegrationError
 from .matcurve import FlowCurve, mat_exp, solve_gauge_ode
 from .polyfield import (
-    NearSingularMatrixError, PolyField, check_invertible, field_to_dict,
+    NearSingularMatrixError, PolyField, as_index, check_invertible, field_to_dict,
     lie_bracket, linear_pushforward,
 )
 
@@ -64,7 +65,6 @@ class NonAutoSystem:
         if len(self.linear) != dim or any(len(r) != dim for r in self.linear):
             raise ValueError("linear part must be an n x n table")
         self.terms: dict = {}
-        from . import polyfield
         for (comp, exps), e in (terms or {}).items():
             exps = tuple(int(v) for v in exps)
             if not (0 <= comp < dim) or len(exps) != dim:
@@ -182,7 +182,6 @@ class NonAutoSystem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NonAutoSystem":
-        from .polyfield import as_index
         if not isinstance(d, dict) or "dim" not in d:
             raise ValueError("system object must have a 'dim' entry")
         dim = as_index(d["dim"], "dim")

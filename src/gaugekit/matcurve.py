@@ -339,17 +339,15 @@ class FlowCurve(MatrixCurve):
         return self._fwd if self._fwd is not None else self._bwd
 
     def value(self, t: float) -> np.ndarray:
-        if t == 0.0:
-            return self.A0.copy()
-        return self._solution_for(t)(t).reshape(self.dim, self.dim)
+        return self.sample([t])[0]
 
     def sample(self, ts) -> np.ndarray:
-        """value(t) for every t of ts, as one (K, n, n) stack: A0 at t = 0,
-        and one DenseSolution.sample per direction."""
+        """A(t) for every t of ts, as one (K, n, n) stack: A0 at t = 0, and
+        one DenseSolution.sample per direction, extending the integrated
+        span to cover ts."""
         ts = np.asarray(ts, dtype=float)
         n = self.dim
         out = np.empty((ts.size, n, n))
-        # extends the integrated span as value() does
         self._solution_for(float(ts.min()))
         self._solution_for(float(ts.max()))
         fwd = self._fwd if self._fwd is not None else self._bwd

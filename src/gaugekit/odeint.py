@@ -94,10 +94,10 @@ def verify_correspondence(f: PolyField, A: MatrixCurve, x0, t_span=(0.0, 1.0)) -
     sol_z = integrate_dense(lambda _t, x: f.eval(x), t0, t1, x0, blowup_norm=BLOWUP_NORM)
     sol_w = integrate_dense(fstar, t0, t1, A.value(t0) @ x0, blowup_norm=BLOWUP_NORM)
     t_hi = min(sol_z.t_end, sol_w.t_end) if t1 > t0 else max(sol_z.t_end, sol_w.t_end)
+    ts = np.linspace(t0, t_hi, _COMPARE_POINTS)
     worst = 0.0
-    for t in np.linspace(t0, t_hi, _COMPARE_POINTS):
-        t = float(t)
-        ref = A.value(t) @ sol_z(t)
-        dev = np.linalg.norm(sol_w(t) - ref) / (1.0 + np.linalg.norm(ref))
+    for t, z, w in zip(ts.tolist(), sol_z.sample(ts), sol_w.sample(ts)):
+        ref = A.value(t) @ z
+        dev = np.linalg.norm(w - ref) / (1.0 + np.linalg.norm(ref))
         worst = max(worst, float(dev))
     return worst

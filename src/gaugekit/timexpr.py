@@ -14,17 +14,15 @@ sampled evaluation elsewhere, never by canonicalization.  The operators ``+``,
 ``-`` and ``*`` build trees through the smart constructors below; numbers are
 taken as literals, also on the left of ``+`` and ``*``.
 
-Trees built by the transform share subtrees heavily, so there are three ways
-to evaluate them, all bit-identical to one another:
-
-- ``eval_expr`` walks one tree.  It is the reference the others are tested
-  against, and it serves one-off evaluations.
-- ``compile_table`` compiles a list of expressions into one function of t
-  that evaluates each distinct subtree once per call.  Every repeated
-  evaluation goes through it: system coefficients, curve entries and zero
-  tests.  ``compile_expr`` is its one-entry form.
-- ``diff_values`` gives the values of ``diff_expr`` trees at one t, with each
-  shared subtree differentiated and evaluated once.  The t = 0 jet uses it.
+Trees built by the transform share subtrees heavily.  The walks over them,
+``eval_expr`` and ``diff_expr``, memoize every node by identity, so a shared
+subtree is evaluated or differentiated once per call, and ``diff_values`` is
+their composition over one pair of memos: the t = 0 jet uses it.
+``compile_table`` compiles a list of expressions into one function of t that
+evaluates each distinct subtree once per call, also when equal subtrees are
+separate objects; every repeated evaluation goes through it (system
+coefficients and curve entries), and ``compile_expr`` is its one-entry form.
+All of them agree with ``eval_expr`` bit for bit.
 """
 
 from __future__ import annotations
@@ -382,22 +380,15 @@ def eval_expr(e: TimeExpr, t: float) -> float:
     Raises EvalError when a quotient denominator falls below 1e-14 in
     magnitude, naming the offending subexpression.
     """
-    return _eval(e, t, None)
+    return _eval(e, t, {})
 
 
-# memo entries: id(node) -> value, or _TODO for a node worth memoizing whose
-# value is not known yet; nodes without an entry are not memoized
-_TODO = object()
-
-
-def _eval(e: TimeExpr, t: float, memo: dict | None) -> float:
-    key = None
-    if memo is not None:
-        hit = memo.get(id(e))
-        if hit is not None:
-            if hit is not _TODO:
-                return hit
-            key = id(e)
+def _eval(e: TimeExpr, t: float, memo: dict) -> float:
+    # memo: id(node) -> value, for every node visited; the caller keeps the
+    # nodes alive while memo is in use, so that no id is reused
+    v = memo.get(id(e))
+    if v is not None:
+        return v
     if isinstance(e, Lit):
         v = e.value
     elif isinstance(e, TVar):
@@ -421,8 +412,7 @@ def _eval(e: TimeExpr, t: float, memo: dict | None) -> float:
         v = _FUNCTIONS[e.name](_eval(e.arg, t, memo))
     else:
         raise TypeError(f"not a TimeExpr node: {e!r}")
-    if key is not None:
-        memo[key] = v
+    memo[id(e)] = v
     return v
 
 
@@ -435,17 +425,6 @@ def _eval(e: TimeExpr, t: float, memo: dict | None) -> float:
 _INLINE_DEPTH = 12
 
 _BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-
-
-def _kids(node: TimeExpr) -> tuple:
-    cls = type(node)
-    if cls in _BINARY:
-        return (node.left, node.right)
-    if cls is Neg or cls is Fun:
-        return (node.arg,)
-    if cls is Pow:
-        return (node.base,)
-    return ()
 
 
 def _number_nodes(exprs: list) -> tuple[list, list]:
@@ -734,18 +713,14 @@ def diff_expr(e: TimeExpr) -> TimeExpr:
     The result is value-equivalent to the analytic derivative; it is not
     canonicalized beyond the trivial constructor cleanups above.
     """
-    return _diff(e, None)
+    return _diff(e, {})
 
 
-def _diff(e: TimeExpr, memo: dict | None) -> TimeExpr:
+def _diff(e: TimeExpr, memo: dict) -> TimeExpr:
     # memo as in _eval, holding derivatives instead of values
-    key = None
-    if memo is not None:
-        hit = memo.get(id(e))
-        if hit is not None:
-            if hit is not _TODO:
-                return hit
-            key = id(e)
+    d = memo.get(id(e))
+    if d is not None:
+        return d
     if isinstance(e, Lit):
         d = Lit(0.0)
     elif isinstance(e, TVar):
@@ -777,39 +752,14 @@ def _diff(e: TimeExpr, memo: dict | None) -> TimeExpr:
             d = eneg(emul(Fun("sin", e.arg), du))
     else:
         raise TypeError(f"not a TimeExpr node: {e!r}")
-    if key is not None:
-        memo[key] = d
+    memo[id(e)] = d
     return d
 
 
 def diff_values(exprs, t: float) -> list:
-    """[eval_expr(diff_expr(e), t) for e in exprs], bit for bit.
-
-    Every subtree with more than one parent (by identity) is differentiated
-    once, and every subtree of `exprs` and every such shared derivative is
-    evaluated once; other derivative nodes are dropped after use.
-    """
-    exprs = list(exprs)
-    parents: dict[int, int] = {}
-    stack = list(exprs)
-    for e in exprs:
-        parents[id(e)] = parents.get(id(e), 0) + 1
-    seen = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        for k in _kids(node):
-            parents[id(k)] = parents.get(id(k), 0) + 1
-            stack.append(k)
-    # ids stay valid: exprs keep their subtrees alive, dmemo the derivatives
-    dmemo = {key: _TODO for key, count in parents.items() if count > 1}
-    vmemo = dict.fromkeys(seen, _TODO)
-    out = []
-    for e in exprs:
-        d = _diff(e, dmemo)
-        vmemo.update((id(v), _TODO) for v in dmemo.values()
-                     if v is not _TODO and id(v) not in vmemo)
-        out.append(_eval(d, t, vmemo))
-    return out
+    """[eval_expr(diff_expr(e), t) for e in exprs], bit for bit, with every
+    node of `exprs` differentiated once and every derivative node evaluated
+    once."""
+    # ids stay valid: exprs keep their nodes alive, dmemo every derivative tree
+    dmemo, vmemo = {}, {}
+    return [_eval(_diff(e, dmemo), t, vmemo) for e in exprs]

@@ -302,13 +302,15 @@ def test_dense_sample_equals_pointwise_calls():
         assert np.array_equal(got, np.array([A.value(float(t)) for t in ts]))
         assert np.array_equal(got[6], A0)
     # an interpolant that is x^3 and x^4 itself: sample takes its powers as
-    # the pointwise call does, which numpy's vectorized power does not always
+    # scalar powers, which numpy's vectorized power does not always match
+    y_old, h = np.zeros(2), 1.0
+    Q = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     sol = DenseSolution(1, 2)
-    sol.t_starts, sol.hs, sol.y_olds = [0.0], [1.0], [np.zeros(2)]
-    sol.Qs = [np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])]
+    sol.t_starts, sol.hs, sol.y_olds, sol.Qs = [0.0], [h], [y_old], [Q]
     sol.t_end, sol.y_end = 1.0, np.ones(2)
     ts = np.linspace(0.0, 1.0, 101)
-    assert np.array_equal(sol.sample(ts), np.array([sol(float(t)) for t in ts]))
+    want = [y_old + h * (Q @ np.array([x, x * x, x ** 3, x ** 4])) for x in ts.tolist()]
+    assert np.array_equal(sol.sample(ts), np.array(want))
 
 
 def test_gauge_ode_invertibility_check_reads_every_checkpoint():

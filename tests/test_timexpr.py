@@ -379,6 +379,38 @@ def test_diff_values_match_diff_then_eval_bit_for_bit():
             assert got == repr(list(map(float, want)))
 
 
+def _counting(monkeypatch, name):
+    calls = []
+    walk = getattr(tx, name)
+
+    def counted(*args):
+        calls.append(1)
+        return walk(*args)
+
+    monkeypatch.setattr(tx, name, counted)
+    return calls
+
+
+def test_walks_visit_each_shared_node_once(monkeypatch):
+    # sin, not t: a base whose derivative is a literal folds away
+    x = tx.Fun("sin", tx.T)
+    for _ in range(16):
+        x = tx.Add(x, x)
+    evals, diffs = _counting(monkeypatch, "_eval"), _counting(monkeypatch, "_diff")
+    assert eval_expr(x, 0.3) == 2.0 ** 16 * math.sin(0.3)
+    # two calls per level, the second a memo hit, then sin and t: a tree
+    # walk would make 3 * 2^16 - 1 calls
+    assert (len(evals), len(diffs)) == (34, 0)
+    d = diff_expr(x)
+    assert (len(evals), len(diffs)) == (34, 34)
+    del evals[:], diffs[:]
+    assert tx.diff_values([x], 0.3) == [2.0 ** 16 * math.cos(0.3)]
+    assert len(evals) + len(diffs) == 68
+    # the derivative shares its subtrees as the input does
+    assert d.left is d.right
+    assert eval_expr(d, 0.3) == 2.0 ** 16 * math.cos(0.3)
+
+
 def test_smart_constructor_values_match_structure():
     rng = np.random.default_rng(11)
     for _ in range(200):
