@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (identify: gauge or linear_family), 1 negative verdict
 (identify: not_gauge; verify: deviation above tolerance), 2 parse/validation
-error, 3 numeric failure, 4 undetermined.
+error (also a non-finite --t0 or --t1, or a --tol that is not finite and > 0),
+3 numeric failure, 4 undetermined.
 """
 
 from __future__ import annotations
@@ -324,9 +325,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_options(args) -> None:
+    for name in ("t0", "t1"):
+        if not np.isfinite(getattr(args, name)):
+            raise _InputError(f"--{name} must be finite, got {getattr(args, name)!r}")
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
+        raise _InputError(f"--tol must be finite and > 0, got {args.tol!r}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_options(args)
         return args.run(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

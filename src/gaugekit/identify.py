@@ -1,9 +1,11 @@
 """Deciding whether a nonautonomous system is a gauge transform of an autonomous one.
 
-Pipeline: extract the jet at t=0, solve the linear system for the candidate
-matrix B, then certify the candidate by residuals over a time grid, along
-A(t) = T(t) exp(-tB) with T' = C(t)T, T(0) = I integrated once for every B.
-The idempotent finder corroborates uniqueness of B for generic nonlinearities.
+Pipeline: take the Taylor jet at t=0 and solve the rows of its orders, all
+linear in B, for the candidate family; certify its minimum-norm member by
+residuals over a time grid along A(t) = T(t) exp(-tB), with T' = C(t)T,
+T(0) = I integrated once, and raise the jet order while the member fails and
+the family keeps a kernel.  The idempotent finder corroborates uniqueness of
+B for generic nonlinearities.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ __all__ = [
 DEFAULT_GRID_POINTS = 33
 _SV_CUTOFF = 1e-10
 _SOLVE_RESIDUAL_TOL = 1e-8
-_ZERO_COEFF_TOL = 1e-12
-_REFINE_MAX_ITER = 50
 _NEWTON_ITERS = 60
 
 
@@ -98,16 +98,6 @@ class NonAutoSystem:
 
     def degrees(self) -> list[int]:
         return sorted({sum(exps) for (_, exps) in self.terms})
-
-    def max_degree(self) -> int:
-        return max((sum(exps) for (_, exps) in self.terms), default=1)
-
-    def diff_t(self) -> "NonAutoSystem":
-        return NonAutoSystem(
-            self.dim,
-            [tx.diff_expr(e) for e in self.constant],
-            [[tx.diff_expr(e) for e in row] for row in self.linear],
-            {key: tx.diff_expr(e) for key, e in self.terms.items()})
 
     # -- evaluation --------------------------------------------------------
     # Each reader makes one table call per t; the _of helpers read a tuple of
@@ -226,31 +216,40 @@ class NonAutoSystem:
 
 @dataclass
 class JetData:
-    """t=0 data of a nonautonomous system: values and first t-derivatives."""
+    """Taylor coefficients at t=0 of a nonautonomous system, up to `order`:
+    c[k] of the constant part and q[j][k] (a PolyField) of the degree-j part
+    for k <= order, and C[l] of the linear part for l < max(order, 1)."""
     dim: int
-    c0: np.ndarray
-    cdot0: np.ndarray
-    C0: np.ndarray
-    p: dict            # degree j >= 2 -> PolyField q_j(0, .)
-    r: dict            # degree j >= 2 -> PolyField  D_t q_j(t, .)|_{t=0}
+    c: list
+    C: list
+    q: dict
+
+    @property
+    def order(self) -> int:
+        return len(self.c) - 1
 
 
-def extract_jet(q: NonAutoSystem) -> JetData:
-    """Exact jet at t=0 from expression evaluation and differentiation."""
+def extract_jet(q: NonAutoSystem, order: int = 1) -> JetData:
+    """Exact jet at t=0: values from q's compiled table, higher coefficients
+    from one Taylor walk of the coefficient trees.  The linear entries are
+    walked from order 2 on, the first order whose rows read C'(0)."""
+    n = q.dim
     vals = q._values(0.0)
-    # the values of the diff_expr trees, each shared subtree handled once
-    dvals = tx.diff_values(q.constant + list(q.terms.values()), 0.0)
-    cdot0 = np.array(dvals[:q.dim])
-    p: dict = {}
-    r: dict = {}
-    for j in q.degrees():
-        p[j] = q._terms_of(vals, j)
-        r_terms = {}
-        for key, v in zip(q.terms, dvals[q.dim:]):
-            if sum(key[1]) == j and v != 0.0:
-                r_terms[key] = v
-        r[j] = PolyField(q.dim, r_terms)
-    return JetData(q.dim, q._constant_of(vals), cdot0, q._linear_of(vals), p, r)
+    linear = [e for row in q.linear for e in row] if order >= 2 else []
+    memo: dict = {}  # one walk: shared subtrees are visited once for all orders
+    series = [tx._taylor(e, 0.0, order, memo)
+              for e in q.constant + list(q.terms.values()) + linear]
+    c, C = [q._constant_of(vals)], [q._linear_of(vals)]
+    jets = {j: [q._terms_of(vals, j)] for j in q.degrees()}
+    for k in range(1, order + 1):
+        col = [s[k] for s in series]
+        c.append(np.array(col[:n]))
+        if k < order:
+            C.append(np.array(col[n + len(q.terms):]).reshape(n, n))
+        for j, fields in jets.items():
+            fields.append(PolyField(n, {key: v for key, v in zip(q.terms, col[n:])
+                                        if sum(key[1]) == j}))
+    return JetData(n, c, C, jets)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +258,7 @@ def extract_jet(q: NonAutoSystem) -> JetData:
 
 @dataclass
 class CandidateFamily:
-    """Affine solution set M_min + span(kernel) of the first-order conditions;
+    """Affine solution set M_min + span(kernel) of the jet's conditions;
     B = C(0) + M."""
     B: np.ndarray
     M: np.ndarray
@@ -278,57 +277,73 @@ def _basis_matrix(n: int, idx: int) -> np.ndarray:
     return E
 
 
+def _degree_keys(n: int, j: int) -> list:
+    """Every (component, exponents) key of degree j, sorted."""
+    return [(i, e) for i in range(n) for e in product(range(j + 1), repeat=n) if sum(e) == j]
+
+
 def _stack_constraints(jet: JetData):
-    """Rows of the linear system over the n^2 entries of M = B - C(0):
-    [M, p_j] = r_j for each degree, and M c(0) = -c'(0)."""
-    n = jet.dim
-    rows, rhs = [], []
-    for j in sorted(set(jet.p) | set(jet.r)):
-        p_j = jet.p.get(j, PolyField.zero(n))
-        r_j = jet.r.get(j, PolyField.zero(n))
-        if p_j.is_zero() and r_j.is_zero():
-            continue
-        cols = [lie_bracket(PolyField.from_linear(_basis_matrix(n, a)), p_j)
-                for a in range(n * n)]
-        keys = set(r_j.terms)
-        for col in cols:
-            keys |= set(col.terms)
-        for key in sorted(keys):
-            rows.append([col.terms.get(key, 0.0) for col in cols])
-            rhs.append(r_j.terms.get(key, 0.0))
-    if np.any(jet.c0 != 0.0) or np.any(jet.cdot0 != 0.0):
-        for i in range(n):
-            row = [0.0] * (n * n)
-            for b in range(n):
-                row[i * n + b] = jet.c0[b]
-            rows.append(row)
-            rhs.append(-jet.cdot0[i])
-    return np.array(rows, dtype=float), np.array(rhs, dtype=float)
+    """Rows over the n^2 entries of M = B - C(0), for every order 1..jet.order.
+
+    Along A' = CA - AB, N = A B A^-1 - C has A'A^-1 = -N, N(0) = M and
+    N' = [C, N] - C' (matrix commutator), so its Taylor coefficients satisfy
+    (i+1) N_{i+1} = sum_{l<=i} (C_l N_{i-l} - N_{i-l} C_l) - (i+1) C_{i+1}
+    and each is affine in M.  q_j(t) = A(t)_* p_j and c(t) = A(t) c(0) give
+    k q_{j,k} = sum_{i<k} [N_i, q_{j,k-1-i}] and k c_k = -sum_{i<k} N_i c_{k-1-i},
+    with [X, p] = lie_bracket(X as a linear field, p).  Order 1 reads
+    [M, p_j] = r_j and M c(0) = -c'(0).
+    """
+    n, K = jet.dim, jet.order
+    nn = n * n
+    # N[i] stacks n^2 + 1 matrices: the coefficient of each entry of M, then
+    # the constant part
+    N = [np.eye(nn + 1, nn).reshape(nn + 1, n, n)]
+    for i in range(K - 1):
+        step = sum(C_l @ N[i - l] - N[i - l] @ C_l for l, C_l in enumerate(jet.C[:i + 1]))
+        step[-1] -= (i + 1) * jet.C[i + 1]
+        N.append(step / (i + 1))
+    rows = []
+    for j, fields in sorted(jet.q.items()):
+        keys = _degree_keys(n, j)
+        # brackets[m] maps the entries of X to [X, q_{j,m}] over keys
+        brackets = []
+        for f in fields[:K]:
+            cols = [lie_bracket(PolyField.from_linear(_basis_matrix(n, b)), f).terms
+                    for b in range(nn)]
+            brackets.append(np.array([[col.get(key, 0.0) for col in cols] for key in keys]))
+        for k in range(1, K + 1):
+            lhs = sum(brackets[k - 1 - i] @ N[i].reshape(nn + 1, nn).T for i in range(k))
+            lhs[:, nn] -= k * np.array([fields[k].terms.get(key, 0.0) for key in keys])
+            rows.append(lhs)
+    for k in range(1, K + 1):
+        lhs = sum(N[i] @ jet.c[k - 1 - i] for i in range(k)).T
+        lhs[:, nn] += k * jet.c[k]
+        rows.append(lhs)
+    stacked = np.vstack([np.zeros((0, nn + 1))] + rows)
+    stacked = stacked[stacked.any(axis=1)]  # a row 0 = 0 says nothing
+    return stacked[:, :nn], -stacked[:, nn]
 
 
 def solve_candidate_B(jet: JetData) -> CandidateFamily | None:
-    """Solve the stacked first-order conditions for B.
+    """Solve the stacked conditions of every order of the jet for B.
 
     Returns the affine solution set (minimum-norm representative plus a
-    kernel basis), or None when the best least-squares fit leaves a residual
-    above _SOLVE_RESIDUAL_TOL * (1 + ||rhs||).
+    kernel basis, with the rank, from one SVD), or None when the best
+    least-squares fit leaves a residual above _SOLVE_RESIDUAL_TOL * (1 + ||rhs||).
     """
     n = jet.dim
     G, rhs = _stack_constraints(jet)
-    if G.size == 0:
-        kernel = [_basis_matrix(n, a) for a in range(n * n)]
-        return CandidateFamily(B=jet.C0.copy(), M=np.zeros((n, n)), kernel=kernel,
-                               residual=0.0, unconstrained=True)
     m, *_ = np.linalg.lstsq(G, rhs, rcond=None)
     residual = float(np.linalg.norm(G @ m - rhs))
     if residual > _SOLVE_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)):
         return None
-    sv = np.linalg.svd(G, compute_uv=False)
+    # with no rows at all, Vt is the identity and the kernel every E_ab
+    _, sv, Vt = np.linalg.svd(G, full_matrices=True)
     rank = int(np.sum(sv > _SV_CUTOFF * sv[0])) if sv.size and sv[0] > 0 else 0
-    _, _, Vt = np.linalg.svd(G, full_matrices=True)
-    kernel = [Vt[k].reshape(n, n) for k in range(rank, n * n)]
     M = m.reshape(n, n)
-    return CandidateFamily(B=jet.C0 + M, M=M, kernel=kernel, residual=residual)
+    return CandidateFamily(B=jet.C[0] + M, M=M,
+                           kernel=[Vt[k].reshape(n, n) for k in range(rank, n * n)],
+                           residual=residual, unconstrained=not len(G))
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +372,7 @@ class _GridTables:
         vals = np.array([q._values(t) for t in self.ts]) + 0.0
         self.c = vals[:, :n]
         self.C = vals[:, n:n + n * n].reshape(-1, n, n)
-        self.keys = {j: [(i, e) for i in range(n)
-                         for e in product(range(j + 1), repeat=n) if sum(e) == j]
-                     for j in q.degrees()}
+        self.keys = {j: _degree_keys(n, j) for j in q.degrees()}
         column = {key: vals[:, n + n * n + m] for m, key in enumerate(q.terms)}
         zero = np.zeros(len(self.ts))
         self.q = {j: np.column_stack([column.get(key, zero) for key in keys])
@@ -381,7 +394,7 @@ class _GridTables:
         the first call, which reads C(t) through q's own compiled table.  Its
         determinant keeps its sign there, and so does that of every
         A = T exp(-tB), as det A = det T exp(-t tr B)."""
-        if self._T is None and self.linear_max > _ZERO_COEFF_TOL:
+        if self._T is None and self.linear_max > 0.0:
             n = self.C.shape[-1]
             curve = solve_gauge_ode(self._linear_at, np.zeros((n, n)), np.eye(n),
                                     t_span=(float(self.ts.min()), float(self.ts.max())))
@@ -403,15 +416,15 @@ def _grid_residuals(B: np.ndarray, jet: JetData,
         A = mat_exp(-tables.ts[:, None, None] * B)
         if T is not None:
             A = T @ A
-    if not jet.p:
+    if not jet.q:
         check_invertible(A)
     zero = np.zeros(len(tables.ts))
     per_degree = {}
-    for j in sorted(jet.p):
-        pushed = linear_pushforward(A, jet.p[j])
+    for j, fields in sorted(jet.q.items()):
+        pushed = linear_pushforward(A, fields[0])
         per_degree[j] = tables.q[j] - np.column_stack(
             [pushed.get(key, zero) for key in tables.keys[j]])
-    return tables.c - A @ jet.c0, per_degree
+    return tables.c - A @ jet.c[0], per_degree
 
 
 def verify_candidate(q: NonAutoSystem, B: np.ndarray, grid=None, tol: float = 1e-6,
@@ -444,63 +457,6 @@ def verify_candidate(q: NonAutoSystem, B: np.ndarray, grid=None, tol: float = 1e
         scales["per_degree"][j] = tables.degree_max(j)
         ok = ok and res_j <= tol * (1.0 + scales["per_degree"][j])
     return VerificationReport(ok, "ok", residuals, scales, ts, diagnostics)
-
-
-# ---------------------------------------------------------------------------
-# Refinement over the affine family
-# ---------------------------------------------------------------------------
-
-def _refine_candidate(cand: CandidateFamily, jet: JetData,
-                      tables: _GridTables) -> tuple[np.ndarray, list[str]]:
-    """Bounded Gauss-Newton over the kernel directions of the affine family."""
-    notes = []
-    theta = np.zeros(len(cand.kernel))
-
-    def B_of(th):
-        M = cand.M + sum(c * K for c, K in zip(th, cand.kernel))
-        return jet.C0 + M
-
-    def r_of(th):
-        const, per_degree = _grid_residuals(B_of(th), jet, tables)
-        return np.concatenate([const.ravel()] + [r.ravel() for r in per_degree.values()])
-
-    try:
-        r = r_of(theta)
-    except (IntegrationError, NearSingularMatrixError, tx.EvalError):
-        return B_of(theta), ["refinement aborted at the starting point"]
-    best = float(r @ r)
-    delta = 1e-7
-    for it in range(_REFINE_MAX_ITER):
-        J = np.empty((r.size, theta.size))
-        for i in range(theta.size):
-            step = theta.copy()
-            step[i] += delta
-            try:
-                J[:, i] = (r_of(step) - r) / delta
-            except (IntegrationError, NearSingularMatrixError, tx.EvalError):
-                J[:, i] = 0.0
-        try:
-            d, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        improved = False
-        for damp in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125):
-            trial = theta + damp * d
-            try:
-                r_trial = r_of(trial)
-            except (IntegrationError, NearSingularMatrixError, tx.EvalError):
-                continue
-            val = float(r_trial @ r_trial)
-            if val < best:
-                theta, r, best = trial, r_trial, val
-                improved = True
-                break
-        if not improved or best <= 1e-24:
-            notes.append(f"refinement stopped after {it + 1} iterations")
-            break
-    else:
-        notes.append(f"refinement exhausted {_REFINE_MAX_ITER} iterations")
-    return B_of(theta), notes
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +495,9 @@ class GaugeCertificate:
 
 
 def _reconstructed_field(jet: JetData, B: np.ndarray) -> PolyField:
-    f = PolyField.from_constant(jet.c0) + PolyField.from_linear(B)
-    for j in sorted(jet.p):
-        f = f + jet.p[j]
+    f = PolyField.from_constant(jet.c[0]) + PolyField.from_linear(B)
+    for _, fields in sorted(jet.q.items()):
+        f = f + fields[0]
     return f
 
 
@@ -550,72 +506,80 @@ def identify(q: NonAutoSystem, grid=None, tol: float = 1e-6) -> GaugeCertificate
 
     Statuses: gauge (certified, residuals within tol), linear_family (purely
     linear system; every B works), not_gauge, undetermined (numerical
-    failure, not a verdict).
+    failure, or a candidate family the jet conditions leave open: not a
+    verdict).
     """
     ts = default_grid() if grid is None else np.asarray(grid, dtype=float)
     tables = _GridTables(q, ts)  # also validates evaluability on the grid
     jet = extract_jet(q)
+    c0 = jet.c[0]
     diagnostics: list[str] = []
 
-    # degrees with vanishing t=0 part must vanish identically
-    for j in sorted(jet.p):
-        if jet.p[j].max_abs_coeff() <= _ZERO_COEFF_TOL:
-            scale_j = tables.degree_max(j)
-            if scale_j > 10.0 * _ZERO_COEFF_TOL:
-                diagnostics.append(
-                    f"degree {j} vanishes at t=0 but not on the grid "
-                    f"(max coefficient {scale_j:.3e}); rejected without integration")
-                return GaugeCertificate("not_gauge", None, [], jet.c0, None, None,
-                                        ts, diagnostics)
+    def certificate(status, B=None, kernel=(), f=None, report=None):
+        return GaugeCertificate(status, B, list(kernel), c0, f,
+                                report.residuals if report else None, ts,
+                                diagnostics + (report.diagnostics if report else []))
 
-    nonlinear_active = any(tables.degree_max(j) > _ZERO_COEFF_TOL for j in jet.p)
-    constant_active = (tables.constant_max() > _ZERO_COEFF_TOL
-                       or np.max(np.abs(jet.cdot0), initial=0.0) > _ZERO_COEFF_TOL)
+    # degrees with vanishing t=0 part must vanish identically
+    for j, fields in sorted(jet.q.items()):
+        scale_j = tables.degree_max(j)
+        if fields[0].is_zero() and scale_j > 0.0:
+            diagnostics.append(
+                f"degree {j} vanishes at t=0 but not on the grid "
+                f"(max coefficient {scale_j:.3e}); rejected without integration")
+            return certificate("not_gauge")
+
+    nonlinear_active = any(tables.degree_max(j) > 0.0 for j in jet.q)
+    constant_active = tables.constant_max() > 0.0 or jet.c[1].any()
 
     if not nonlinear_active and not constant_active:
         # purely linear in x: a gauge transform of any linear autonomous system
-        B = jet.C0.copy()
+        B = jet.C[0].copy()
         report = verify_candidate(q, B, ts, tol=tol, jet=jet, tables=tables)
         if report.status == "undetermined":
-            return GaugeCertificate("undetermined", B, [], jet.c0, None,
-                                    report.residuals, ts,
-                                    diagnostics + report.diagnostics)
-        kernel = [_basis_matrix(q.dim, a) for a in range(q.dim * q.dim)]
+            return certificate("undetermined", B, report=report)
         diagnostics.append("purely linear system: every constant matrix B is admissible")
-        return GaugeCertificate("linear_family", B, kernel, jet.c0,
-                                PolyField.from_linear(B), report.residuals, ts,
-                                diagnostics + report.diagnostics)
+        return certificate("linear_family", B,
+                           [_basis_matrix(q.dim, a) for a in range(q.dim * q.dim)],
+                           PolyField.from_linear(B), report)
 
-    cand = solve_candidate_B(jet)
-    if cand is None:
-        diagnostics.append("first-order conditions at t=0 are inconsistent")
-        return GaugeCertificate("not_gauge", None, [], jet.c0, None, None,
-                                ts, diagnostics)
-
-    report = verify_candidate(q, cand.B, ts, tol=tol, jet=jet, tables=tables)
-    B = cand.B
-    if report.status == "undetermined":
-        return GaugeCertificate("undetermined", B, cand.kernel, jet.c0, None,
-                                report.residuals, ts, diagnostics + report.diagnostics)
-    if not report.passed and cand.kernel:
-        diagnostics.append(
-            f"minimum-norm candidate failed; refining over the "
-            f"{cand.kernel_dim}-dimensional solution family")
-        B, notes = _refine_candidate(cand, jet, tables)
-        diagnostics.extend(notes)
-        report = verify_candidate(q, B, ts, tol=tol, jet=jet, tables=tables)
+    # Raise the order while the minimum-norm member fails the grid and the
+    # family keeps a kernel: an order that cuts the family removes one of its
+    # <= n^2 dimensions at least, so n^2 + 1 orders bound the search; an order
+    # that adds no rank changes neither, and a later order may still cut.
+    cand = report = None
+    for order in range(1, q.dim ** 2 + 2):
+        if order > 1:
+            jet = extract_jet(q, order)
+        family = solve_candidate_B(jet)
+        if family is None:
+            diagnostics.append("first-order conditions at t=0 are inconsistent" if order == 1
+                               else f"order-{order} conditions at t=0 are inconsistent")
+            return certificate("not_gauge")
+        if cand is not None:
+            if family.kernel_dim >= cand.kernel_dim:
+                continue
+            diagnostics.append(
+                f"minimum-norm candidate failed; order-{order} conditions at t=0 cut "
+                f"the solution family from {cand.kernel_dim} to {family.kernel_dim} "
+                "dimensions")
+        cand = family
+        report = verify_candidate(q, cand.B, ts, tol=tol, jet=jet, tables=tables)
         if report.status == "undetermined":
-            return GaugeCertificate("undetermined", B, cand.kernel, jet.c0, None,
-                                    report.residuals, ts,
-                                    diagnostics + report.diagnostics)
+            return certificate("undetermined", cand.B, cand.kernel, report=report)
+        if report.passed or not cand.kernel:
+            break
+    else:
+        diagnostics.append(
+            f"minimum-norm candidate failed and a {cand.kernel_dim}-dimensional "
+            f"solution family remains after the conditions of order {order}")
+        return certificate("undetermined", cand.B, cand.kernel, report=report)
 
     if report.passed:
-        return GaugeCertificate("gauge", B, cand.kernel, jet.c0,
-                                _reconstructed_field(jet, B), report.residuals,
-                                ts, diagnostics + report.diagnostics)
+        return certificate("gauge", cand.B, cand.kernel,
+                           _reconstructed_field(jet, cand.B), report)
     diagnostics.append("grid verification failed at the stated tolerance")
-    return GaugeCertificate("not_gauge", B, cand.kernel, jet.c0, None,
-                            report.residuals, ts, diagnostics + report.diagnostics)
+    return certificate("not_gauge", cand.B, cand.kernel, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -652,14 +616,13 @@ def remove_linear_part(q: NonAutoSystem, grid=None) -> ReducedSystem:
         const_samples[k] = Tinv @ q._constant_of(vals)
         for j in q.degrees():
             field_samples[j].append(linear_pushforward(Tinv, q._terms_of(vals, j)))
-    C0_field = PolyField.from_linear(jet.C0)
+    (c0, c1), C0 = jet.c, jet.C[0]
+    C0_field = PolyField.from_linear(C0)
     reduced_jet = JetData(
         dim=q.dim,
-        c0=jet.c0.copy(),
-        cdot0=jet.cdot0 - jet.C0 @ jet.c0,
-        C0=np.zeros((q.dim, q.dim)),
-        p={j: jet.p[j] for j in jet.p},
-        r={j: jet.r[j] + lie_bracket(C0_field, jet.p[j]) for j in jet.r},
+        c=[c0.copy(), c1 - C0 @ c0],
+        C=[np.zeros((q.dim, q.dim))],
+        q={j: [p, r + lie_bracket(C0_field, p)] for j, (p, r) in jet.q.items()},
     )
     return ReducedSystem(ts, const_samples, field_samples, reduced_jet, T)
 

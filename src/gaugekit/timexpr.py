@@ -14,15 +14,15 @@ sampled evaluation elsewhere, never by canonicalization.  The operators ``+``,
 ``-`` and ``*`` build trees through the smart constructors below; numbers are
 taken as literals, also on the left of ``+`` and ``*``.
 
-Trees built by the transform share subtrees heavily.  The walks over them,
-``eval_expr`` and ``diff_expr``, memoize every node by identity, so a shared
-subtree is evaluated or differentiated once per call, and ``diff_values`` is
-their composition over one pair of memos: the t = 0 jet uses it.
-``compile_table`` compiles a list of expressions into one function of t that
-evaluates each distinct subtree once per call, also when equal subtrees are
-separate objects; every repeated evaluation goes through it (system
-coefficients and curve entries), and ``compile_expr`` is its one-entry form.
-All of them agree with ``eval_expr`` bit for bit.
+Trees built by the transform share subtrees heavily.  The walks over them
+memoize every node by identity, so a shared subtree is visited once per call:
+``_taylor`` computes the Taylor coefficients of any order at a time t (the
+t = 0 jet; ``eval_expr`` is its order-0 read), ``diff_expr`` the derivative
+as an expression.  ``compile_table`` compiles a list of expressions into one
+function of t that evaluates each distinct subtree once per call, also when
+equal subtrees are separate objects; every repeated evaluation goes through it
+(system coefficients and curve entries), and ``compile_expr`` is its one-entry
+form.  Both agree with ``eval_expr`` bit for bit.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from typing import Union
 __all__ = [
     "TimeExpr", "Lit", "TVar", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Fun",
     "T", "ParseError", "EvalError", "parse_expr", "format_expr", "eval_expr",
-    "compile_expr", "compile_table", "diff_expr", "diff_values", "lit", "eadd",
-    "esub", "emul", "ediv", "eneg", "epow", "efun", "as_expr",
+    "compile_expr", "compile_table", "diff_expr", "lit", "eadd", "esub", "emul",
+    "ediv", "eneg", "epow", "efun", "as_expr",
 ]
 
 
@@ -375,45 +375,90 @@ def _wrap(text: str, prec: int, level: int) -> str:
 # ---------------------------------------------------------------------------
 
 def eval_expr(e: TimeExpr, t: float) -> float:
-    """Evaluate `e` at time `t`.
+    """Evaluate `e` at time `t`: the order-0 Taylor coefficient.
 
     Raises EvalError when a quotient denominator falls below 1e-14 in
     magnitude, naming the offending subexpression.
     """
-    return _eval(e, t, {})
+    return _taylor(e, t, 0, {})[0]
 
 
-def _eval(e: TimeExpr, t: float, memo: dict) -> float:
-    # memo: id(node) -> value, for every node visited; the caller keeps the
-    # nodes alive while memo is in use, so that no id is reused
-    v = memo.get(id(e))
-    if v is not None:
-        return v
+def _taylor(e: TimeExpr, t: float, order: int, memo: dict) -> list:
+    """Taylor coefficients a_0..a_order of `e` at `t`, a_k = e^(k)(t)/k!, by the
+    recurrences of Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13;
+    a_0 is eval_expr(e, t) bit for bit.  memo maps id(node) to coefficients
+    for every node visited, also across walks that share it; the caller keeps
+    the nodes alive meanwhile, so that no id is reused."""
+    # sums start from a term, not from int 0, so that a -0.0 value stays -0.0
+    a = memo.get(id(e))
+    if a is not None:
+        return a
     if isinstance(e, Lit):
-        v = e.value
+        a = [e.value] + [0.0] * order
     elif isinstance(e, TVar):
-        v = t
+        a = ([t, 1.0] + [0.0] * order)[:order + 1]
     elif isinstance(e, Neg):
-        v = -_eval(e.arg, t, memo)
-    elif isinstance(e, Add):
-        v = _eval(e.left, t, memo) + _eval(e.right, t, memo)
-    elif isinstance(e, Sub):
-        v = _eval(e.left, t, memo) - _eval(e.right, t, memo)
+        a = [-v for v in _taylor(e.arg, t, order, memo)]
+    elif isinstance(e, (Add, Sub)):
+        x, y = _taylor(e.left, t, order, memo), _taylor(e.right, t, order, memo)
+        a = [u + v for u, v in zip(x, y)] if isinstance(e, Add) else \
+            [u - v for u, v in zip(x, y)]
     elif isinstance(e, Mul):
-        v = _eval(e.left, t, memo) * _eval(e.right, t, memo)
+        a = _cauchy(_taylor(e.left, t, order, memo), _taylor(e.right, t, order, memo))
     elif isinstance(e, Div):
-        den = _eval(e.right, t, memo)
-        if abs(den) <= _DENOM_FLOOR:
+        b = _taylor(e.right, t, order, memo)
+        if abs(b[0]) <= _DENOM_FLOOR:
             raise EvalError("near-zero denominator", e.right, t)
-        v = _eval(e.left, t, memo) / den
+        a = []
+        for k, v in enumerate(_taylor(e.left, t, order, memo)):
+            for i in range(1, k + 1):
+                v -= b[i] * a[k - i]
+            a.append(v / b[0])
     elif isinstance(e, Pow):
-        v = _eval(e.base, t, memo) ** e.exponent
+        base = _taylor(e.base, t, order, memo)
+        power, square, k = None, base, e.exponent
+        while k:  # binary powering
+            if k & 1:
+                power = square if power is None else _cauchy(power, square)
+            k >>= 1
+            if k:
+                square = _cauchy(square, square)
+        a = [base[0] ** e.exponent] + ([0.0] * order if power is None else power[1:])
     elif isinstance(e, Fun):
-        v = _FUNCTIONS[e.name](_eval(e.arg, t, memo))
+        u = _taylor(e.arg, t, order, memo)
+        if e.name == "exp":  # y' = u' y
+            a = [math.exp(u[0])]
+            for k in range(1, order + 1):
+                a.append(_chain(u, a, k))
+        else:  # s' = u' c, c' = -u' s
+            s, c = [math.sin(u[0])], [math.cos(u[0])]
+            for k in range(1, order + 1):
+                s.append(_chain(u, c, k))
+                c.append(-_chain(u, s, k))
+            a = s if e.name == "sin" else c
     else:
         raise TypeError(f"not a TimeExpr node: {e!r}")
-    memo[id(e)] = v
-    return v
+    memo[id(e)] = a
+    return a
+
+
+def _cauchy(a: list, b: list) -> list:
+    """Coefficients of the product of two truncated series."""
+    out = []
+    for k in range(len(a)):
+        v = a[0] * b[k]
+        for i in range(1, k + 1):
+            v += a[i] * b[k - i]
+        out.append(v)
+    return out
+
+
+def _chain(u: list, w: list, k: int) -> float:
+    """The k-th coefficient (k >= 1) of y with y' = u' w: (1/k) sum_j j u_j w_(k-j)."""
+    v = u[1] * w[k - 1]
+    for j in range(2, k + 1):
+        v += j * u[j] * w[k - j]
+    return v / k
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +762,7 @@ def diff_expr(e: TimeExpr) -> TimeExpr:
 
 
 def _diff(e: TimeExpr, memo: dict) -> TimeExpr:
-    # memo as in _eval, holding derivatives instead of values
+    # memo as in _taylor, holding derivatives instead of coefficients
     d = memo.get(id(e))
     if d is not None:
         return d
@@ -754,12 +799,3 @@ def _diff(e: TimeExpr, memo: dict) -> TimeExpr:
         raise TypeError(f"not a TimeExpr node: {e!r}")
     memo[id(e)] = d
     return d
-
-
-def diff_values(exprs, t: float) -> list:
-    """[eval_expr(diff_expr(e), t) for e in exprs], bit for bit, with every
-    node of `exprs` differentiated once and every derivative node evaluated
-    once."""
-    # ids stay valid: exprs keep their nodes alive, dmemo every derivative tree
-    dmemo, vmemo = {}, {}
-    return [_eval(_diff(e, dmemo), t, vmemo) for e in exprs]

@@ -93,8 +93,8 @@ def test_criterion_03_solvability_condition():
         a3 = a1 if k % 2 == 0 else a1 + Fraction(int(rng.integers(1, 5)), 2)
         r2 = PolyField(2, {(0, (2, 0)): float(a1), (0, (0, 2)): -float(a2),
                            (1, (1, 1)): 2 * float(a3)})
-        jet = JetData(2, np.zeros(2), np.zeros(2), np.zeros((2, 2)),
-                      {2: p2_field()}, {2: r2})
+        jet = JetData(2, [np.zeros(2), np.zeros(2)], [np.zeros((2, 2))],
+                      {2: [p2_field(), r2]})
         cand = solve_candidate_B(jet)
 
         # brute-force symbolic oracle over the four unknown entries

@@ -114,6 +114,26 @@ def test_bad_grid_arguments_exit_2(files, capsys):
     assert main(["identify", "--system", files["quad"], "--t1", "-1"]) == 2
 
 
+@pytest.mark.parametrize("command", ["transform", "identify", "integrate", "verify",
+                                     "idempotents"])
+@pytest.mark.parametrize("option", ["--t0=nan", "--t0=inf", "--t1=inf", "--t1=-inf",
+                                    "--tol=0", "--tol=-1", "--tol=nan", "--tol=inf"])
+def test_bad_numeric_options_exit_2_before_any_work(files, capsys, command, option):
+    # the input files do not exist: an option check that ran after loading
+    # them would name a file, not the option
+    missing = str(files["tmp"] / "missing.json")
+    argv = {"transform": ["--field", missing, "--curve", missing],
+            "identify": ["--system", missing],
+            "integrate": ["--field", missing, "--x0", "0.1,0.2"],
+            "verify": ["--field", missing, "--curve", missing, "--x0", "0.1,0.2"],
+            "idempotents": ["--field", missing]}[command]
+    assert main([command, *argv, option]) == 2
+    err = capsys.readouterr().err
+    name = option.split("=")[0]
+    assert err.startswith(f"error: {name} must be finite"), err
+    assert "missing.json" not in err
+
+
 def test_transform_missing_file_exit_2(files, capsys):
     assert main(["transform", "--field", files["p2"],
                  "--curve", str(files["tmp"] / "nope.json")]) == 2

@@ -367,16 +367,73 @@ def test_compile_table_empty_and_constant():
     assert tx.compile_table([Lit(2.5), T])(np.float64(3.0)) == (2.5, 3.0)
 
 
-def test_diff_values_match_diff_then_eval_bit_for_bit():
+def _series(exprs, t, order):
+    """_taylor of each expression, over one shared memo."""
+    memo = {}
+    return [tx._taylor(e, t, order, memo) for e in exprs]
+
+
+def test_taylor_coefficients_match_diff_then_eval():
+    # order 0 is eval_expr bit for bit; orders 1 and 2 round differently
+    # from diff_expr-then-eval_expr, by at most 1e-11 (1 + |reference|)
     rng = np.random.default_rng(5)
+    checked = 0
     for _ in range(100):
         exprs = _shared_table(rng)
-        want = [_outcome(lambda s: eval_expr(diff_expr(e), s), 0.0) for e in exprs]
-        got = _outcome(lambda s: tx.diff_values(exprs, s), 0.0)
-        if any(w in ("EvalError", "OverflowError") for w in want):
-            assert got in ("EvalError", "OverflowError")
-        else:
-            assert got == repr(list(map(float, want)))
+        t = float(rng.uniform(-1.0, 1.0))
+        values = [_outcome(lambda s: eval_expr(e, s), t) for e in exprs]
+        if any(v in ("EvalError", "OverflowError") for v in values):
+            with pytest.raises((EvalError, OverflowError)):
+                _series(exprs, t, 2)
+            continue
+        got = _series(exprs, t, 2)
+        assert [repr(a[0]) for a in got] == values
+        for a, e in zip(got, exprs):
+            d1 = diff_expr(e)
+            for k, d in ((1, d1), (2, diff_expr(d1))):
+                try:
+                    ref = eval_expr(d, t) / k
+                except (EvalError, OverflowError):
+                    continue  # the derivative's squared denominator trips the check
+                if math.isfinite(ref):
+                    assert abs(a[k] - ref) <= 1e-11 * (1.0 + abs(ref))
+                    checked += 1
+    assert checked > 1000
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4),
+       st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=4), st.integers(min_value=-2, max_value=2))
+def test_taylor_coefficients_of_polynomials_are_exact(u, v, k, t0):
+    # u(t) * v(t)^k - u(t), with small integer coefficients, at an integer
+    # t0: every coefficient is an integer well inside 2^53, so it is exact
+    def expr(cs):
+        e = Lit(float(cs[0]))
+        for i, c in enumerate(cs[1:], 1):
+            e = Add(e, Mul(Lit(float(c)), Pow(T, i)))
+        return e
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    poly = [1]
+    for _ in range(k):
+        poly = mul(poly, v)
+    poly = mul(u, poly)
+    poly = [p - (u[i] if i < len(u) else 0) for i, p in enumerate(poly)]
+    # coefficients at t0: the shifted polynomial p(t0 + s)
+    shifted = [0] * len(poly)
+    for i, c in enumerate(poly):
+        for m in range(i + 1):
+            shifted[m] += c * math.comb(i, m) * t0 ** (i - m)
+    order = len(poly) + 1
+    got = _series([Sub(Mul(expr(u), Pow(expr(v), k)), expr(u))], float(t0), order)[0]
+    assert got == [float(c) for c in shifted] + [0.0, 0.0]
 
 
 def _counting(monkeypatch, name):
@@ -396,16 +453,17 @@ def test_walks_visit_each_shared_node_once(monkeypatch):
     x = tx.Fun("sin", tx.T)
     for _ in range(16):
         x = tx.Add(x, x)
-    evals, diffs = _counting(monkeypatch, "_eval"), _counting(monkeypatch, "_diff")
+    walks, diffs = _counting(monkeypatch, "_taylor"), _counting(monkeypatch, "_diff")
     assert eval_expr(x, 0.3) == 2.0 ** 16 * math.sin(0.3)
     # two calls per level, the second a memo hit, then sin and t: a tree
     # walk would make 3 * 2^16 - 1 calls
-    assert (len(evals), len(diffs)) == (34, 0)
+    assert (len(walks), len(diffs)) == (34, 0)
     d = diff_expr(x)
-    assert (len(evals), len(diffs)) == (34, 34)
-    del evals[:], diffs[:]
-    assert tx.diff_values([x], 0.3) == [2.0 ** 16 * math.cos(0.3)]
-    assert len(evals) + len(diffs) == 68
+    assert (len(walks), len(diffs)) == (34, 34)
+    del walks[:], diffs[:]
+    assert _series([x, x], 0.3, 1) == \
+        [[2.0 ** 16 * math.sin(0.3), 2.0 ** 16 * math.cos(0.3)]] * 2
+    assert (len(walks), len(diffs)) == (35, 0)
     # the derivative shares its subtrees as the input does
     assert d.left is d.right
     assert eval_expr(d, 0.3) == 2.0 ** 16 * math.cos(0.3)
