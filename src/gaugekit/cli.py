@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (identify: gauge or linear_family), 1 negative verdict
 (identify: not_gauge; verify: deviation above tolerance), 2 parse/validation
-error (also a non-finite --t0 or --t1, or a --tol that is not finite and > 0),
-3 numeric failure, 4 undetermined.
+error (also a non-finite --t0 or --t1, a --tol that is not finite and > 0,
+an unknown key in an input file, or an expression nested deeper than
+Python's recursion limit allows), 3 numeric failure, 4 undetermined.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ def _load_json(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON at line {exc.lineno}, "
                           f"column {exc.colno}") from exc
+    except RecursionError:
+        raise _InputError(f"{path}: JSON nested too deeply") from None
 
 
 def _load(path: str, parse):
@@ -346,6 +349,12 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the parser and the printer recurse; expressions come from system
+        # and curve files only
+        files = [v for v in (getattr(args, "system", None), getattr(args, "curve", None)) if v]
+        print(f"error: {', '.join(files)}: expression nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -11,6 +11,7 @@ B for generic nonlinearities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import timexpr as tx
 from ._rk import IntegrationError
 from .matcurve import FlowCurve, mat_exp, solve_gauge_ode
 from .polyfield import (
-    NearSingularMatrixError, PolyField, as_index, check_invertible, field_to_dict,
+    NearSingularMatrixError, PolyField, as_index, check_invertible, check_keys, field_to_dict,
     lie_bracket, linear_pushforward,
 )
 
@@ -87,7 +88,6 @@ class NonAutoSystem:
                          for j, e in enumerate(row) if e != zero]
         self._term_idx = [(comp, exps, n2 + m, tuple((k, p) for k, p in enumerate(exps) if p))
                           for m, (comp, exps) in enumerate(self.terms)]
-        self._table = None  # compiled on first evaluation
 
     def _coefficients(self) -> list:
         """Every coefficient in table order: constants, linear rows, terms."""
@@ -103,11 +103,11 @@ class NonAutoSystem:
     # Each reader makes one table call per t; the _of helpers read a tuple of
     # coefficient values in table order.
 
-    def _values(self, t: float) -> tuple:
-        """All coefficient values at t, in the order of _coefficients()."""
-        if self._table is None:
-            self._table = tx.compile_table(self._coefficients())
-        return self._table(t)
+    @cached_property
+    def _table(self):
+        """t -> all coefficient values, in the order of _coefficients():
+        one table, compiled on first use."""
+        return tx.compile_table(self._coefficients())
 
     def _constant_of(self, vals: tuple) -> np.ndarray:
         out = np.zeros(self.dim)
@@ -147,16 +147,16 @@ class NonAutoSystem:
         return np.array(out, dtype=float)
 
     def constant_at(self, t: float) -> np.ndarray:
-        return self._constant_of(self._values(t))
+        return self._constant_of(self._table(t))
 
     def linear_at(self, t: float) -> np.ndarray:
-        return self._linear_of(self._values(t))
+        return self._linear_of(self._table(t))
 
     def degree_part_at(self, t: float, j: int) -> PolyField:
-        return self._terms_of(self._values(t), j)
+        return self._terms_of(self._table(t), j)
 
     def eval(self, t: float, x) -> np.ndarray:
-        return self._eval_of(self._values(t), x)
+        return self._eval_of(self._table(t), x)
 
     # -- JSON ---------------------------------------------------------------
 
@@ -174,6 +174,7 @@ class NonAutoSystem:
     def from_dict(cls, d: dict) -> "NonAutoSystem":
         if not isinstance(d, dict) or "dim" not in d:
             raise ValueError("system object must have a 'dim' entry")
+        check_keys(d, ("dim", "constant", "linear", "terms"), "system object")
         dim = as_index(d["dim"], "dim")
 
         def parse_at(src, where):
@@ -201,6 +202,7 @@ class NonAutoSystem:
         for k, entry in enumerate(terms_src):
             if not isinstance(entry, dict):
                 raise ValueError(f"bad system term #{k}: expected an object")
+            check_keys(entry, ("component", "exponents", "coeff"), f"system term #{k}")
             try:
                 comp = as_index(entry["component"], "component")
                 exps = tuple(as_index(v, "exponent") for v in entry["exponents"])
@@ -230,26 +232,13 @@ class JetData:
 
 
 def extract_jet(q: NonAutoSystem, order: int = 1) -> JetData:
-    """Exact jet at t=0: values from q's compiled table, higher coefficients
-    from one Taylor walk of the coefficient trees.  The linear entries are
-    walked from order 2 on, the first order whose rows read C'(0)."""
-    n = q.dim
-    vals = q._values(0.0)
-    linear = [e for row in q.linear for e in row] if order >= 2 else []
-    memo: dict = {}  # one walk: shared subtrees are visited once for all orders
-    series = [tx._taylor(e, 0.0, order, memo)
-              for e in q.constant + list(q.terms.values()) + linear]
-    c, C = [q._constant_of(vals)], [q._linear_of(vals)]
-    jets = {j: [q._terms_of(vals, j)] for j in q.degrees()}
-    for k in range(1, order + 1):
-        col = [s[k] for s in series]
-        c.append(np.array(col[:n]))
-        if k < order:
-            C.append(np.array(col[n + len(q.terms):]).reshape(n, n))
-        for j, fields in jets.items():
-            fields.append(PolyField(n, {key: v for key, v in zip(q.terms, col[n:])
-                                        if sum(key[1]) == j}))
-    return JetData(n, c, C, jets)
+    """Exact jet at t=0: every Taylor column read from q's own compiled
+    table (column 0 is its values) and split by the readers that split
+    values; the linear part's column `order` is not part of the jet."""
+    cols = q._table.taylor(0.0, order)
+    return JetData(q.dim, [q._constant_of(col) for col in cols],
+                   [q._linear_of(col) for col in cols[:max(order, 1)]],
+                   {j: [q._terms_of(col, j) for col in cols] for j in q.degrees()})
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +358,7 @@ class _GridTables:
         self._linear_at, self._T = q.linear_at, None
         n = q.dim
         # one row of q's table per grid time; + 0.0 reads a -0 literal as 0.0
-        vals = np.array([q._values(t) for t in self.ts]) + 0.0
+        vals = np.array([q._table(t) for t in self.ts]) + 0.0
         self.c = vals[:, :n]
         self.C = vals[:, n:n + n * n].reshape(-1, n, n)
         self.keys = {j: _degree_keys(n, j) for j in q.degrees()}
@@ -612,7 +601,7 @@ def remove_linear_part(q: NonAutoSystem, grid=None) -> ReducedSystem:
     for k, t in enumerate(ts):
         t = float(t)
         Tinv = T.inverse(t)
-        vals = q._values(t)
+        vals = q._table(t)
         const_samples[k] = Tinv @ q._constant_of(vals)
         for j in q.degrees():
             field_samples[j].append(linear_pushforward(Tinv, q._terms_of(vals, j)))

@@ -12,7 +12,9 @@ import numpy as np
 
 from . import timexpr as tx
 from ._rk import TOL, DenseSolution, IntegrationError, integrate_dense
-from .polyfield import NearSingularMatrixError, check_invertible, invert_checked
+from .polyfield import (
+    NearSingularMatrixError, as_index, check_invertible, check_keys, invert_checked,
+)
 
 __all__ = [
     "MatrixCurve", "ClosedFormCurve", "ExponentialCurve", "FlowCurve",
@@ -509,14 +511,16 @@ def curve_from_dict(d: dict) -> MatrixCurve:
         raise ValueError("curve object must have a 'kind' entry")
     kind = d["kind"]
     if kind == "closed_form":
+        check_keys(d, ("dim", "kind", "entries", "inverse"), "closed_form curve")
         entries = d.get("entries")
         if not entries:
             raise ValueError("closed_form curve needs an 'entries' table")
         inverse = d.get("inverse")
-        return ClosedFormCurve(
+        curve = ClosedFormCurve(
             _expr_table(entries, "'entries'"),
             _expr_table(inverse, "'inverse'") if inverse is not None else None)
-    if kind == "exp":
+    elif kind == "exp":
+        check_keys(d, ("dim", "kind", "generator", "sign"), "exp curve")
         if "generator" not in d:
             raise ValueError("exp curve needs a 'generator' matrix")
         gen = _expr_table(d["generator"], "'generator'")
@@ -524,7 +528,11 @@ def curve_from_dict(d: dict) -> MatrixCurve:
         if sign not in (1, -1):
             raise ValueError("'sign' must be 1 or -1")
         try:
-            return ExponentialCurve(np.asarray(gen, dtype=float), int(sign))
+            curve = ExponentialCurve(np.asarray(gen, dtype=float), int(sign))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad generator matrix: {exc}") from exc
-    raise ValueError(f"unknown curve kind {kind!r}")
+    else:
+        raise ValueError(f"unknown curve kind {kind!r}")
+    if "dim" in d and as_index(d["dim"], "dim") != curve.dim:
+        raise ValueError(f"'dim' is {d['dim']}, but the curve is {curve.dim} x {curve.dim}")
+    return curve

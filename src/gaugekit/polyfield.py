@@ -391,9 +391,18 @@ def as_index(value, what: str) -> int:
     return int(value)
 
 
+def check_keys(d: dict, known: tuple, what: str) -> None:
+    """Refuse a key of a JSON object that its loader would not read."""
+    for key in d:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {what} "
+                             f"(expected {', '.join(map(repr, known))})")
+
+
 def field_from_dict(d: dict) -> PolyField:
     if not isinstance(d, dict) or "dim" not in d:
         raise ValueError("field object must have a 'dim' entry")
+    check_keys(d, ("dim", "terms"), "field object")
     dim = as_index(d["dim"], "dim")
     entries = d.get("terms", [])
     if not isinstance(entries, list):
@@ -402,6 +411,7 @@ def field_from_dict(d: dict) -> PolyField:
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"bad field term #{k}: expected an object")
+        check_keys(entry, ("component", "exponents", "coeff"), f"field term #{k}")
         try:
             comp = as_index(entry["component"], "component")
             exps = tuple(as_index(v, "exponent") for v in entry["exponents"])

@@ -14,15 +14,15 @@ sampled evaluation elsewhere, never by canonicalization.  The operators ``+``,
 ``-`` and ``*`` build trees through the smart constructors below; numbers are
 taken as literals, also on the left of ``+`` and ``*``.
 
-Trees built by the transform share subtrees heavily.  The walks over them
-memoize every node by identity, so a shared subtree is visited once per call:
-``_taylor`` computes the Taylor coefficients of any order at a time t (the
-t = 0 jet; ``eval_expr`` is its order-0 read), ``diff_expr`` the derivative
-as an expression.  ``compile_table`` compiles a list of expressions into one
-function of t that evaluates each distinct subtree once per call, also when
-equal subtrees are separate objects; every repeated evaluation goes through it
-(system coefficients and curve entries), and ``compile_expr`` is its one-entry
-form.  Both agree with ``eval_expr`` bit for bit.
+Trees built by the transform share subtrees by identity; trees read back
+from JSON repeat equal subtrees as separate objects.  Every walk runs over one
+numbering, ``_number_nodes``, of the distinct subtrees of a list of
+expressions (children first, structurally equal subtrees once):
+``compile_table`` generates one function of t from it (``compile_expr`` is its
+one-entry form), ``_taylor`` loops over it for the Taylor coefficients of any
+order at t (the table's ``taylor`` reader; ``eval_expr`` reads order 0), and
+``diff_expr`` for the derivative as an expression.  Only the parser and the
+printer recurse.  Values agree bit for bit across all of them.
 """
 
 from __future__ import annotations
@@ -380,66 +380,64 @@ def eval_expr(e: TimeExpr, t: float) -> float:
     Raises EvalError when a quotient denominator falls below 1e-14 in
     magnitude, naming the offending subexpression.
     """
-    return _taylor(e, t, 0, {})[0]
+    nodes, roots = _number_nodes([e])
+    return _taylor(nodes, t, 0)[roots[0]][0]
 
 
-def _taylor(e: TimeExpr, t: float, order: int, memo: dict) -> list:
-    """Taylor coefficients a_0..a_order of `e` at `t`, a_k = e^(k)(t)/k!, by the
-    recurrences of Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13;
-    a_0 is eval_expr(e, t) bit for bit.  memo maps id(node) to coefficients
-    for every node visited, also across walks that share it; the caller keeps
-    the nodes alive meanwhile, so that no id is reused."""
+def _taylor(nodes: list, t: float, order: int) -> list:
+    """Taylor coefficients a_0..a_order at `t` of every node of a
+    _number_nodes list, in its order: a_k = e^(k)(t)/k!, by the recurrences
+    of Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13.  a_0 is
+    the value that compile_table computes, bit for bit."""
     # sums start from a term, not from int 0, so that a -0.0 value stays -0.0
-    a = memo.get(id(e))
-    if a is not None:
-        return a
-    if isinstance(e, Lit):
-        a = [e.value] + [0.0] * order
-    elif isinstance(e, TVar):
-        a = ([t, 1.0] + [0.0] * order)[:order + 1]
-    elif isinstance(e, Neg):
-        a = [-v for v in _taylor(e.arg, t, order, memo)]
-    elif isinstance(e, (Add, Sub)):
-        x, y = _taylor(e.left, t, order, memo), _taylor(e.right, t, order, memo)
-        a = [u + v for u, v in zip(x, y)] if isinstance(e, Add) else \
-            [u - v for u, v in zip(x, y)]
-    elif isinstance(e, Mul):
-        a = _cauchy(_taylor(e.left, t, order, memo), _taylor(e.right, t, order, memo))
-    elif isinstance(e, Div):
-        b = _taylor(e.right, t, order, memo)
-        if abs(b[0]) <= _DENOM_FLOOR:
-            raise EvalError("near-zero denominator", e.right, t)
-        a = []
-        for k, v in enumerate(_taylor(e.left, t, order, memo)):
-            for i in range(1, k + 1):
-                v -= b[i] * a[k - i]
-            a.append(v / b[0])
-    elif isinstance(e, Pow):
-        base = _taylor(e.base, t, order, memo)
-        power, square, k = None, base, e.exponent
-        while k:  # binary powering
-            if k & 1:
-                power = square if power is None else _cauchy(power, square)
-            k >>= 1
-            if k:
-                square = _cauchy(square, square)
-        a = [base[0] ** e.exponent] + ([0.0] * order if power is None else power[1:])
-    elif isinstance(e, Fun):
-        u = _taylor(e.arg, t, order, memo)
-        if e.name == "exp":  # y' = u' y
-            a = [math.exp(u[0])]
-            for k in range(1, order + 1):
-                a.append(_chain(u, a, k))
-        else:  # s' = u' c, c' = -u' s
-            s, c = [math.sin(u[0])], [math.cos(u[0])]
-            for k in range(1, order + 1):
-                s.append(_chain(u, c, k))
-                c.append(-_chain(u, s, k))
-            a = s if e.name == "sin" else c
-    else:
-        raise TypeError(f"not a TimeExpr node: {e!r}")
-    memo[id(e)] = a
-    return a
+    out: list = []
+    for node, kids in nodes:
+        cls = type(node)
+        if cls is Lit:
+            a = [node.value] + [0.0] * order
+        elif cls is TVar:
+            a = ([t, 1.0] + [0.0] * order)[:order + 1]
+        elif cls is Neg:
+            a = [-v for v in out[kids[0]]]
+        elif cls is Add:
+            a = [u + v for u, v in zip(out[kids[0]], out[kids[1]])]
+        elif cls is Sub:
+            a = [u - v for u, v in zip(out[kids[0]], out[kids[1]])]
+        elif cls is Mul:
+            a = _cauchy(out[kids[0]], out[kids[1]])
+        elif cls is Div:
+            b = out[kids[1]]
+            if abs(b[0]) <= _DENOM_FLOOR:
+                raise EvalError("near-zero denominator", nodes[kids[1]][0], t)
+            a = []
+            for k, v in enumerate(out[kids[0]]):
+                for i in range(1, k + 1):
+                    v -= b[i] * a[k - i]
+                a.append(v / b[0])
+        elif cls is Pow:
+            base = out[kids[0]]
+            power, square, k = None, base, node.exponent
+            while k:  # binary powering
+                if k & 1:
+                    power = square if power is None else _cauchy(power, square)
+                k >>= 1
+                if k:
+                    square = _cauchy(square, square)
+            a = [base[0] ** node.exponent] + ([0.0] * order if power is None else power[1:])
+        else:  # Fun
+            u = out[kids[0]]
+            if node.name == "exp":  # y' = u' y
+                a = [math.exp(u[0])]
+                for k in range(1, order + 1):
+                    a.append(_chain(u, a, k))
+            else:  # s' = u' c, c' = -u' s
+                s, c = [math.sin(u[0])], [math.cos(u[0])]
+                for k in range(1, order + 1):
+                    s.append(_chain(u, c, k))
+                    c.append(-_chain(u, s, k))
+                a = s if node.name == "sin" else c
+        out.append(a)
+    return out
 
 
 def _cauchy(a: list, b: list) -> list:
@@ -534,7 +532,10 @@ def compile_table(exprs):
     Each distinct subtree is evaluated once per call, also when equal
     subtrees are separate objects.  Values are bit-identical to eval_expr at
     float(t), and a quotient whose denominator falls below 1e-14 in
-    magnitude raises EvalError naming the denominator.
+    magnitude raises EvalError naming the denominator.  The callable's
+    `taylor(t, order)` reads the Taylor coefficients over the same
+    numbering: a list of order + 1 columns, column k holding the k-th
+    coefficient of every expression and column 0 the table's values.
     """
     exprs = list(exprs)
     nodes, roots = _number_nodes(exprs)
@@ -592,7 +593,14 @@ def compile_table(exprs):
     exec(compile(src, "<timexpr table>", "exec"), namespace)  # noqa: S102 - our own AST
     # popped, so that the function and its globals form no reference cycle
     # and are freed as soon as their owner drops the table
-    return namespace.pop("_table")
+    table = namespace.pop("_table")
+
+    def taylor(t: float, order: int) -> list:
+        a = _taylor(nodes, float(t), order)
+        return [tuple(a[r][k] for r in roots) for k in range(order + 1)]
+
+    table.taylor = taylor
+    return table
 
 
 def compile_expr(e: TimeExpr):
@@ -756,46 +764,37 @@ def diff_expr(e: TimeExpr) -> TimeExpr:
     """Exact derivative of `e` with respect to t (product/quotient/chain rules).
 
     The result is value-equivalent to the analytic derivative; it is not
-    canonicalized beyond the trivial constructor cleanups above.
+    canonicalized beyond the trivial constructor cleanups above.  Equal
+    subtrees of `e` share one derivative.
     """
-    return _diff(e, {})
-
-
-def _diff(e: TimeExpr, memo: dict) -> TimeExpr:
-    # memo as in _taylor, holding derivatives instead of coefficients
-    d = memo.get(id(e))
-    if d is not None:
-        return d
-    if isinstance(e, Lit):
-        d = Lit(0.0)
-    elif isinstance(e, TVar):
-        d = Lit(1.0)
-    elif isinstance(e, Neg):
-        d = eneg(_diff(e.arg, memo))
-    elif isinstance(e, Add):
-        d = eadd(_diff(e.left, memo), _diff(e.right, memo))
-    elif isinstance(e, Sub):
-        d = esub(_diff(e.left, memo), _diff(e.right, memo))
-    elif isinstance(e, Mul):
-        d = eadd(emul(_diff(e.left, memo), e.right), emul(e.left, _diff(e.right, memo)))
-    elif isinstance(e, Div):
-        num = esub(emul(_diff(e.left, memo), e.right), emul(e.left, _diff(e.right, memo)))
-        d = ediv(num, epow(e.right, 2))
-    elif isinstance(e, Pow):
-        if e.exponent == 0:
-            d = Lit(0.0)
+    nodes, roots = _number_nodes([e])
+    d: list = []
+    for node, kids in nodes:
+        cls = type(node)
+        if cls is Lit:
+            dk = Lit(0.0)
+        elif cls is TVar:
+            dk = Lit(1.0)
+        elif cls is Neg:
+            dk = eneg(d[kids[0]])
+        elif cls is Add:
+            dk = eadd(d[kids[0]], d[kids[1]])
+        elif cls is Sub:
+            dk = esub(d[kids[0]], d[kids[1]])
+        elif cls is Mul:
+            dk = eadd(emul(d[kids[0]], node.right), emul(node.left, d[kids[1]]))
+        elif cls is Div:
+            # (a' - (a/b) b') / b: the denominator stays b, not b^2
+            dk = ediv(esub(d[kids[0]], emul(node, d[kids[1]])), node.right)
+        elif cls is Pow:
+            dk = Lit(0.0) if node.exponent == 0 else emul(
+                emul(Lit(float(node.exponent)), epow(node.base, node.exponent - 1)),
+                d[kids[0]])
+        elif node.name == "exp":
+            dk = emul(node, d[kids[0]])
+        elif node.name == "sin":
+            dk = emul(Fun("cos", node.arg), d[kids[0]])
         else:
-            d = emul(emul(Lit(float(e.exponent)), epow(e.base, e.exponent - 1)),
-                     _diff(e.base, memo))
-    elif isinstance(e, Fun):
-        du = _diff(e.arg, memo)
-        if e.name == "exp":
-            d = emul(Fun("exp", e.arg), du)
-        elif e.name == "sin":
-            d = emul(Fun("cos", e.arg), du)
-        else:
-            d = eneg(emul(Fun("sin", e.arg), du))
-    else:
-        raise TypeError(f"not a TimeExpr node: {e!r}")
-    memo[id(e)] = d
-    return d
+            dk = eneg(emul(Fun("sin", node.arg), d[kids[0]]))
+        d.append(dk)
+    return d[roots[0]]

@@ -1,10 +1,13 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gaugekit.cli import dumps, main
+from gaugekit.matcurve import curve_from_dict, curve_to_dict
+from gaugekit.polyfield import field_from_dict, field_to_dict
 
 
 P2 = {"dim": 2, "terms": [
@@ -224,6 +227,75 @@ def test_identify_long_coefficient(tmp_path, capsys):
         {"component": 1, "exponents": [0, 2], "coeff": "+".join(["t"] * 500)}]}))
     assert main(["identify", "--system", str(sysf)]) == 1
     assert "not_gauge" in capsys.readouterr().out
+
+
+def test_nesting_beyond_the_recursion_limit_exit_2_names_file(files, tmp_path, capsys):
+    # the parser recurses per parenthesis, the printer per summand
+    sysf = tmp_path / "nested.json"
+    sysf.write_text(json.dumps({"dim": 1, "terms": [
+        {"component": 0, "exponents": [2], "coeff": "(" * 400 + "t" + ")" * 400}]}))
+    assert main(["identify", "--system", str(sysf)]) == 2
+    assert "nested.json: expression nested too deeply" in capsys.readouterr().err
+    cpath = tmp_path / "long-curve.json"
+    cpath.write_text(json.dumps({"dim": 1, "kind": "closed_form",
+                                 "entries": [["+".join(["1"] + ["t"] * 2999)]]}))
+    fpath = tmp_path / "f1.json"
+    fpath.write_text(json.dumps({"dim": 1, "terms": [
+        {"component": 0, "exponents": [2], "coeff": 1.0}]}))
+    assert main(["transform", "--field", str(fpath), "--curve", str(cpath)]) == 2
+    captured = capsys.readouterr()
+    assert "long-curve.json: expression nested too deeply" in captured.err
+    assert captured.out == ""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["integrate", "--field", str(deep), "--x0", "0"]) == 2
+    assert "deep.json: JSON nested too deeply" in capsys.readouterr().err
+
+
+def test_sampled_output_and_misspelled_keys_are_refused(files, tmp_path, capsys):
+    # x1^2 e1 + x1 e2 under a shear has no closed form: transform writes
+    # samples, which no loader reads as a system
+    fpath = tmp_path / "shear-field.json"
+    fpath.write_text(json.dumps({"dim": 2, "terms": [
+        {"component": 0, "exponents": [2, 0], "coeff": 1.0},
+        {"component": 1, "exponents": [1, 0], "coeff": 1.0}]}))
+    cpath = tmp_path / "shear.json"
+    cpath.write_text(json.dumps({"dim": 2, "kind": "exp",
+                                 "generator": [[0.0, 1.0], [0.0, 0.0]]}))
+    sampled = tmp_path / "sampled.json"
+    assert main(["transform", "--field", str(fpath), "--curve", str(cpath),
+                 "--out", str(sampled)]) == 0
+    assert json.loads(sampled.read_text())["kind"] == "sampled"
+    misspelled = tmp_path / "term.json"
+    misspelled.write_text(json.dumps({"dim": 2, "term": QUAD_SYSTEM["terms"]}))
+    for path, key in ((sampled, "kind"), (misspelled, "term")):
+        for argv in (["identify", "--system", str(path)],
+                     ["integrate", "--system", str(path), "--x0", "0.3,0.4"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"{path.name}: unknown key '{key}'" in err
+    coeff = tmp_path / "coef.json"
+    coeff.write_text(json.dumps({"dim": 1, "terms": [
+        {"component": 0, "exponents": [2], "coef": "exp(t)"}]}))
+    assert main(["identify", "--system", str(coeff)]) == 2
+    assert "unknown key 'coef' in system term #0" in capsys.readouterr().err
+
+
+def test_every_writer_output_loads(files, tmp_path):
+    # transform's closed form, and the field and curve files, read back
+    for curve in ("identity", "expB"):
+        out = tmp_path / f"q-{curve}.json"
+        assert main(["transform", "--field", files["p2"], "--curve", files[curve],
+                     "--out", str(out)]) == 0
+        assert main(["identify", "--system", str(out), "--out", str(tmp_path / "r.json")]) == 0
+    field_out = tmp_path / "f.json"
+    field_out.write_text(dumps(field_to_dict(field_from_dict(P2))))
+    for curve in ("identity", "expB"):
+        curve_out = tmp_path / f"c-{curve}.json"
+        curve_out.write_text(dumps(curve_to_dict(curve_from_dict(
+            json.loads(Path(files[curve]).read_text())))))
+        assert main(["verify", "--field", str(field_out), "--curve", str(curve_out),
+                     "--x0", "0.3,0.4", "--t1", "0.5"]) == 0
 
 
 def test_identify_linear_family_exit_0(files, tmp_path, capsys):

@@ -376,7 +376,7 @@ def test_grid_tables_equal_the_per_time_readers():
                       terms={(0, (2, 0)): "1 + t", (1, (1, 1)): "-0", (0, (1, 2)): "-t"})
     ts = np.linspace(0.0, 1.0, 5)
     tables = _GridTables(q, ts)
-    vals = [q._values(t) for t in ts]
+    vals = [q._table(t) for t in ts]
     assert np.array_equal(tables.c, [q._constant_of(v) for v in vals])
     assert np.array_equal(tables.C, [q._linear_of(v) for v in vals])
     assert tables.keys.keys() == tables.q.keys() == {2, 3}
@@ -870,6 +870,36 @@ def test_jet_matches_diff_then_eval_on_corpus():
             _assert_jet_matches(extract_jet(q, order), want)
             checked += 1
     assert checked > 200
+
+
+def _jet_bits(jet):
+    """Every number of a jet, as bytes: -0.0 and 0.0 differ."""
+    return ([a.tobytes() for a in jet.c], [a.tobytes() for a in jet.C],
+            {j: [repr(sorted(f.terms.items())) for f in fields]
+             for j, fields in jet.q.items()})
+
+
+def test_jet_of_a_reparsed_system_is_bit_identical():
+    # the transform shares subtrees by identity, the parser repeats them
+    # as separate objects: one numbering by structure reads both alike
+    rng = np.random.default_rng(21)
+    B = np.array([[0.2, -0.9, 0.3], [0.8, 0.1, -0.4], [-0.3, 0.5, -0.2]])
+    f = PolyField.from_constant(rng.uniform(-0.5, 0.5, size=3)) \
+        + PolyField.from_linear(B) + random_field(rng, 3, [2, 3], scale=0.8, density=0.9)
+    q = gauge_transform(f, ExponentialCurve(B, -1)).closed_form
+    parsed = NonAutoSystem.from_dict(q.to_dict())
+    for order in (0, 1, 2, 3):
+        assert _jet_bits(extract_jet(parsed, order)) == _jet_bits(extract_jet(q, order))
+
+
+def test_coefficient_deeper_than_the_recursion_limit_identifies():
+    # a parsed 1,200-summand sum nests 1,200 deep; its value is 1 at every t
+    src = "+".join(["1"] + ["0*t"] * 1199)
+    q = NonAutoSystem.from_dict({"dim": 1, "terms": [
+        {"component": 0, "exponents": [2], "coeff": src}]})
+    cert = identify(q)
+    assert cert.status == "gauge", cert.diagnostics
+    assert cert.f.terms == {(0, (2,)): 1.0}
 
 
 def test_long_coefficient_loads_and_identifies():

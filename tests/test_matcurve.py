@@ -158,6 +158,17 @@ def test_closed_form_rotation_derivative():
     assert np.max(np.abs(exact - fd)) <= 1e-6
 
 
+def test_closed_form_derivative_of_a_quotient_near_its_pole():
+    # f = 1e-9/(t - 0.5): the derivative tables divide by t - 0.5 = 5e-8,
+    # not by its square, 2.5e-15, which the 1e-14 denominator check refuses
+    A = ClosedFormCurve([["1", "0"], ["0", "1 + 1e-9/(t - 0.5)"]])
+    t, s = 0.50000005, 0.50000005 - 0.5
+    assert A.derivative(t)[1, 1] == pytest.approx(-1e-9 / s ** 2, rel=1e-6)
+    assert A.derivative(t)[1, 1] == pytest.approx(-4.0e5, rel=1e-6)
+    assert A.second_derivative(t)[1, 1] == pytest.approx(2e-9 / s ** 3, rel=1e-6)
+    assert A.second_derivative(t)[1, 1] == pytest.approx(1.6e13, rel=1e-6)
+
+
 @pytest.mark.parametrize("make", [
     lambda: ExponentialCurve(np.array([[0.2, -1.1], [0.6, -0.3]]), -1),
     lambda: ClosedFormCurve(rotation_entries("t + 0.5*t^2")),
@@ -450,6 +461,26 @@ def test_curve_json_validation():
         curve_from_dict({"dim": 2, "kind": "exp"})
     with pytest.raises(tx.ParseError):
         curve_from_dict({"dim": 1, "kind": "closed_form", "entries": [["exp(t"]]})
+    with pytest.raises(ValueError, match="'dim' is 2, but the curve is 1 x 1"):
+        curve_from_dict({"dim": 2, "kind": "exp", "generator": [[1.0]]})
+
+
+@pytest.mark.parametrize("d, key", [
+    ({"dim": 1, "kind": "exp", "generator": [[1.0]], "generater": [[2.0]]}, "generater"),
+    ({"dim": 1, "kind": "exp", "generator": [[1.0]], "entries": [["t"]]}, "entries"),
+    ({"dim": 1, "kind": "closed_form", "entries": [["1"]], "sign": -1}, "sign"),
+    ({"dim": 1, "kind": "closed_form", "entries": [["1"]], "inverses": [["1"]]}, "inverses"),
+])
+def test_curve_loader_refuses_keys_it_does_not_read(d, key):
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        curve_from_dict(d)
+
+
+def test_curve_writer_output_loads():
+    for A in (ClosedFormCurve(rotation_entries("t^2")),
+              ClosedFormCurve([["1", "t"], ["0", "1"]], [["1", "-t"], ["0", "1"]]),
+              ExponentialCurve(np.array([[0.2, -1.1], [0.6, -0.3]]), -1)):
+        assert curve_to_dict(curve_from_dict(curve_to_dict(A))) == curve_to_dict(A)
 
 
 @pytest.mark.parametrize("entry", ["nan", float("inf"), float("-inf")])

@@ -172,6 +172,16 @@ def test_diff_quotient_and_chain():
         assert eval_expr(d, t) == pytest.approx(num / (2 + c) ** 2, abs=1e-12)
 
 
+def test_diff_quotient_keeps_its_denominator():
+    # d(a/b) = (a' - (a/b) b')/b: no squared denominator to underflow the check
+    den = parse_expr("t - 0.5")
+    e = Div(Lit(1e-9), den)
+    d = diff_expr(e)
+    assert isinstance(d, Div) and d.right == den
+    assert eval_expr(d, 0.50000005) == pytest.approx(-4.0e5, rel=1e-6)
+    assert eval_expr(diff_expr(d), 0.50000005) == pytest.approx(1.6e13, rel=1e-6)
+
+
 def test_diff_corpus_vs_finite_differences():
     h = 1e-5
     for e, times in expr_corpus(seed=20260808, count=1000, depth=6):
@@ -368,9 +378,8 @@ def test_compile_table_empty_and_constant():
 
 
 def _series(exprs, t, order):
-    """_taylor of each expression, over one shared memo."""
-    memo = {}
-    return [tx._taylor(e, t, order, memo) for e in exprs]
+    """The Taylor coefficients of each expression, read from their table."""
+    return [list(a) for a in zip(*tx.compile_table(exprs).taylor(t, order))]
 
 
 def test_taylor_coefficients_match_diff_then_eval():
@@ -391,10 +400,9 @@ def test_taylor_coefficients_match_diff_then_eval():
         for a, e in zip(got, exprs):
             d1 = diff_expr(e)
             for k, d in ((1, d1), (2, diff_expr(d1))):
-                try:
-                    ref = eval_expr(d, t) / k
-                except (EvalError, OverflowError):
-                    continue  # the derivative's squared denominator trips the check
+                # a derivative divides by the denominators of e alone, so it
+                # evaluates wherever e does
+                ref = eval_expr(d, t) / k
                 if math.isfinite(ref):
                     assert abs(a[k] - ref) <= 1e-11 * (1.0 + abs(ref))
                     checked += 1
@@ -448,25 +456,44 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_walks_visit_each_shared_node_once(monkeypatch):
+def _doubled(levels):
     # sin, not t: a base whose derivative is a literal folds away
     x = tx.Fun("sin", tx.T)
-    for _ in range(16):
+    for _ in range(levels):
         x = tx.Add(x, x)
-    walks, diffs = _counting(monkeypatch, "_taylor"), _counting(monkeypatch, "_diff")
+    return x
+
+
+def test_walks_visit_each_shared_node_once(monkeypatch):
+    x = _doubled(16)
+    # t, sin and one sum per level: a tree walk would visit 3 * 2^16 - 1 nodes
+    nodes, roots = tx._number_nodes([x, x])
+    assert (len(nodes), roots) == (18, [17, 17])
     assert eval_expr(x, 0.3) == 2.0 ** 16 * math.sin(0.3)
-    # two calls per level, the second a memo hit, then sin and t: a tree
-    # walk would make 3 * 2^16 - 1 calls
-    assert (len(walks), len(diffs)) == (34, 0)
-    d = diff_expr(x)
-    assert (len(walks), len(diffs)) == (34, 34)
-    del walks[:], diffs[:]
     assert _series([x, x], 0.3, 1) == \
         [[2.0 ** 16 * math.sin(0.3), 2.0 ** 16 * math.cos(0.3)]] * 2
-    assert (len(walks), len(diffs)) == (35, 0)
+    adds = _counting(monkeypatch, "eadd")
+    d = diff_expr(x)
+    assert len(adds) == 16
     # the derivative shares its subtrees as the input does
     assert d.left is d.right
     assert eval_expr(d, 0.3) == 2.0 ** 16 * math.cos(0.3)
+    # a parsed tree repeats equal subtrees as separate objects: numbered once
+    y = parse_expr(format_expr(_doubled(10)))
+    assert y.left is not y.right
+    assert len(tx._number_nodes([y])[0]) == 12
+    del adds[:]
+    d = diff_expr(y)
+    assert len(adds) == 10
+    assert d.left is d.right
+
+
+def test_walks_take_sums_deeper_than_the_recursion_limit():
+    # a parsed 3,000-term sum nests 3,000 deep
+    e = parse_expr("+".join(["sin(t)"] * 3000))
+    d = diff_expr(e)
+    assert eval_expr(d, 0.3) == pytest.approx(3000 * math.cos(0.3), rel=1e-12)
+    assert _series([e], 0.3, 1) == [[eval_expr(e, 0.3), eval_expr(d, 0.3)]]
 
 
 def test_smart_constructor_values_match_structure():
