@@ -12,6 +12,7 @@ tolerance: flows, trajectories and the solution-correspondence check.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -24,23 +25,8 @@ TOL = 1e-10
 # a trajectory whose state norm passes this has blown up
 BLOWUP_NORM = 1e8
 
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-
-_A = [
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-]
-
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-
-# 5th-order minus 4th-order weights (the FSAL stage carries -1/40)
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-               -17253 / 339200, 22 / 525, -1 / 40])
-
-# dense-output interpolant coefficients (columns: x, x^2, x^3, x^4 weights)
+# dense-output interpolant coefficients (columns: x, x^2, x^3, x^4 weights),
+# one row per stage
 _P = np.array([
     [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
     [0.0, 0.0, 0.0, 0.0],
@@ -74,6 +60,8 @@ class DenseSolution:
         self.t_end: float | None = None
         self.y_end: np.ndarray | None = None
         self.status = "running"  # -> "done" | "blowup"
+        self.steps_rejected = 0   # accepted steps: len(t_starts)
+        self.rhs_calls = 0
 
     @property
     def t_start(self) -> float:
@@ -124,12 +112,13 @@ def _rms(v: np.ndarray) -> float:
 
 
 def _initial_step(rhs, t0, y0, f0, direction, tol):
+    y0, f0 = np.asarray(y0, dtype=float), np.asarray(f0, dtype=float)
     scale = tol + tol * np.abs(y0)
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = y0 + h0 * direction * f0
-    f1 = rhs(t0 + h0 * direction, y1)
+    f1 = np.asarray(rhs(t0 + h0 * direction, y1.tolist()), dtype=float)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -138,26 +127,60 @@ def _initial_step(rhs, t0, y0, f0, direction, tol):
     return min(100 * h0, h1)
 
 
+def _step(rhs, t, y, k1, hd, t_new):
+    """One Dormand-Prince 5(4) step of size hd from (t, y), k1 = rhs(t, y)
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.5, Table 5.2).
+
+    Returns the 5th-order solution at t_new and the stages k2..k7, k7 =
+    rhs(t_new, y_new) being the next step's first stage.  States are lists
+    of floats and each stage sum is written out per component with the
+    tableau's weights, so a step makes no array operation of its own.
+    """
+    k2 = rhs(t + hd * (1 / 5), [v + hd * ((1 / 5) * a) for v, a in zip(y, k1)])
+    k3 = rhs(t + hd * (3 / 10), [v + hd * ((3 / 40) * a + (9 / 40) * b)
+                                 for v, a, b in zip(y, k1, k2)])
+    k4 = rhs(t + hd * (4 / 5), [v + hd * ((44 / 45) * a - (56 / 15) * b + (32 / 9) * c)
+                                for v, a, b, c in zip(y, k1, k2, k3)])
+    k5 = rhs(t + hd * (8 / 9), [v + hd * ((19372 / 6561) * a - (25360 / 2187) * b
+                                          + (64448 / 6561) * c - (212 / 729) * d)
+                                for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = rhs(t + hd, [v + hd * ((9017 / 3168) * a - (355 / 33) * b + (46732 / 5247) * c
+                                + (49 / 176) * d - (5103 / 18656) * e)
+                      for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [v + hd * ((35 / 384) * a + (500 / 1113) * c + (125 / 192) * d
+                       - (2187 / 6784) * e + (11 / 84) * f)
+             for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
+    return y_new, k2, k3, k4, k5, k6, rhs(t_new, y_new)
+
+
 def integrate_dense(rhs, t0: float, t1: float, y0, tol: float = TOL,
                     blowup_norm: float | None = None) -> DenseSolution:
     """Integrate y' = rhs(t, y) from t0 to t1 (either direction), with tol
     as both the relative and the absolute tolerance.
 
-    Returns a DenseSolution; status "blowup" means the trajectory passed
-    `blowup_norm` and integration stopped early at sol.t_end.
+    rhs gets the state as a list of floats and may return any sequence of
+    floats (a tuple, a list or a 1-D array).  It is called twice to start
+    and six times per attempted step.  Returns a DenseSolution, which also
+    counts the rejected steps and the RHS calls; status "blowup" means the
+    trajectory passed `blowup_norm` and integration stopped early at
+    sol.t_end.
     """
-    y0 = np.asarray(y0, dtype=float)
+    y = np.asarray(y0, dtype=float).tolist()
     if t1 == t0:
         raise ValueError("empty time span")
     direction = 1 if t1 > t0 else -1
-    sol = DenseSolution(direction, y0.shape[0])
+    n = len(y)
+    sol = DenseSolution(direction, n)
 
-    t, y = float(t0), y0.copy()
-    f = np.asarray(rhs(t, y), dtype=float)
+    t = float(t0)
+    f = rhs(t, y)
     h = min(_initial_step(rhs, t, y, f, direction, tol), abs(t1 - t0))
 
-    K = np.empty((7, y0.shape[0]))
+    # the state and the seven stages of every accepted step, as packed
+    # doubles: lists of Python floats would cost four times the memory
+    y_olds, stages = array("d"), array("d")
     n_steps = 0
+    status = "done"
     while (t1 - t) * direction > 0:
         # a remaining span below the step resolution is taken in one step
         if h < 1e-14 * max(1.0, abs(t)) and h < abs(t1 - t):
@@ -173,45 +196,46 @@ def integrate_dense(rhs, t0: float, t1: float, y0, tol: float = TOL,
         else:
             t_new = t + hd
 
-        K[0] = f
-        for s in range(5):
-            y_stage = y + hd * (_A[s] @ K[: s + 1])
-            K[s + 1] = rhs(t + _C[s + 1] * hd, y_stage)
-        y_new = y + hd * (_B @ K[:6])
-        K[6] = rhs(t_new, y_new)
-
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms(hd * (_E @ K) / scale)
+        y_new, k2, k3, k4, k5, k6, k7 = _step(rhs, t, y, f, hd, t_new)
+        # 5th- minus 4th-order solution over the mixed scale, as an RMS norm
+        err = math.hypot(*[
+            hd * ((71 / 57600) * a - (71 / 16695) * c + (71 / 1920) * d
+                  - (17253 / 339200) * e + (22 / 525) * g - (1 / 40) * k)
+            / (tol + tol * max(abs(v), abs(w)))
+            for v, w, a, c, d, e, g, k in zip(y, y_new, f, k3, k4, k5, k6, k7)]) / math.sqrt(n)
 
         if err <= 1.0:
             sol.t_starts.append(t)
             sol.hs.append(hd)
-            sol.y_olds.append(y.copy())
-            sol.Qs.append(K.T @ _P)
-            t, y, f = t_new, y_new, K[6].copy()
-            if blowup_norm is not None and np.linalg.norm(y) > blowup_norm:
-                sol.t_end, sol.y_end, sol.status = t, y, "blowup"
-                return sol
+            y_olds.extend(y)
+            for k in (f, k2, k3, k4, k5, k6, k7):
+                stages.extend(k)
+            t, y, f = t_new, y_new, k7
+            if blowup_norm is not None and math.hypot(*y) > blowup_norm:
+                status = "blowup"
+                break
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err ** -0.2)
             h *= factor
         else:
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
 
-    sol.t_end, sol.y_end, sol.status = t, y, "done"
+    # dense output: one stacked product for every accepted step
+    sol.y_olds = list(np.frombuffer(y_olds).reshape(-1, n))
+    sol.Qs = list(np.frombuffer(stages).reshape(-1, 7, n).transpose(0, 2, 1) @ _P)
+    sol.t_end, sol.y_end, sol.status = t, np.array(y, dtype=float), status
+    sol.rhs_calls = 2 + 6 * n_steps
+    sol.steps_rejected = n_steps - len(sol.t_starts)
     return sol
 
 
 def rk_fixed_step(rhs, t0: float, t1: float, y0, n_steps: int) -> np.ndarray:
     """Fixed-step Dormand-Prince endpoint, for convergence-order measurements."""
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float).tolist()
     h = (t1 - t0) / n_steps
-    K = np.empty((6, y.shape[0]))
     t = t0
+    f = rhs(t, y)
     for _ in range(n_steps):
-        K[0] = rhs(t, y)
-        for s in range(5):
-            K[s + 1] = rhs(t + _C[s + 1] * h, y + h * (_A[s] @ K[: s + 1]))
-        y = y + h * (_B @ K)
+        y, *_, f = _step(rhs, t, y, f, h, t + h)
         t += h
-    return y
+    return np.array(y, dtype=float)

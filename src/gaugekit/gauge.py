@@ -269,13 +269,13 @@ class FlowMap:
     def __init__(self, field: PolyField, s: float):
         self.field = field
         self.s = float(s)
+        self._rhs = field.rhs()
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.s == 0.0:
             return x.copy()
-        sol = integrate_dense(lambda _t, y: self.field.eval(y), 0.0, self.s, x,
-                              blowup_norm=BLOWUP_NORM)
+        sol = integrate_dense(self._rhs, 0.0, self.s, x, blowup_norm=BLOWUP_NORM)
         if sol.status != "done":
             raise IntegrationError("flow escaped before reaching the requested time")
         return sol.y_end

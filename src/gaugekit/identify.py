@@ -130,22 +130,6 @@ class NonAutoSystem:
                     terms[(comp, exps)] = v
         return PolyField(self.dim, terms)
 
-    def _eval_of(self, vals: tuple, x) -> np.ndarray:
-        xs = np.asarray(x, dtype=float).tolist()
-        out = [0.0] * self.dim
-        for i in self._const_idx:
-            out[i] = vals[i]
-        for i, j, k in self._lin_idx:
-            out[i] += vals[k] * xs[j]
-        for i, _, k, powers in self._term_idx:
-            m = vals[k]
-            if m == 0.0:
-                continue
-            for var, p in powers:
-                m *= xs[var] ** p
-            out[i] += m
-        return np.array(out, dtype=float)
-
     def constant_at(self, t: float) -> np.ndarray:
         return self._constant_of(self._table(t))
 
@@ -155,8 +139,19 @@ class NonAutoSystem:
     def degree_part_at(self, t: float, j: int) -> PolyField:
         return self._terms_of(self._table(t), j)
 
+    @cached_property
+    def _rhs(self):
+        """(t, y) -> the system's value as a tuple of floats, for y a list of
+        floats: the monomial sums over one table call, generated on first use
+        (constant, then linear, then terms, in table order)."""
+        return tx.compile_rhs(
+            self.dim, [(i, i, ()) for i in self._const_idx]
+            + [(i, k, ((j, 1),)) for i, j, k in self._lin_idx]
+            + [(comp, k, powers) for comp, _, k, powers in self._term_idx],
+            self._table)
+
     def eval(self, t: float, x) -> np.ndarray:
-        return self._eval_of(self._table(t), x)
+        return np.array(self._rhs(t, np.asarray(x, dtype=float).tolist()))
 
     # -- JSON ---------------------------------------------------------------
 

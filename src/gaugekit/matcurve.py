@@ -303,13 +303,13 @@ class FlowCurve(MatrixCurve):
         if lo < 0:
             self._bwd = self._integrate(0.0, lo)
 
-    def _rhs(self, t: float, a: np.ndarray) -> np.ndarray:
-        A = a.reshape(self.dim, self.dim)
+    def _rhs(self, t: float, a) -> list:
+        A = np.asarray(a).reshape(self.dim, self.dim)
         C = self._C(t)
         dA = -A @ self.B
         if C is not None:
             dA = dA + C @ A
-        return dA.ravel()
+        return dA.ravel().tolist()
 
     def _integrate(self, t_from: float, t_to: float,
                    y_from: np.ndarray | None = None) -> DenseSolution:
@@ -361,7 +361,7 @@ class FlowCurve(MatrixCurve):
         return out
 
     def derivative(self, t: float) -> np.ndarray:
-        return self._rhs(t, self.value(t).ravel()).reshape(self.dim, self.dim)
+        return np.reshape(self._rhs(t, self.value(t).ravel()), (self.dim, self.dim))
 
     def second_derivative(self, t: float) -> np.ndarray:
         A = self.value(t)
@@ -421,6 +421,8 @@ def _concat(base: DenseSolution | None, ext: DenseSolution) -> DenseSolution:
     base.hs += ext.hs
     base.y_olds += ext.y_olds
     base.Qs += ext.Qs
+    base.steps_rejected += ext.steps_rejected
+    base.rhs_calls += ext.rhs_calls
     base.t_end, base.y_end, base.status = ext.t_end, ext.y_end, ext.status
     return base
 

@@ -49,11 +49,13 @@ class Trajectory:
 
 def _as_rhs(rhs):
     if isinstance(rhs, PolyField):
-        return lambda _t, x: rhs.eval(x)
-    if isinstance(rhs, (NonAutoEvaluator, NonAutoSystem)):
-        return rhs.rhs if isinstance(rhs, NonAutoEvaluator) else rhs.eval
+        return rhs.rhs()
+    if isinstance(rhs, NonAutoSystem):
+        return rhs._rhs
+    if isinstance(rhs, NonAutoEvaluator):
+        return rhs.rhs
     if callable(rhs):
-        return rhs
+        return lambda t, x: rhs(t, np.array(x))
     raise TypeError(f"cannot integrate object of type {type(rhs).__name__}")
 
 
@@ -91,7 +93,7 @@ def verify_correspondence(f: PolyField, A: MatrixCurve, x0, t_span=(0.0, 1.0)) -
     x0 = np.asarray(x0, dtype=float)
     t0, t1 = float(t_span[0]), float(t_span[1])
     fstar = transform_rhs(f, A)
-    sol_z = integrate_dense(lambda _t, x: f.eval(x), t0, t1, x0, blowup_norm=BLOWUP_NORM)
+    sol_z = integrate_dense(f.rhs(), t0, t1, x0, blowup_norm=BLOWUP_NORM)
     sol_w = integrate_dense(fstar, t0, t1, A.value(t0) @ x0, blowup_norm=BLOWUP_NORM)
     t_hi = min(sol_z.t_end, sol_w.t_end) if t1 > t0 else max(sol_z.t_end, sol_w.t_end)
     ts = np.linspace(t0, t_hi, _COMPARE_POINTS)

@@ -185,6 +185,15 @@ class PolyField:
             out[i] += m
         return out
 
+    def rhs(self):
+        """The field as a generated right-hand side (t, y) -> tuple of floats,
+        for y a list of floats: equal to eval at real points bit for bit.
+        Integrations go through it; eval stays for complex and one-off
+        points."""
+        return tx.compile_rhs(self.dim, [
+            (i, c, tuple((k, p) for k, p in enumerate(exps) if p))
+            for (i, exps), c in self.terms.items()])
+
     def jacobian(self, x) -> np.ndarray:
         """Matrix of partial derivatives at x, from exact coefficient differentiation."""
         x = np.asarray(x)

@@ -35,7 +35,7 @@ from typing import Union
 __all__ = [
     "TimeExpr", "Lit", "TVar", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Fun",
     "T", "ParseError", "EvalError", "parse_expr", "format_expr", "eval_expr",
-    "compile_expr", "compile_table", "diff_expr", "lit", "eadd", "esub", "emul",
+    "compile_expr", "compile_table", "compile_rhs", "diff_expr", "lit", "eadd", "esub", "emul",
     "ediv", "eneg", "epow", "efun", "as_expr",
 ]
 
@@ -588,12 +588,8 @@ def compile_table(exprs):
         raise EvalError("near-zero denominator", den_nodes[k], t)
 
     src = "def _table(t):\n    t = float(t)\n" + "\n".join(body) + "\n"
-    namespace = {"exp": math.exp, "sin": math.sin, "cos": math.cos,
-                 "_fail": fail, **consts}
-    exec(compile(src, "<timexpr table>", "exec"), namespace)  # noqa: S102 - our own AST
-    # popped, so that the function and its globals form no reference cycle
-    # and are freed as soon as their owner drops the table
-    table = namespace.pop("_table")
+    table = _define(src, "_table", {"exp": math.exp, "sin": math.sin, "cos": math.cos,
+                                     "_fail": fail, **consts})
 
     def taylor(t: float, order: int) -> list:
         a = _taylor(nodes, float(t), order)
@@ -601,6 +597,66 @@ def compile_table(exprs):
 
     table.taylor = taylor
     return table
+
+
+def compile_rhs(dim: int, terms, table=None):
+    """Compile a polynomial right-hand side into one callable (t, y) ->
+    tuple of dim floats, for y a sequence of dim floats.
+
+    `terms` lists (component, coefficient, powers) for the monomial
+    coefficient * y[v1]**p1 * y[v2]**p2 * ... with powers ((v1, p1), ...).
+    A coefficient is a float literal, or the int number of a column of
+    `table`, a compile_table callable that the function calls once per t (a
+    near-zero denominator raises its EvalError).  Each component sums its
+    terms in the given order, starting from 0.0, with two exceptions that let
+    a table stand in for a loop over coefficient values:
+    - a column term without powers that comes first in its component starts
+      the sum itself, so that a -0.0 value stays -0.0;
+    - a monomial of degree 2 or more is skipped while its column reads
+      exactly 0.0.
+    A literal coefficient 0.0 is not written at all.  Values equal those of
+    such a summation loop bit for bit.
+    """
+    cols: dict = {}
+    consts: dict = {}
+    sums = [""] * dim
+    body: list = []
+    for i, coeff, powers in terms:
+        if isinstance(coeff, int):
+            c = cols[coeff] = f"c{coeff}"
+        elif coeff == 0.0:
+            continue
+        elif not math.isfinite(coeff):
+            c = f"_c{len(consts)}"
+            consts[c] = coeff
+        else:
+            c = f"({coeff!r})" if coeff < 0 else repr(coeff)
+        mono = c + "".join(f"*y{v}**{p}" if p > 1 else f"*y{v}" for v, p in powers)
+        if isinstance(coeff, int) and not powers and not sums[i]:
+            sums[i] = c
+        elif isinstance(coeff, int) and sum(p for _, p in powers) > 1:
+            if sums[i] != f"o{i}":
+                body.append(f"    o{i} = {sums[i] or '0.0'}")
+            body.append(f"    if {c}: o{i} += {mono}")
+            sums[i] = f"o{i}"
+        else:
+            sums[i] = f"{sums[i] or '0.0'} + {mono}"
+    head = ["def _rhs(t, y):"]
+    if cols:
+        names = [cols.get(k, "_") for k in range(max(cols) + 1)]
+        head.append(f"    {', '.join(names)}, *_ = _table(t)")
+    head.append(f"    {''.join(f'y{v}, ' for v in range(dim))}= y")
+    ret = f"    return ({''.join((v or '0.0') + ', ' for v in sums)})"
+    return _define("\n".join(head + body + [ret]) + "\n", "_rhs",
+                   {"_table": table, **consts})
+
+
+def _define(src: str, name: str, namespace: dict):
+    """Run the source of one generated function and return the function.  It
+    is popped from its globals, so that the two form no reference cycle and
+    are freed as soon as the function's owner drops it."""
+    exec(compile(src, "<timexpr>", "exec"), namespace)  # noqa: S102 - our own source
+    return namespace.pop(name)
 
 
 def compile_expr(e: TimeExpr):

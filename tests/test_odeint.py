@@ -287,7 +287,7 @@ def test_rms_equals_sqrt_of_mean_bit_for_bit():
 
 
 def test_integration_messages_print_times_as_floats():
-    sol = integrate_dense(lambda _t, y: -y, 0.0, 1.0, np.ones(2))
+    sol = integrate_dense(lambda _t, y: [-v for v in y], 0.0, 1.0, np.ones(2))
     assert all(type(t) is float for t in sol.t_starts + sol.hs + [sol.t_end])
     # a span whose end was left as a numpy float still prints plain numbers
     sol.t_end = np.float64(sol.t_end)
