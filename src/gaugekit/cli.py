@@ -351,8 +351,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser and the printer recurse; expressions come from system
-        # and curve files only
+        # the parser recurses; expressions come from system and curve
+        # files only
         files = [v for v in (getattr(args, "system", None), getattr(args, "curve", None)) if v]
         print(f"error: {', '.join(files)}: expression nested too deeply", file=sys.stderr)
         return 2

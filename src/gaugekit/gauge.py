@@ -2,14 +2,29 @@
 
 The transform of x' = f(x) by A(t) is the nonautonomous system
 y' = A'(t) A(t)^{-1} y + A(t) f(A(t)^{-1} y).  When the curve admits
-symbolic entries (closed form with a symbolic inverse, or a one-parameter
-exponential with diagonalizable generator), the transform is also emitted
-as a closed-form NonAutoSystem with TimeExpr coefficients.
+symbolic entries, the transform is also emitted as a closed-form
+NonAutoSystem with TimeExpr coefficients, in one of two ways:
+
+- A one-parameter exponential exp(tM) with a diagonalizable generator,
+  M = V Lambda V^{-1} with cond(V) <= 1e8, gives exact exponential sums.
+  The field is pushed through the eigenbasis once, and every coefficient
+  comes out as a table {integer exponent vector k: value}, printed as a
+  sum of exp(a t) (p cos(b t) + q sin(b t)) with a + ib = k . Lambda.
+  A value is zero when it is at most _EXP_SUM_RTOL = 1e-12 times the same
+  expansion run on |V^{-1}|, |V| and |f|, which bounds the terms summed
+  into it.
+- A closed-form curve with a symbolic inverse is pushed forward as
+  expression tables.  A coefficient is zero when its values stay at or
+  below _DROP_TOL = 1e-10 at 20 sample times in the span.
+
+Either closed form is kept only if it matches the numeric transform within
+1e-9 relative at ten points of the span.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +33,7 @@ import numpy as np
 from . import timexpr as tx
 from ._rk import BLOWUP_NORM, IntegrationError, integrate_dense
 from .identify import NonAutoSystem
-from .matcurve import ClosedFormCurve, ExponentialCurve, MatrixCurve, mat_exp
+from .matcurve import ClosedFormCurve, ExponentialCurve, MatrixCurve
 from .polyfield import PolyField, lie_bracket, linear_pushforward, pushforward_terms
 
 __all__ = [
@@ -26,9 +41,14 @@ __all__ = [
     "transform_solution", "conjugate_map", "hat_transform", "mixed_bracket_residual",
 ]
 
+#: the zero test of a closed-form curve's coefficients: below this at every
+#: sample time
 _DROP_TOL = 1e-10
-# zero tests sample these fractions of the caller's span
+# closed-form curves' zero tests sample these fractions of the caller's span
 _SAMPLE_FRACTIONS = np.linspace(0.025, 0.975, 20)
+#: the zero test of an exponential curve's coefficients: a value of an
+#: exponential sum is zero when at most this times its bound
+_EXP_SUM_RTOL = 1e-12
 
 
 @dataclass
@@ -54,102 +74,25 @@ def _table_product(A: list, B: list) -> list:
             for i in range(n)]
 
 
-def _exp_lin(c: float) -> tx.TimeExpr:
-    if abs(c) <= 1e-15:
-        return tx.Lit(1.0)
-    return tx.efun("exp", c * tx.T)
-
-
 def _sample_times(t_span: tuple) -> np.ndarray:
     t0, t1 = float(t_span[0]), float(t_span[1])
     return t0 + (t1 - t0) * _SAMPLE_FRACTIONS
 
 
-def _symbolic_expm_entries(M: np.ndarray, sign: int, t_span: tuple,
-                           samples: np.ndarray | None = None) -> list | None:
-    """TimeExpr entries of exp(sign * t * M), or None when no reliable
-    closed form is available: a defective or ill-conditioned generator, or
-    entries off the (K, n, n) samples of mat_exp (computed when not given)
-    at the zero test's times in t_span."""
-    n = M.shape[0]
-    if np.max(np.abs(M - np.diag(np.diag(M)))) == 0.0:
-        return [[_exp_lin(sign * M[i, i]) if i == j else tx.Lit(0.0)
-                 for j in range(n)] for i in range(n)]
-    w, V = np.linalg.eig(M)
-    if not np.all(np.isfinite(V)) or np.linalg.cond(V) > 1e8:
-        return None
-    W = np.linalg.inv(V)
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc: tx.TimeExpr = tx.Lit(0.0)
-            used = set()
-            for k in range(n):
-                if k in used:
-                    continue
-                lam = w[k]
-                c = V[i, k] * W[k, j]
-                if abs(lam.imag) <= 1e-12 * (1.0 + abs(lam)):
-                    used.add(k)
-                    if abs(c.real) <= 1e-14:
-                        continue
-                    acc = acc + c.real * _exp_lin(sign * lam.real)
-                    continue
-                partner = None
-                for k2 in range(n):
-                    if k2 not in used and k2 != k \
-                            and abs(w[k2] - lam.conjugate()) <= 1e-8 * (1.0 + abs(lam)):
-                        partner = k2
-                        break
-                if partner is None:
-                    return None
-                used.add(k)
-                used.add(partner)
-                a, b = lam.real, lam.imag
-                osc: tx.TimeExpr = tx.Lit(0.0)
-                if abs(c.real) > 1e-14:
-                    osc = osc + 2.0 * c.real * tx.efun("cos", sign * b * tx.T)
-                if abs(c.imag) > 1e-14:
-                    osc = osc - 2.0 * c.imag * tx.efun("sin", sign * b * tx.T)
-                acc = acc + _exp_lin(sign * a) * osc
-            row.append(acc)
-        entries.append(row)
-    ts = _sample_times(t_span)
-    ref = mat_exp(sign * ts[:, None, None] * M) if samples is None else samples
-    table = tx.compile_table([e for row in entries for e in row])
-    try:
-        got = np.array([table(t) for t in ts.tolist()]).reshape(ref.shape)
-    except (tx.EvalError, OverflowError):
-        return None
-    bound = 1e-9 * (1.0 + np.max(np.abs(ref), axis=(1, 2)))
-    # NaN fails `<=`: the entries must match a finite mat_exp
-    return entries if np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= bound) else None
-
-
 def _symbolic_entries(A: MatrixCurve, t_span: tuple):
-    """(S, S_inv, S_dot) as TimeExpr tables, and as (K, n, n) stacks at the
-    zero test's sample times in t_span (None when the curve cannot be
-    evaluated at one of them); None when the curve has no closed form."""
+    """(S, S_inv, S_dot) of a closed-form curve as TimeExpr tables, and as
+    (K, n, n) stacks at the zero test's sample times in t_span (None when
+    the curve cannot be evaluated at one of them); None when the curve is
+    not a closed-form curve with a symbolic inverse."""
+    if not isinstance(A, ClosedFormCurve) or A.inverse_entries is None:
+        return None
     ts = _sample_times(t_span)
-    if isinstance(A, ClosedFormCurve):
-        if A.inverse_entries is None:
-            return None
-        try:
-            samples = tuple(np.array([fn(t) for t in ts.tolist()])
-                            for fn in (A.value, A._inverse, A.derivative))
-        except (tx.EvalError, OverflowError):
-            samples = None
-        return (A.entries, A.inverse_entries, A._dentries), samples
-    if isinstance(A, ExponentialCurve):
-        G = A.sign * A.generator
-        E, Einv = mat_exp(ts[:, None, None] * G), mat_exp(-ts[:, None, None] * G)
-        S = _symbolic_expm_entries(A.generator, A.sign, t_span, E)
-        Sinv = _symbolic_expm_entries(A.generator, -A.sign, t_span, Einv)
-        if S is None or Sinv is None:
-            return None
-        return (S, Sinv, _table_product(G.tolist(), S)), (E, Einv, G @ E)
-    return None
+    try:
+        samples = tuple(np.array([fn(t) for t in ts.tolist()])
+                        for fn in (A.value, A._inverse, A.derivative))
+    except (tx.EvalError, OverflowError):
+        samples = None
+    return (A.entries, A.inverse_entries, A._dentries), samples
 
 
 def symbolic_pushforward(f: PolyField, S: list, Sinv: list, Sdot: list) -> tuple:
@@ -170,7 +113,7 @@ def symbolic_pushforward(f: PolyField, S: list, Sinv: list, Sdot: list) -> tuple
     terms: dict = {}
     for j in f.degrees():
         if j >= 2:
-            terms.update(pushforward_terms(S, Sinv, f.grade(j)))
+            terms.update(pushforward_terms(S, Sinv, f.grade(j).terms))
     return const, linear, terms
 
 
@@ -200,19 +143,177 @@ def _kept(f: PolyField, samples: tuple | None, terms: dict) -> list:
         return [not np.all(np.abs(v) <= _DROP_TOL) for v in flat]
 
 
-def _emit_closed_form(f: PolyField, symbolic: tuple, samples: tuple | None,
-                      direct_rhs, points: list) -> NonAutoSystem | None:
-    n = f.dim
+def _sampled_tables(f: PolyField, symbolic: tuple, samples: tuple | None) -> tuple:
+    """symbolic_pushforward of a closed-form curve's tables, with the
+    coefficients that the sampled zero test drops set to zero."""
     const, linear, terms = symbolic_pushforward(f, *symbolic)
     keep = iter(_kept(f, samples, terms))
     zero = tx.Lit(0.0)
     const = [e if next(keep) else zero for e in const]
     linear = [[e if next(keep) else zero for e in row] for row in linear]
     terms = {key: e for key, e in terms.items() if next(keep)}
+    return const, linear, terms
+
+
+class _ExpSum(dict):
+    """A coefficient of the eigenbasis expansion, {exponent vector k: c}:
+    the sum of c exp((k . lambda) t) over the eigenvalues lambda of the
+    generator.  `+` adds two sums, `*` scales one by a number."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "_ExpSum") -> "_ExpSum":
+        out = _ExpSum(self)
+        for k, c in other.items():
+            out[k] = out[k] + c if k in out else c
+        return out
+
+    def __mul__(self, s) -> "_ExpSum":
+        return _ExpSum({k: c * s for k, c in self.items()})
+
+
+def _exponents(lam: np.ndarray):
+    """k -> (a, b), the real and imaginary parts of k . lam for an integer
+    vector k, or None when a complex eigenvalue has no exact conjugate.
+    Conjugate eigenvalues are paired, so that the vector with the entries of
+    each pair swapped gets (a, -b) exactly."""
+    lam = [complex(v) for v in lam.tolist()]
+    n = len(lam)
+    real = [k for k in range(n) if lam[k].imag == 0.0]
+    pairs: list = []
+    for k in range(n):
+        if lam[k].imag > 0.0:
+            j = next((j for j in range(n) if lam[j] == lam[k].conjugate()
+                      and all(j != q for _, q in pairs)), None)
+            if j is None:
+                return None
+            pairs.append((k, j))
+    if len(real) + 2 * len(pairs) != n:
+        return None
+    memo: dict = {}
+
+    def exponent(k: tuple) -> tuple:
+        if k not in memo:
+            a = sum(k[r] * lam[r].real for r in real) \
+                + sum((k[p] + k[q]) * lam[p].real for p, q in pairs)
+            b = sum((k[p] - k[q]) * lam[p].imag for p, q in pairs)
+            memo[k] = (float(a), float(b))
+        return memo[k]
+
+    return exponent
+
+
+def _combination(pairs) -> tx.TimeExpr:
+    """sum of c * e over the (c, e) pairs whose c is nonzero, a negative c
+    after the first subtracted."""
+    acc = None
+    for c, e in pairs:
+        if c == 0.0:
+            continue
+        if acc is None:
+            acc = c * e
+        else:
+            acc = acc - (-c) * e if c < 0.0 else acc + c * e
+    return tx.Lit(0.0) if acc is None else acc
+
+
+def _exponential_sum(values: _ExpSum, bounds: _ExpSum, exponent, wave) -> tx.TimeExpr:
+    """A coefficient as the sum over rates a of exp(a t) times the sum over
+    frequencies b >= 0 of p cos(b t) + q sin(b t), both sorted.  The vectors
+    of one (a, b), and each vector with its conjugate, are summed first (a
+    real field gives conjugate values); p and q are zero when at most
+    _EXP_SUM_RTOL times the summed bounds.  wave(name, rate) gives the node
+    name(rate t)."""
+    merged: dict = {}
+    for k, c in values.items():
+        a, b = exponent(k)
+        if b < 0.0:
+            c, b = c.conjugate(), -b
+        slot = merged.setdefault((a, b), [0.0, 0.0])
+        slot[0] += c
+        slot[1] += bounds[k]
+    by_rate: dict = {}
+    for (a, b), (c, m) in sorted(merged.items()):
+        tol = _EXP_SUM_RTOL * m
+        terms = by_rate.setdefault(a, [])
+        if abs(c.real) > tol:
+            terms.append((c.real, wave("cos", b)))
+        if b > 0.0 and abs(c.imag) > tol:
+            terms.append((-c.imag, wave("sin", b)))
+    parts = []
+    for a, terms in by_rate.items():
+        E = wave("exp", a)
+        if len(terms) == 1:
+            parts.append((terms[0][0], E * terms[0][1]))
+        elif terms:
+            parts.append((1.0, E * _combination(terms)))
+    return _combination(parts)
+
+
+def _exponential_tables(f: PolyField, A: ExponentialCurve) -> tuple | None:
+    """(constant, linear, terms) of the transform by S(t) = exp(tM),
+    M = sign G, as exact exponential sums; None when M is defective or its
+    eigenvectors are ill-conditioned.
+
+    With M = V Lambda W, W = V^{-1}, S f(S^{-1} y) = V e^{t Lambda}
+    g(e^{-t Lambda} W y) for g = W f(V .), so the coefficient of u^m in
+    component a of g carries the one exponential exp(((e_a - m) . lambda) t).
+    f is pushed forward by (W, V) once, each coefficient tagged with its
+    vector e_a - m, and pushed back by (V, W); S'S^{-1} = M adds M to the
+    linear part.  The same two pushforwards of |W|, |V| and |f| bound every
+    value for the zero test."""
+    n = f.dim
+    M = A.sign * A.generator
+    lam, V = np.linalg.eig(M)
+    if not np.all(np.isfinite(V)) or np.linalg.cond(V) > 1e8:
+        return None
+    exponent = _exponents(lam)
+    if exponent is None:
+        return None
+    W = np.linalg.inv(V)
+    origin = (0,) * n
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+
+    def expand(W: list, V: list, fterms: dict, M: np.ndarray) -> dict:
+        tagged = {(a, m): _ExpSum({tuple(int(r == a) - p for r, p in enumerate(m)): c})
+                  for (a, m), c in pushforward_terms(W, V, fterms).items()}
+        table = pushforward_terms(V, W, tagged)
+        for (i, j), c in np.ndenumerate(M):
+            if c != 0.0:
+                key, add = (i, units[j]), _ExpSum({origin: float(c)})
+                table[key] = table[key] + add if key in table else add
+        return table
+
+    values = expand(W.tolist(), V.tolist(), f.terms, M)
+    bounds = expand(np.abs(W).tolist(), np.abs(V).tolist(),
+                    {key: abs(c) for key, c in f.terms.items()}, np.abs(M))
+    # one node per wave, shared by every coefficient
+    wave = functools.cache(lambda name, rate: tx.efun(name, rate * tx.T))
+    coeff = {key: _exponential_sum(c, bounds[key], exponent, wave)
+             for key, c in values.items()}
+    zero = tx.Lit(0.0)
+    const = [coeff.get((i, origin), zero) for i in range(n)]
+    linear = [[coeff.get((i, units[j]), zero) for j in range(n)] for i in range(n)]
+    terms = {key: coeff[key] for key in sorted(coeff)
+             if sum(key[1]) >= 2 and coeff[key] != zero}
+    return const, linear, terms
+
+
+def _emit_closed_form(n: int, const: list, linear: list, terms: dict,
+                      direct_rhs, points: list) -> NonAutoSystem | None:
+    """The system of the tables, or None unless it matches the direct RHS
+    within 1e-9 relative at every validation point.  It is read through its
+    table, so no right-hand side is generated for it here."""
     system = NonAutoSystem(n, const, linear, terms)
     for t, x in points:
         want = direct_rhs(t, x)
-        got = system.eval(t, x)
+        try:
+            vals = system._table(t)
+        except OverflowError:
+            return None
+        got = system._constant_of(vals) + system._linear_of(vals) @ x
+        for j in system.degrees():
+            got = got + system._terms_of(vals, j).eval(x)
         # NaN fails no comparison: non-finite values refuse the closed form
         if not (np.isfinite(want).all() and np.isfinite(got).all()) \
                 or np.max(np.abs(got - want)) > 1e-9 * (1.0 + np.max(np.abs(want))):
@@ -230,10 +331,14 @@ def transform_rhs(f: PolyField, A: MatrixCurve) -> Callable[[float, np.ndarray],
     if f.dim != A.dim:
         raise ValueError(f"field dim {f.dim} does not match curve dim {A.dim}")
 
+    # A'A^{-1} of a one-parameter group is its generator
+    M = A.sign * A.generator if isinstance(A, ExponentialCurve) else None
+
     def rhs(t: float, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        Ainv = A.inverse(t)
-        return A.derivative(t) @ (Ainv @ y) + A.value(t) @ f.eval(Ainv @ y)
+        u = A.inverse(t) @ y
+        lin = M @ y if M is not None else A.derivative(t) @ u
+        return lin + A.value(t) @ f.eval(u)
 
     return rhs
 
@@ -243,16 +348,21 @@ def gauge_transform(f: PolyField, A: MatrixCurve,
     """The nonautonomous system y' = A'A^{-1} y + A f(A^{-1} y).
 
     The evaluator always works numerically through the curve; a closed-form
-    NonAutoSystem is attached when the curve carries symbolic entries and a
-    symbolic inverse.  Coefficients are dropped as zero, and the closed form
-    is checked against the evaluator, at sample times inside t_span.
+    NonAutoSystem is attached for an exponential curve with a diagonalizable
+    generator, and for a closed-form curve with a symbolic inverse (see the
+    module docstring for the zero tests).  The closed form is checked
+    against the evaluator at times inside t_span.
     """
     rhs = transform_rhs(f, A)
     points = _validation_points(f.dim, t_span)
     if isinstance(A, ClosedFormCurve):
         A.check_inverse([t for t, _ in points])
-    sym = _symbolic_entries(A, t_span)
-    closed = None if sym is None else _emit_closed_form(f, *sym, rhs, points)
+    if isinstance(A, ExponentialCurve):
+        tables = _exponential_tables(f, A)
+    else:
+        sym = _symbolic_entries(A, t_span)
+        tables = None if sym is None else _sampled_tables(f, *sym)
+    closed = None if tables is None else _emit_closed_form(f.dim, *tables, rhs, points)
     return NonAutoEvaluator(f.dim, rhs, t_span, closed)
 
 

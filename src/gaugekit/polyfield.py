@@ -324,16 +324,21 @@ def _poly_pow(p: dict, k: int, dim: int) -> dict:
     return result
 
 
-def pushforward_terms(A: list, Ainv: list, f: PolyField) -> dict:
-    """Coefficients of A f(A^{-1} x), keyed like PolyField terms.
+def pushforward_terms(A: list, Ainv: list, terms: dict) -> dict:
+    """Coefficients of A f(A^{-1} x), keyed like PolyField terms, for f the
+    field with the coefficient table `terms` ((component, exponents) ->
+    coefficient).
 
-    A and Ainv are n x n tables (rows) of floats, TimeExprs or (K,) arrays,
-    one slice per matrix of a stack; the coefficients come out in the same
-    arithmetic.  Exact multinomial expansion, degree-preserving on each
-    graded part.  An entry that is zero (in every slice) is skipped, so a
-    key can be missing or hold zeros where another arithmetic has none.
+    A and Ainv are n x n tables (rows) of floats, complex numbers, TimeExprs
+    or (K,) arrays, one slice per matrix of a stack; the coefficients come
+    out in the same arithmetic.  The coefficients of `terms` need only
+    `+` and multiplication by an entry of the tables, so they may be of
+    another type than the tables.  Exact multinomial expansion,
+    degree-preserving on each graded part.  An entry that is zero (in every
+    slice) is skipped, so a key can be missing or hold zeros where another
+    arithmetic has none.
     """
-    n = f.dim
+    n = len(A)
     lin_forms = [_linear_form(Ainv[k], n) for k in range(n)]
     cache: dict = {}
 
@@ -346,8 +351,8 @@ def pushforward_terms(A: list, Ainv: list, f: PolyField) -> dict:
             cache[exps] = prod
         return cache[exps]
 
-    terms: dict = {}
-    for (j, exps), c in f.terms.items():
+    out: dict = {}
+    for (j, exps), c in terms.items():
         expanded = expand(exps)
         for i in range(n):
             aij = A[i][j]
@@ -356,8 +361,8 @@ def pushforward_terms(A: list, Ainv: list, f: PolyField) -> dict:
             for e, v in expanded.items():
                 key = (i, e)
                 term = c * aij * v
-                terms[key] = terms[key] + term if key in terms else term
-    return terms
+                out[key] = out[key] + term if key in out else term
+    return out
 
 
 def linear_pushforward(A, f: PolyField):
@@ -378,9 +383,9 @@ def linear_pushforward(A, f: PolyField):
     Ainv = invert_checked(A)
     if A.ndim == 3:
         # entry (i, j) of the tables is the (K,) array of the stack's (i, j) entries
-        return pushforward_terms(A.transpose(1, 2, 0), Ainv.transpose(1, 2, 0), f)
+        return pushforward_terms(A.transpose(1, 2, 0), Ainv.transpose(1, 2, 0), f.terms)
     # Python floats, not numpy scalars: the shared expansion is faster on them
-    return PolyField(n, pushforward_terms(A.tolist(), Ainv.tolist(), f))
+    return PolyField(n, pushforward_terms(A.tolist(), Ainv.tolist(), f.terms))
 
 
 # ---------------------------------------------------------------------------

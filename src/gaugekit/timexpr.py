@@ -21,8 +21,9 @@ expressions (children first, structurally equal subtrees once):
 ``compile_table`` generates one function of t from it (``compile_expr`` is its
 one-entry form), ``_taylor`` loops over it for the Taylor coefficients of any
 order at t (the table's ``taylor`` reader; ``eval_expr`` reads order 0), and
-``diff_expr`` for the derivative as an expression.  Only the parser and the
-printer recurse.  Values agree bit for bit across all of them.
+``diff_expr`` for the derivative as an expression.  The printer writes from an
+explicit stack; only the parser recurses.  Values agree bit for bit across all
+of them.
 """
 
 from __future__ import annotations
@@ -334,40 +335,48 @@ def _fmt_number(v: float) -> str:
 
 
 def format_expr(e: TimeExpr) -> str:
-    """Render `e` so that parse_expr(format_expr(e)) is structurally equal to e."""
-    return _fmt(e, 0)
+    """Render `e` so that parse_expr(format_expr(e)) is structurally equal to e.
 
-
-def _fmt(e: TimeExpr, level: int) -> str:
-    # level: 0 expr, 1 term, 2 factor, 3 base-with-power, 4 atom
-    if isinstance(e, Lit):
-        if e.value < 0 or (e.value == 0 and math.copysign(1.0, e.value) < 0):
-            return _wrap("-" + _fmt_number(-e.value), 4, level)
-        return _fmt_number(e.value)
-    if isinstance(e, TVar):
-        return "t"
-    if isinstance(e, Fun):
-        return f"{e.name}({_fmt(e.arg, 0)})"
-    if isinstance(e, Neg):
-        return _wrap("-" + _fmt(e.arg, 4), 4, level)
-    if isinstance(e, Pow):
-        return _wrap(f"{_fmt(e.base, 4)}^{e.exponent}", 3, level)
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        return _wrap(f"{_fmt(e.left, 1)}{op}{_fmt(e.right, 2)}", 1, level)
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        return _wrap(f"{_fmt(e.left, 0)}{op}{_fmt(e.right, 1)}", 0, level)
-    raise TypeError(f"not a TimeExpr node: {e!r}")
-
-
-def _wrap(text: str, prec: int, level: int) -> str:
-    # prec: the loosest context where `text` reparses as intended.
-    # A leading "-" (prec 4 here) is a grammar `base`, legal anywhere except
-    # as the bare right operand of ^ (never produced: exponents are ints).
-    if prec == 4:
-        return text
-    return f"({text})" if prec < level else text
+    The text is written left to right from an explicit stack of literal
+    pieces and of nodes, each with the grammar level its context requires
+    (0 expr, 1 term, 2 factor, 3 base-with-power, 4 atom); a node is wrapped
+    in parentheses when it binds more loosely than that.  A leading "-"
+    is a grammar `base`, legal anywhere except as the bare right operand of
+    ^, which is never a node (exponents are ints).
+    """
+    out: list = []
+    stack: list = [(e, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, level = item
+        cls = type(node)
+        if cls is Lit:
+            v = node.value
+            negative = v < 0 or (v == 0 and math.copysign(1.0, v) < 0)
+            out.append("-" + _fmt_number(-v) if negative else _fmt_number(v))
+        elif cls is TVar:
+            out.append("t")
+        elif cls is Fun:
+            out.append(node.name + "(")
+            stack += [")", (node.arg, 0)]
+        elif cls is Neg:
+            out.append("-")
+            stack.append((node.arg, 4))
+        else:
+            if cls is Pow:
+                prec, parts = 3, [(node.base, 4), f"^{node.exponent}"]
+            elif cls in _BINARY:
+                prec = 1 if cls is Mul or cls is Div else 0
+                parts = [(node.left, prec), _BINARY[cls], (node.right, prec + 1)]
+            else:
+                raise TypeError(f"not a TimeExpr node: {node!r}")
+            if prec < level:
+                parts = ["("] + parts + [")"]
+            stack += reversed(parts)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

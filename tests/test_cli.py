@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gaugekit.cli import dumps, main
+from gaugekit.identify import NonAutoSystem
 from gaugekit.matcurve import curve_from_dict, curve_to_dict
 from gaugekit.polyfield import field_from_dict, field_to_dict
 
@@ -230,7 +231,8 @@ def test_identify_long_coefficient(tmp_path, capsys):
 
 
 def test_nesting_beyond_the_recursion_limit_exit_2_names_file(files, tmp_path, capsys):
-    # the parser recurses per parenthesis, the printer per summand
+    # the parser recurses per parenthesis; the printer does not recurse, so
+    # a long sum is written and read back
     sysf = tmp_path / "nested.json"
     sysf.write_text(json.dumps({"dim": 1, "terms": [
         {"component": 0, "exponents": [2], "coeff": "(" * 400 + "t" + ")" * 400}]}))
@@ -242,10 +244,14 @@ def test_nesting_beyond_the_recursion_limit_exit_2_names_file(files, tmp_path, c
     fpath = tmp_path / "f1.json"
     fpath.write_text(json.dumps({"dim": 1, "terms": [
         {"component": 0, "exponents": [2], "coeff": 1.0}]}))
-    assert main(["transform", "--field", str(fpath), "--curve", str(cpath)]) == 2
-    captured = capsys.readouterr()
-    assert "long-curve.json: expression nested too deeply" in captured.err
-    assert captured.out == ""
+    out = tmp_path / "long-system.json"
+    assert main(["transform", "--field", str(fpath), "--curve", str(cpath),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    q = NonAutoSystem.from_dict(json.loads(out.read_text()))
+    # y' = 2999/(1 + 2999 t) y + y^2/(1 + 2999 t)
+    assert q.linear_at(0.5)[0, 0] == pytest.approx(2999.0 / 1500.5, rel=1e-12)
+    assert q.degree_part_at(0.5, 2).terms == {(0, (2,)): pytest.approx(1.0 / 1500.5, rel=1e-12)}
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     assert main(["integrate", "--field", str(deep), "--x0", "0"]) == 2

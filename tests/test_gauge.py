@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,22 +160,26 @@ def test_constant_field_transform():
 
 
 def test_symbolic_exponential_entries_complex_pair():
-    from gaugekit.gauge import _symbolic_expm_entries
-    from gaugekit.matcurve import mat_exp
+    # the constant part of the transform of a constant field b is exp(tM) b,
+    # so the closed forms for b = e1 and e2 are the columns of exp(tM): sums
+    # of exp(0.3 t) times cos(2 t) and sin(2 t), each conjugate pair summed
     M = np.array([[0.3, -2.0], [2.0, 0.3]])  # eigenvalues 0.3 +- 2i
-    S = _symbolic_expm_entries(M, 1, (0.0, 1.0))
-    assert S is not None
-    for t in np.linspace(0.0, 1.0, 9):
-        got = np.array([[tx.eval_expr(e, float(t)) for e in row] for row in S])
-        assert np.max(np.abs(got - mat_exp(t * M))) <= 1e-9
-    rendered = tx.format_expr(S[0][0])
-    assert "exp" in rendered and "cos" in rendered
+    A = ExponentialCurve(M)
+    columns = [gauge_transform(PolyField.from_constant(b), A).closed_form.constant
+               for b in np.eye(2)]
+    for t in np.linspace(-1.0, 1.0, 9):
+        got = np.array([[tx.eval_expr(e, float(t)) for e in col] for col in columns]).T
+        assert np.max(np.abs(got - mat_exp(t * M))) <= 1e-12
+    # one wave each, with the rate and frequency of the eigensolver, which
+    # may round them: c exp(0.3 t) cos(2 t) and c exp(0.3 t) sin(2 t)
+    number = r"-?\d+(\.\d+)?"
+    for col, wave in zip(columns, ("cos", "sin")):
+        assert re.fullmatch(rf"-?({number}\*)?\(?exp\({number}\*t\)\*{wave}\({number}\*t\)\)?",
+                            tx.format_expr(col[0]))
 
 
 def test_defective_generator_has_no_closed_form():
-    from gaugekit.gauge import _symbolic_expm_entries
     M = np.array([[0.0, 1.0], [0.0, 0.0]])  # defective: one eigenvector
-    assert _symbolic_expm_entries(M, -1, (0.0, 1.0)) is None
     ev = gauge_transform(p2_field(), ExponentialCurve(M, -1))
     assert ev.closed_form is None
     assert np.all(np.isfinite(ev(0.5, np.array([0.2, 0.1]))))
@@ -213,9 +218,8 @@ def _recording_compiles(monkeypatch) -> list:
 
 @pytest.mark.parametrize("kind", ["exp", "closed_form"])
 def test_a_transform_compiles_only_the_emitted_systems_table(monkeypatch, kind):
-    # besides the curve's own entry tables (an exponential's validation
-    # compiles exp(-tM) and exp(tM)), one table per transform: the emitted
-    # system's, which identification, its T flow and integration reuse
+    # one table per transform: the emitted system's, which validation,
+    # identification, its T flow and integration reuse
     from gaugekit.identify import identify
     f = random_field(np.random.default_rng(5), 2, [0, 1, 2, 3])
     if kind == "exp":
@@ -227,12 +231,10 @@ def test_a_transform_compiles_only_the_emitted_systems_table(monkeypatch, kind):
     assert q is not None and any(e != tx.Lit(0.0) for row in q.linear for e in row)
     assert identify(q).status == "gauge"
     integrate(q, [0.1, -0.2], (0.0, 0.5))
-    entry_tables = 2 if kind == "exp" else 0
-    assert len(compiled) == entry_tables + 1
-    assert all(len(exprs) == 4 for exprs in compiled[:entry_tables])
+    assert len(compiled) == 1
     system = q._coefficients()
-    assert len(compiled[-1]) == len(system)
-    assert all(a is b for a, b in zip(compiled[-1], system))
+    assert len(compiled[0]) == len(system)
+    assert all(a is b for a, b in zip(compiled[0], system))
 
 
 def _reference_peaks(exprs: list, ts: list) -> np.ndarray:
@@ -255,72 +257,57 @@ def _reference_peaks(exprs: list, ts: list) -> np.ndarray:
     return peaks
 
 
-def _random_curve(rng, n: int, kind: str, cancel: bool):
-    """A curve, and a linear part L whose transform has C(t) = 0 (None when
-    no constant L does that); with cancel, a rotation turns at a constant
-    rate, so that it has such an L."""
-    V = rng.uniform(-1.0, 1.0, size=(n, n)) + 2.0 * np.eye(n)
-    if kind == "rotation" and n >= 2:
-        # theta = a t (+ b t^2): R' R^-1 = a J in the plane of the first two axes
-        a, b = np.round(rng.uniform(-1.5, 1.5, size=2), 6)
-        b = 0.0 if cancel else b
-        th = tx.parse_expr(f"{a}*t + {b}*t^2")
-        c, s = tx.Fun("cos", th), tx.Fun("sin", th)
-        entries = [[tx.Lit(float(i == j)) for j in range(n)] for i in range(n)]
-        entries[0][:2], entries[1][:2] = [c, tx.Neg(s)], [s, c]
-        L = np.zeros((n, n))
-        L[0, 1], L[1, 0] = a, -a
-        return ClosedFormCurve(entries), (L if b == 0.0 else None)
-    if kind == "complex" and n >= 2:
-        D = np.diag(rng.uniform(-1.0, 1.0, size=n))
-        D[0, 1], D[1, 0] = -1.5, 1.5
-        D[1, 1] = D[0, 0]  # eigenvalues D00 +- 1.5i
-        M = V @ D @ np.linalg.inv(V)
-    elif kind == "diagonal":
-        M = np.diag(rng.uniform(-1.5, 1.5, size=n))
-    else:
-        M = V @ np.diag(rng.uniform(-1.5, 1.5, size=n)) @ np.linalg.inv(V)
-    sign = int(rng.choice([-1, 1]))
-    return ExponentialCurve(M, sign), -sign * M
+def _random_rotation(rng, n: int, cancel: bool):
+    """A rotation in the plane of the first two axes by theta = a t + b t^2,
+    and, when it turns at a constant rate (b = 0, as with cancel), the
+    linear part L whose transform has C(t) = 0 (else None)."""
+    a, b = np.round(rng.uniform(-1.5, 1.5, size=2), 6)
+    b = 0.0 if cancel else b
+    th = tx.parse_expr(f"{a}*t + {b}*t^2")
+    c, s = tx.Fun("cos", th), tx.Fun("sin", th)
+    entries = [[tx.Lit(float(i == j)) for j in range(n)] for i in range(n)]
+    entries[0][:2], entries[1][:2] = [c, tx.Neg(s)], [s, c]
+    L = np.zeros((n, n))
+    L[0, 1], L[1, 0] = a, -a  # R' R^-1 = a J
+    return ClosedFormCurve(entries), (L if b == 0.0 else None)
 
 
 def test_zero_test_agrees_with_the_compiled_candidates():
-    # the drop decision of every candidate coefficient, from the pushforward
-    # of the sampled curve, against the candidates' expressions compiled and
-    # evaluated at the same 20 times; coefficients within a factor 10 of the
-    # threshold may fall either way in the two arithmetics
-    from hypothesis import assume, example, given, settings, strategies as st
+    # the drop decision of every candidate coefficient of a closed-form
+    # curve, from the pushforward of the sampled curve, against the
+    # candidates' expressions compiled and evaluated at the same 20 times;
+    # coefficients within a factor 10 of the threshold may fall either way
+    # in the two arithmetics
+    from hypothesis import example, given, settings, strategies as st
     from gaugekit import gauge
 
     seen = {True: 0, False: 0}
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=3),
-           st.sampled_from(["real", "complex", "diagonal", "rotation"]), st.booleans(),
-           st.floats(min_value=-1.5, max_value=0.5), st.floats(min_value=0.3, max_value=2.0))
-    @example(seed=0, n=2, kind="rotation", cancel=True, t0=-1.0, length=2.0)
-    @example(seed=0, n=3, kind="complex", cancel=True, t0=-1.0, length=2.0)
-    def run(seed, n, kind, cancel, t0, length):
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=2, max_value=3),
+           st.booleans(), st.floats(min_value=-1.5, max_value=0.5),
+           st.floats(min_value=0.3, max_value=2.0))
+    @example(seed=0, n=2, cancel=True, t0=-1.0, length=2.0)
+    @example(seed=0, n=3, cancel=True, t0=-1.0, length=2.0)
+    def run(seed, n, cancel, t0, length):
         rng = np.random.default_rng(seed)
-        A, L = _random_curve(rng, n, kind, cancel)
+        A, L = _random_rotation(rng, n, cancel)
         degrees = sorted(rng.choice([2, 3, 4], size=int(rng.integers(1, 3)), replace=False))
         f = random_field(rng, n, [0, 1, *degrees], density=0.5 if n == 3 else 0.8)
         f = PolyField(n, {key: c * 10.0 ** rng.uniform(-14.0, 0.0)
                           for key, c in f.terms.items()})
-        if cancel and L is not None:
+        if L is not None:
             # C(t) cancels to 0, as for four of the six perfbench round trips
             f = PolyField(n, {key: c for key, c in f.terms.items() if sum(key[1]) != 1}) \
                 + PolyField.from_linear(L)
-        if cancel and isinstance(A, ClosedFormCurve):
+        if cancel:
             # and -(x1^2 + x2^2)(x1, x2) is invariant under the rotation
             cubic = {(i, e + (0,) * (n - 2)): c
                      for (i, e), c in cubic_norm_field().terms.items()}
             f = PolyField(n, {key: c for key, c in f.terms.items() if sum(key[1]) != 3}) \
                 + PolyField(n, cubic)
         span = (t0, t0 + length)
-        sym = gauge._symbolic_entries(A, span)
-        assume(sym is not None)
-        symbolic, samples = sym
+        symbolic, samples = gauge._symbolic_entries(A, span)
         assert samples is not None
         const, linear, terms = gauge.symbolic_pushforward(f, *symbolic)
         flat = const + [e for row in linear for e in row] + list(terms.values())
@@ -337,13 +324,14 @@ def test_zero_test_agrees_with_the_compiled_candidates():
 
 
 def test_a_non_finite_sample_keeps_its_coefficient():
-    # exp(1000 t) overflows from t ~ 0.71: there the sampled exp(-1000 t) y^2
-    # coefficient is inf * 0 = NaN, so it is kept, although it is below the
-    # threshold wherever it is finite; the validation then refuses the
-    # closed form, as the direct RHS is NaN there too
+    # exp(700 t) (1 + t)^300 overflows from t ~ 0.88 (in a product, so to
+    # inf rather than to an OverflowError): there the sampled y^2
+    # coefficient, 1/A(t), is inf * 0 = NaN, so it is kept, although it is
+    # below the threshold wherever it is finite; the validation then refuses
+    # the closed form, as the direct RHS is NaN there too
     from gaugekit import gauge
     f = PolyField(1, {(0, (2,)): 1.0})
-    A = ExponentialCurve(np.array([[1000.0]]))
+    A = ClosedFormCurve([["exp(700*t)*(1+t)^300"]])
     with np.errstate(over="ignore", invalid="ignore"):
         symbolic, samples = gauge._symbolic_entries(A, (0.0, 1.0))
         assert not np.all(np.isfinite(samples[0]))
@@ -368,7 +356,8 @@ def test_a_curve_failing_at_a_sample_time_keeps_every_candidate():
 
 
 def test_symbolic_exponential_entries_are_validated_on_the_span(monkeypatch):
-    from gaugekit.gauge import _symbolic_expm_entries
+    # the emitted system's table is read at the ten validation times, all
+    # inside the span
     times = []
     real = tx.compile_table
 
@@ -385,12 +374,152 @@ def test_symbolic_exponential_entries_are_validated_on_the_span(monkeypatch):
     M = np.array([[0.3, -2.0], [2.0, 0.3]])
     for span in ((2.0, 3.5), (-3.0, -1.0)):
         times.clear()
-        assert _symbolic_expm_entries(M, 1, span) is not None
-        assert len(times) == 20 and all(span[0] <= t <= span[1] for t in times)
+        assert gauge_transform(p2_field(), ExponentialCurve(M), span).closed_form is not None
+        assert len(times) == 10 and all(span[0] <= t <= span[1] for t in times)
     # exp(300 t) overflows on [0, 3]: no closed form is validated there
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _symbolic_expm_entries(1000.0 * M, 1, (0.0, 1.0)) is not None
-        assert _symbolic_expm_entries(1000.0 * M, 1, (0.0, 3.0)) is None
+        assert gauge_transform(p2_field(), ExponentialCurve(1000.0 * M)).closed_form is not None
+        assert gauge_transform(p2_field(), ExponentialCurve(1000.0 * M),
+                               (0.0, 3.0)).closed_form is None
+
+
+def test_tiny_nonlinear_coefficients_are_kept():
+    # 1e-11 x1^2 e1 and 1e-12 x1 x2 e2 under a rotation are far below the
+    # absolute 1e-10 of a sampled zero test, but not zero relative to their
+    # own bound: the transform keeps them, and it is a gauge transform
+    from gaugekit.identify import identify
+    f = PolyField(2, {(0, (1, 0)): 0.3, (1, (0, 1)): -0.2,
+                      (0, (2, 0)): 1e-11, (1, (1, 1)): 1e-12})
+    A = ExponentialCurve(J, -1)
+    ev = gauge_transform(f, A)
+    q = ev.closed_form
+    assert q is not None and q.degrees() == [2]
+    for t in (0.2, 0.7):
+        y = np.array([0.4, -0.9])
+        quad = q.degree_part_at(t, 2).eval(y)
+        want = A.value(t) @ PolyField(2, {key: c for key, c in f.terms.items()
+                                          if sum(key[1]) == 2}).eval(A.inverse(t) @ y)
+        assert np.max(np.abs(quad - want)) <= 1e-12 * np.max(np.abs(want))
+    assert identify(q).status == "gauge"
+
+
+def test_a_transform_generates_no_right_hand_side(monkeypatch):
+    # validation reads the emitted system through its table; the generated
+    # right-hand side comes with the first integration
+    real = tx.compile_rhs
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tx, "compile_rhs", recording)
+    for A in (ExponentialCurve(np.array([[0.5, -0.4], [0.4, 0.1]]), -1),
+              rotation_curve("t + 0.5*t^2")):
+        calls.clear()
+        q = gauge_transform(p2_field(), A).closed_form
+        assert q is not None and calls == []
+        integrate(q, [0.1, -0.2], (0.0, 0.5))
+        integrate(q, [0.2, 0.1], (0.0, 0.5))
+        assert calls == [2]
+
+
+def test_transform_rhs_evaluates_two_exponentials(monkeypatch):
+    # A'A^{-1} of exp(sign t G) is sign G: one call reads exp(-sign t G)
+    # and exp(sign t G) only
+    from gaugekit import matcurve
+    from gaugekit.gauge import transform_rhs
+    real = matcurve.mat_exp
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(matcurve, "mat_exp", counting)
+    G = np.array([[0.5, -0.4], [0.4, 0.1]])
+    rhs = transform_rhs(p2_field(), ExponentialCurve(G, -1))
+    y = np.array([0.3, -0.6])
+    got = rhs(0.7, y)
+    assert len(calls) == 2
+    A, Ainv = real(-0.7 * G), real(0.7 * G)
+    want = -G @ y + A @ p2_field().eval(Ainv @ y)
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_an_overflowing_closed_form_is_refused(tmp_path, capsys):
+    # the x1 x2 e2 coefficient is exp(1000 t), which overflows math.exp
+    # from t ~ 0.71: validation refuses the closed form instead of raising
+    import json
+    from gaugekit.cli import main
+    f = PolyField(2, {(1, (1, 1)): 1.0})
+    G = np.diag([1000.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev = gauge_transform(f, ExponentialCurve(G, -1))
+    assert ev.closed_form is None
+    fpath, cpath = tmp_path / "f.json", tmp_path / "A.json"
+    fpath.write_text(json.dumps({"dim": 2, "terms": [
+        {"component": 1, "exponents": [1, 1], "coeff": 1.0}]}))
+    cpath.write_text(json.dumps({"dim": 2, "kind": "exp", "generator": G.tolist(),
+                                 "sign": -1}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["transform", "--field", str(fpath), "--curve", str(cpath)]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def _random_generator(rng, n: int, spectrum: str) -> np.ndarray:
+    """A diagonalizable generator: real eigenvalues, a complex pair plus
+    real ones, or a diagonal with a repeated eigenvalue."""
+    if spectrum == "repeated":
+        a = float(np.round(rng.uniform(-1.0, 1.0), 3))
+        return np.diag([a] * min(n, 2) + [rng.uniform(-1.0, 1.0)] * (n - 2))
+    V = rng.uniform(-1.0, 1.0, size=(n, n)) + 2.0 * np.eye(n)
+    D = np.diag(rng.uniform(-1.0, 1.0, size=n))
+    if spectrum == "complex" and n >= 2:
+        D[0, 1], D[1, 0] = -1.5, 1.5
+        D[1, 1] = D[0, 0]  # eigenvalues D00 +- 1.5i
+    return V @ D @ np.linalg.inv(V)
+
+
+def test_exponential_closed_forms_equal_the_direct_rhs():
+    # the exponential sums equal transform_rhs within 1e-9 relative at
+    # random points of the span, negative times included, and a second
+    # transform of the same input prints the same bytes; with cancel, the
+    # linear part -sign G makes C(t) = 0, which the zero test must find
+    from hypothesis import example, given, settings, strategies as st
+    from gaugekit.cli import dumps
+    from gaugekit.gauge import transform_rhs
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=3),
+           st.sampled_from(["real", "complex", "repeated"]), st.sampled_from([1, -1]),
+           st.booleans(), st.floats(min_value=-2.0, max_value=0.5),
+           st.floats(min_value=0.3, max_value=2.0))
+    @example(seed=0, n=2, spectrum="repeated", sign=1, cancel=True, t0=-1.0, length=2.0)
+    @example(seed=0, n=3, spectrum="complex", sign=-1, cancel=True, t0=-2.0, length=2.0)
+    def run(seed, n, spectrum, sign, cancel, t0, length):
+        rng = np.random.default_rng(seed)
+        G = _random_generator(rng, n, spectrum)
+        A = ExponentialCurve(G, sign)
+        degrees = sorted(rng.choice([2, 3, 4], size=int(rng.integers(1, 3)), replace=False))
+        f = random_field(rng, n, [0, 1, *degrees], density=0.5 if n == 3 else 0.8)
+        if cancel:
+            f = PolyField(n, {key: c for key, c in f.terms.items() if sum(key[1]) != 1}) \
+                + PolyField.from_linear(-sign * G)
+        span = (t0, t0 + length)
+        q = gauge_transform(f, A, span).closed_form
+        assert q is not None
+        if cancel:
+            assert all(e == tx.Lit(0.0) for row in q.linear for e in row)
+        rhs = transform_rhs(f, A)
+        for t in rng.uniform(*span, size=5).tolist():
+            y = rng.uniform(-1.0, 1.0, size=n)
+            want = rhs(t, y)
+            assert np.max(np.abs(q.eval(t, y) - want)) <= 1e-9 * (1.0 + np.max(np.abs(want)))
+        again = gauge_transform(f, A, span).closed_form
+        assert dumps(again.to_dict()) == dumps(q.to_dict())
+
+    run()
 
 
 # ---------------------------------------------------------------------------
