@@ -137,10 +137,11 @@ def _run_transform(args) -> int:
         data = ev.closed_form.to_dict()
     else:
         ts = default_grid(args.t0, args.t1, args.grid)
-        data = {"dim": f.dim, "kind": "sampled",
-                "samples": [{"t": float(t),
-                             "field": field_to_dict(frozen_transform_field(f, A, float(t)))}
-                            for t in ts]}
+        with np.errstate(all="ignore"):  # the pushforward refuses a non-finite A(t)
+            data = {"dim": f.dim, "kind": "sampled",
+                    "samples": [{"t": float(t),
+                                 "field": field_to_dict(frozen_transform_field(f, A, float(t)))}
+                                for t in ts]}
 
     def render(d: dict) -> str:
         lines = ["gauge transform" + ("" if "samples" in d else " (closed form)")]

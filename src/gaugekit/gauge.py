@@ -3,21 +3,26 @@
 The transform of x' = f(x) by A(t) is the nonautonomous system
 y' = A'(t) A(t)^{-1} y + A(t) f(A(t)^{-1} y).  When the curve admits
 symbolic entries, the transform is also emitted as a closed-form
-NonAutoSystem with TimeExpr coefficients, in one of two ways:
+NonAutoSystem with TimeExpr coefficients.  Either kind of closed form is
+one table {(component, exponents): coefficient} over every degree, keyed
+like PolyField terms:
 
 - A one-parameter exponential exp(tM) with a diagonalizable generator,
   M = V Lambda V^{-1} with cond(V) <= 1e8, gives exact exponential sums.
   The field is pushed through the eigenbasis once, and every coefficient
   comes out as a table {integer exponent vector k: value}, printed as a
   sum of exp(a t) (p cos(b t) + q sin(b t)) with a + ib = k . Lambda.
-  A value is zero when it is at most _EXP_SUM_RTOL = 1e-12 times the same
-  expansion run on |V^{-1}|, |V| and |f|, which bounds the terms summed
-  into it.
 - A closed-form curve with a symbolic inverse is pushed forward as
-  expression tables.  A coefficient is zero when its values stay at or
-  below _DROP_TOL = 1e-10 at 20 sample times in the span.
+  expression tables.
 
-Either closed form is kept only if it matches the numeric transform within
+One rule decides which coefficients are zero: a value is zero when it is
+at most _ZERO_RTOL = 1e-12 times the same expansion run on absolute values,
+which bounds the terms summed into it (the running error bound of a sum).
+Exponential sums expand |V^{-1}|, |V| and |f| once; closed-form curves
+expand |S|, |S^{-1}|, |S'| and |f| at 20 sample times in the span, and a
+coefficient is zero when it is zero at all of them.
+
+The table is kept only if its system matches the numeric transform within
 1e-9 relative at ten points of the span.
 """
 
@@ -41,14 +46,11 @@ __all__ = [
     "transform_solution", "conjugate_map", "hat_transform", "mixed_bracket_residual",
 ]
 
-#: the zero test of a closed-form curve's coefficients: below this at every
-#: sample time
-_DROP_TOL = 1e-10
-# closed-form curves' zero tests sample these fractions of the caller's span
+#: the zero test of every closed-form coefficient: a value is zero when at
+#: most this times its bound, the same expansion run on absolute values
+_ZERO_RTOL = 1e-12
+# closed-form curves' zero test samples these fractions of the caller's span
 _SAMPLE_FRACTIONS = np.linspace(0.025, 0.975, 20)
-#: the zero test of an exponential curve's coefficients: a value of an
-#: exponential sum is zero when at most this times its bound
-_EXP_SUM_RTOL = 1e-12
 
 
 @dataclass
@@ -79,42 +81,51 @@ def _sample_times(t_span: tuple) -> np.ndarray:
     return t0 + (t1 - t0) * _SAMPLE_FRACTIONS
 
 
-def _symbolic_entries(A: MatrixCurve, t_span: tuple):
-    """(S, S_inv, S_dot) of a closed-form curve as TimeExpr tables, and as
-    (K, n, n) stacks at the zero test's sample times in t_span (None when
-    the curve cannot be evaluated at one of them); None when the curve is
-    not a closed-form curve with a symbolic inverse."""
-    if not isinstance(A, ClosedFormCurve) or A.inverse_entries is None:
-        return None
-    ts = _sample_times(t_span)
-    try:
-        samples = tuple(np.array([fn(t) for t in ts.tolist()])
-                        for fn in (A.value, A._inverse, A.derivative))
-    except (tx.EvalError, OverflowError):
-        samples = None
-    return (A.entries, A.inverse_entries, A._dentries), samples
-
-
-def symbolic_pushforward(f: PolyField, S: list, Sinv: list, Sdot: list) -> tuple:
-    """The coefficients of S'(t) S(t)^{-1} y + S(t) f(S(t)^{-1} y) as tables
-    (constant, linear, terms of degree >= 2 keyed like PolyField terms),
-    before any coefficient is dropped as zero.  S, Sinv and Sdot are n x n
-    tables of TimeExprs, or of (K,) arrays, one slice per sample time; the
-    coefficients come out in the same arithmetic."""
+def symbolic_pushforward(f: PolyField, S: list, Sinv: list, Sdot: list) -> dict:
+    """The coefficients of S'(t) S(t)^{-1} y + S(t) f(S(t)^{-1} y) as one
+    table {(component, exponents): coefficient} over every degree, keyed
+    like PolyField terms, before any coefficient is dropped as zero: every
+    constant, the linear table row by row, then the terms of degree >= 2.
+    S, Sinv and Sdot are n x n tables of TimeExprs, or of (K,) arrays, one
+    slice per sample time; the coefficients come out in the same
+    arithmetic."""
     n = f.dim
     b = f.constant_vector().tolist()
-    const = [sum((S[i][j] * b[j] for j in range(n) if b[j] != 0.0), 0.0)
-             for i in range(n)]
+    table = {(i, (0,) * n): sum((S[i][j] * b[j] for j in range(n) if b[j] != 0.0), 0.0)
+             for i in range(n)}
     linear = _table_product(Sdot, Sinv)
     Bf = f.linear_matrix()
     if np.any(Bf != 0.0):
         conj = _table_product(S, _table_product(Bf.tolist(), Sinv))
         linear = [[linear[i][j] + conj[i][j] for j in range(n)] for i in range(n)]
-    terms: dict = {}
+    for i in range(n):
+        for j in range(n):
+            table[(i, tuple(int(k == j) for k in range(n)))] = linear[i][j]
     for j in f.degrees():
         if j >= 2:
-            terms.update(pushforward_terms(S, Sinv, f.grade(j).terms))
-    return const, linear, terms
+            table.update(pushforward_terms(S, Sinv, f.grade(j).terms))
+    return table
+
+
+def _closed_form_table(f: PolyField, A: ClosedFormCurve, t_span: tuple) -> dict:
+    """symbolic_pushforward of a closed-form curve's tables, without the
+    coefficients that are zero at every sample time in t_span; all are kept
+    when the curve cannot be evaluated at one of the times."""
+    table = symbolic_pushforward(f, A.entries, A.inverse_entries, A._dentries)
+    ts = _sample_times(t_span).tolist()
+    try:
+        samples = [np.array([fn(t) for t in ts]) for fn in (A.value, A._inverse, A.derivative)]
+    except (tx.EvalError, OverflowError):
+        return table
+    absf = PolyField(f.dim, {key: abs(c) for key, c in f.terms.items()})
+    with np.errstate(all="ignore"):
+        values = symbolic_pushforward(f, *(s.transpose(1, 2, 0) for s in samples))
+        bounds = symbolic_pushforward(absf, *(np.abs(s).transpose(1, 2, 0) for s in samples))
+        v, m = (np.array([np.broadcast_to(d.get(key, 0.0), len(ts)) for key in table])
+                for d in (values, bounds))
+        # a non-finite sample keeps its coefficient
+        zero = np.all((np.abs(v) <= _ZERO_RTOL * m) & np.isfinite(v), axis=1)
+    return {key: e for (key, e), z in zip(table.items(), zero.tolist()) if not z}
 
 
 def _validation_points(n: int, t_span: tuple) -> list:
@@ -126,33 +137,6 @@ def _validation_points(n: int, t_span: tuple) -> list:
         t = t0 + (t1 - t0) * float(rng.uniform(0.05, 0.95))
         points.append((t, rng.uniform(-1.0, 1.0, size=n)))
     return points
-
-
-def _kept(f: PolyField, samples: tuple | None, terms: dict) -> list:
-    """The zero test of the candidates (constant, linear rows, terms): kept
-    unless below _DROP_TOL in magnitude at every sample time, from
-    symbolic_pushforward of the sampled S, S^{-1} and S'; all kept when the
-    curve has no samples."""
-    if samples is None:
-        return [True] * (f.dim * (f.dim + 1) + len(terms))
-    with np.errstate(all="ignore"):  # a non-finite sample keeps its coefficient
-        const, linear, values = symbolic_pushforward(
-            f, *(s.transpose(1, 2, 0) for s in samples))
-        flat = const + [v for row in linear for v in row] \
-            + [values.get(key, 0.0) for key in terms]
-        return [not np.all(np.abs(v) <= _DROP_TOL) for v in flat]
-
-
-def _sampled_tables(f: PolyField, symbolic: tuple, samples: tuple | None) -> tuple:
-    """symbolic_pushforward of a closed-form curve's tables, with the
-    coefficients that the sampled zero test drops set to zero."""
-    const, linear, terms = symbolic_pushforward(f, *symbolic)
-    keep = iter(_kept(f, samples, terms))
-    zero = tx.Lit(0.0)
-    const = [e if next(keep) else zero for e in const]
-    linear = [[e if next(keep) else zero for e in row] for row in linear]
-    terms = {key: e for key, e in terms.items() if next(keep)}
-    return const, linear, terms
 
 
 class _ExpSum(dict):
@@ -222,7 +206,7 @@ def _exponential_sum(values: _ExpSum, bounds: _ExpSum, exponent, wave) -> tx.Tim
     frequencies b >= 0 of p cos(b t) + q sin(b t), both sorted.  The vectors
     of one (a, b), and each vector with its conjugate, are summed first (a
     real field gives conjugate values); p and q are zero when at most
-    _EXP_SUM_RTOL times the summed bounds.  wave(name, rate) gives the node
+    _ZERO_RTOL times the summed bounds.  wave(name, rate) gives the node
     name(rate t)."""
     merged: dict = {}
     for k, c in values.items():
@@ -234,7 +218,7 @@ def _exponential_sum(values: _ExpSum, bounds: _ExpSum, exponent, wave) -> tx.Tim
         slot[1] += bounds[k]
     by_rate: dict = {}
     for (a, b), (c, m) in sorted(merged.items()):
-        tol = _EXP_SUM_RTOL * m
+        tol = _ZERO_RTOL * m
         terms = by_rate.setdefault(a, [])
         if abs(c.real) > tol:
             terms.append((c.real, wave("cos", b)))
@@ -250,10 +234,10 @@ def _exponential_sum(values: _ExpSum, bounds: _ExpSum, exponent, wave) -> tx.Tim
     return _combination(parts)
 
 
-def _exponential_tables(f: PolyField, A: ExponentialCurve) -> tuple | None:
-    """(constant, linear, terms) of the transform by S(t) = exp(tM),
-    M = sign G, as exact exponential sums; None when M is defective or its
-    eigenvectors are ill-conditioned.
+def _exponential_table(f: PolyField, A: ExponentialCurve) -> dict | None:
+    """The nonzero coefficients of the transform by S(t) = exp(tM),
+    M = sign G, as exact exponential sums in one table, sorted by key; None
+    when M is defective or its eigenvectors are ill-conditioned.
 
     With M = V Lambda W, W = V^{-1}, S f(S^{-1} y) = V e^{t Lambda}
     g(e^{-t Lambda} W y) for g = W f(V .), so the coefficient of u^m in
@@ -289,34 +273,44 @@ def _exponential_tables(f: PolyField, A: ExponentialCurve) -> tuple | None:
                     {key: abs(c) for key, c in f.terms.items()}, np.abs(M))
     # one node per wave, shared by every coefficient
     wave = functools.cache(lambda name, rate: tx.efun(name, rate * tx.T))
-    coeff = {key: _exponential_sum(c, bounds[key], exponent, wave)
-             for key, c in values.items()}
     zero = tx.Lit(0.0)
-    const = [coeff.get((i, origin), zero) for i in range(n)]
-    linear = [[coeff.get((i, units[j]), zero) for j in range(n)] for i in range(n)]
-    terms = {key: coeff[key] for key in sorted(coeff)
-             if sum(key[1]) >= 2 and coeff[key] != zero}
-    return const, linear, terms
+    coeff = {key: _exponential_sum(values[key], bounds[key], exponent, wave)
+             for key in sorted(values)}
+    return {key: e for key, e in coeff.items() if e != zero}
 
 
-def _emit_closed_form(n: int, const: list, linear: list, terms: dict,
-                      direct_rhs, points: list) -> NonAutoSystem | None:
-    """The system of the tables, or None unless it matches the direct RHS
-    within 1e-9 relative at every validation point.  It is read through its
-    table, so no right-hand side is generated for it here."""
+def _emit_closed_form(n: int, table: dict, direct_rhs, points: list) -> NonAutoSystem | None:
+    """The system of a coefficient table, or None unless it matches the
+    direct RHS within 1e-9 relative at every validation point.  It is read
+    through its table, one row per point, so no right-hand side is
+    generated for it here."""
+    zero = tx.Lit(0.0)
+    const, linear, terms = [zero] * n, [[zero] * n for _ in range(n)], {}
+    for (i, exps), e in table.items():
+        if sum(exps) >= 2:
+            terms[(i, exps)] = e
+        elif sum(exps) == 1:
+            linear[i][exps.index(1)] = e
+        else:
+            const[i] = e
     system = NonAutoSystem(n, const, linear, terms)
     for t, x in points:
-        want = direct_rhs(t, x)
+        with np.errstate(all="ignore"):  # non-finite values are refused below
+            want = direct_rhs(t, x)
         try:
             vals = system._table(t)
         except OverflowError:
             return None
-        got = system._constant_of(vals) + system._linear_of(vals) @ x
-        for j in system.degrees():
-            got = got + system._terms_of(vals, j).eval(x)
+        y = x.tolist()
+        got = [0.0] * n
+        for i, k, powers in system._monomials:
+            term = vals[k]
+            for j, p in powers:
+                term *= y[j] ** p
+            got[i] += term
         # NaN fails no comparison: non-finite values refuse the closed form
         if not (np.isfinite(want).all() and np.isfinite(got).all()) \
-                or np.max(np.abs(got - want)) > 1e-9 * (1.0 + np.max(np.abs(want))):
+                or np.max(np.abs(np.subtract(got, want))) > 1e-9 * (1.0 + np.max(np.abs(want))):
             return None
     return system
 
@@ -350,7 +344,7 @@ def gauge_transform(f: PolyField, A: MatrixCurve,
     The evaluator always works numerically through the curve; a closed-form
     NonAutoSystem is attached for an exponential curve with a diagonalizable
     generator, and for a closed-form curve with a symbolic inverse (see the
-    module docstring for the zero tests).  The closed form is checked
+    module docstring for the zero test).  The closed form is checked
     against the evaluator at times inside t_span.
     """
     rhs = transform_rhs(f, A)
@@ -358,11 +352,12 @@ def gauge_transform(f: PolyField, A: MatrixCurve,
     if isinstance(A, ClosedFormCurve):
         A.check_inverse([t for t, _ in points])
     if isinstance(A, ExponentialCurve):
-        tables = _exponential_tables(f, A)
+        table = _exponential_table(f, A)
+    elif isinstance(A, ClosedFormCurve) and A.inverse_entries is not None:
+        table = _closed_form_table(f, A, t_span)
     else:
-        sym = _symbolic_entries(A, t_span)
-        tables = None if sym is None else _sampled_tables(f, *sym)
-    closed = None if tables is None else _emit_closed_form(f.dim, *tables, rhs, points)
+        table = None
+    closed = None if table is None else _emit_closed_form(f.dim, table, rhs, points)
     return NonAutoEvaluator(f.dim, rhs, t_span, closed)
 
 

@@ -88,6 +88,10 @@ class NonAutoSystem:
                          for j, e in enumerate(row) if e != zero]
         self._term_idx = [(comp, exps, n2 + m, tuple((k, p) for k, p in enumerate(exps) if p))
                           for m, (comp, exps) in enumerate(self.terms)]
+        # the monomials (component, column, powers) in table order
+        self._monomials = [(i, i, ()) for i in self._const_idx] \
+            + [(i, k, ((j, 1),)) for i, j, k in self._lin_idx] \
+            + [(comp, k, powers) for comp, _, k, powers in self._term_idx]
 
     def _coefficients(self) -> list:
         """Every coefficient in table order: constants, linear rows, terms."""
@@ -144,11 +148,7 @@ class NonAutoSystem:
         """(t, y) -> the system's value as a tuple of floats, for y a list of
         floats: the monomial sums over one table call, generated on first use
         (constant, then linear, then terms, in table order)."""
-        return tx.compile_rhs(
-            self.dim, [(i, i, ()) for i in self._const_idx]
-            + [(i, k, ((j, 1),)) for i, j, k in self._lin_idx]
-            + [(comp, k, powers) for comp, _, k, powers in self._term_idx],
-            self._table)
+        return tx.compile_rhs(self.dim, self._monomials, self._table)
 
     def eval(self, t: float, x) -> np.ndarray:
         return np.array(self._rhs(t, np.asarray(x, dtype=float).tolist()))

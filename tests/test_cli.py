@@ -113,6 +113,49 @@ def test_transform_sampled_text_render(files, tmp_path, capsys):
     assert "sampled at 3 grid times" in out
 
 
+def test_transform_closed_form_text_render(tmp_path, capsys):
+    # the text output lists the constant, each linear row, and each term
+    # with its monomial
+    curve = {"dim": 2, "kind": "closed_form", "entries": [["1", "0"], ["0", "exp(t)"]]}
+    cpath = tmp_path / "d.json"
+    cpath.write_text(json.dumps(curve))
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps({"dim": 2, "terms": [
+        {"component": 0, "exponents": [0, 0], "coeff": 0.5},
+        {"component": 0, "exponents": [0, 1], "coeff": 1.0},
+        {"component": 0, "exponents": [2, 0], "coeff": 1.0},
+        {"component": 1, "exponents": [1, 1], "coeff": -2.0}]}))
+    assert main(["transform", "--field", str(fpath), "--curve", str(cpath),
+                 "--format", "text"]) == 0
+    assert capsys.readouterr().out == (
+        "gauge transform (closed form)\n"
+        "constant: [0.5, 0]\n"
+        "linear:\n"
+        "  [0, 1/exp(t)]\n"
+        "  [0, exp(t)*(1/exp(t))]\n"
+        "terms:\n"
+        "  component 1: (exp(t)/exp(t)*(exp(t)/exp(t))) * x1^2\n"
+        "  component 2: (-2*(exp(t)*(exp(t)/exp(t)*(1/exp(t))))) * x1*x2\n")
+
+
+def test_transform_overflow_prints_no_numpy_warnings(tmp_path, capsys):
+    # exp(-1000 t) in the inverse overflows the direct RHS inside [0, 1]:
+    # the closed form is refused and the sampled output fails with one
+    # numeric-failure line, and no numpy warning escapes on the way
+    fpath, cpath = tmp_path / "f.json", tmp_path / "A.json"
+    fpath.write_text(json.dumps({"dim": 2, "terms": [
+        {"component": 1, "exponents": [1, 1], "coeff": 1.0}]}))
+    cpath.write_text(json.dumps({"dim": 2, "kind": "exp",
+                                 "generator": [[1000, 0], [0, 0]], "sign": -1}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["transform", "--field", str(fpath), "--curve", str(cpath)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("numeric failure:")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_bad_grid_arguments_exit_2(files, capsys):
     assert main(["identify", "--system", files["quad"], "--grid", "1"]) == 2
     assert main(["identify", "--system", files["quad"], "--t1", "-1"]) == 2

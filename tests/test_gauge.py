@@ -237,12 +237,13 @@ def test_a_transform_compiles_only_the_emitted_systems_table(monkeypatch, kind):
     assert all(a is b for a, b in zip(compiled[0], system))
 
 
-def _reference_peaks(exprs: list, ts: list) -> np.ndarray:
-    """max |e(t)| over ts for each expression, from one compiled table of
-    the candidates (inf where an expression cannot be evaluated)."""
+def _reference_values(exprs: list, ts: list) -> np.ndarray:
+    """e(t) for each expression (rows) and each of ts (columns), from one
+    compiled table of the candidates (inf where an expression cannot be
+    evaluated)."""
     exprs = [tx.as_expr(e) for e in exprs]
     table = tx.compile_table(exprs)
-    peaks = np.zeros(len(exprs))
+    rows = []
     for t in ts:
         try:
             vals = table(t)
@@ -253,8 +254,8 @@ def _reference_peaks(exprs: list, ts: list) -> np.ndarray:
                     vals.append(tx.eval_expr(e, t))
                 except (tx.EvalError, OverflowError):
                     vals.append(math.inf)
-        peaks = np.maximum(peaks, np.abs(vals))
-    return peaks
+        rows.append(vals)
+    return np.array(rows, dtype=float).T
 
 
 def _random_rotation(rng, n: int, cancel: bool):
@@ -275,9 +276,10 @@ def _random_rotation(rng, n: int, cancel: bool):
 def test_zero_test_agrees_with_the_compiled_candidates():
     # the drop decision of every candidate coefficient of a closed-form
     # curve, from the pushforward of the sampled curve, against the
-    # candidates' expressions compiled and evaluated at the same 20 times;
-    # coefficients within a factor 10 of the threshold may fall either way
-    # in the two arithmetics
+    # candidates' expressions compiled and evaluated at the same 20 times
+    # and held against the pushforward of the sampled |S|, |S^-1|, |S'| and
+    # |f|; coefficients within a factor 10 of the relative threshold may
+    # fall either way in the two arithmetics
     from hypothesis import example, given, settings, strategies as st
     from gaugekit import gauge
 
@@ -307,52 +309,64 @@ def test_zero_test_agrees_with_the_compiled_candidates():
             f = PolyField(n, {key: c for key, c in f.terms.items() if sum(key[1]) != 3}) \
                 + PolyField(n, cubic)
         span = (t0, t0 + length)
-        symbolic, samples = gauge._symbolic_entries(A, span)
-        assert samples is not None
-        const, linear, terms = gauge.symbolic_pushforward(f, *symbolic)
-        flat = const + [e for row in linear for e in row] + list(terms.values())
-        peaks = _reference_peaks(flat, gauge._sample_times(span).tolist())
-        kept = gauge._kept(f, samples, terms)
-        assert len(kept) == len(flat)
-        for peak, keep in zip(peaks, kept):
-            if not gauge._DROP_TOL / 10 <= peak <= 10 * gauge._DROP_TOL:
-                assert keep == (peak > gauge._DROP_TOL)
-                seen[keep] += 1
+        ts = gauge._sample_times(span).tolist()
+        candidates = gauge.symbolic_pushforward(f, A.entries, A.inverse_entries, A._dentries)
+        kept = gauge._closed_form_table(f, A, span)
+        assert set(kept) <= set(candidates)
+        absf = PolyField(n, {key: abs(c) for key, c in f.terms.items()})
+        bounds = gauge.symbolic_pushforward(
+            absf, *(np.abs([fn(t) for t in ts]).transpose(1, 2, 0)
+                    for fn in (A.value, A._inverse, A.derivative)))
+        values = _reference_values(list(candidates.values()), ts)
+        m = np.array([np.broadcast_to(bounds.get(key, 0.0), len(ts)) for key in candidates])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratios = np.max(np.where(values == 0.0, 0.0, np.abs(values) / m), axis=1)
+        rtol = gauge._ZERO_RTOL
+        for key, ratio in zip(candidates, ratios.tolist()):
+            if not rtol / 10 <= ratio <= 10 * rtol:
+                assert (key in kept) == (ratio > rtol)
+                seen[key in kept] += 1
 
     run()
     assert seen[True] > 0 and seen[False] > 0
 
 
 def test_a_non_finite_sample_keeps_its_coefficient():
-    # exp(700 t) (1 + t)^300 overflows from t ~ 0.88 (in a product, so to
-    # inf rather than to an OverflowError): there the sampled y^2
-    # coefficient, 1/A(t), is inf * 0 = NaN, so it is kept, although it is
-    # below the threshold wherever it is finite; the validation then refuses
-    # the closed form, as the direct RHS is NaN there too
+    # A = 1e300 exp(700 t) has A' = 7e302 exp(700 t), which overflows from
+    # t ~ 0.018, and A itself from t ~ 0.027 (in a product, so to inf rather
+    # than to an OverflowError).  The linear coefficient A'/A - 700 of
+    # f = -700 y + y^2 is zero relative to its bound wherever it is finite,
+    # and [0, 0.01] drops it.  Its sampled value is inf on [0.018, 0.027],
+    # where its bound is inf too, and inf * 0 = NaN beyond: [0, 0.025] and
+    # [0, 1] keep it, and the validation then refuses the closed form, as
+    # the direct RHS is not finite there either
     from gaugekit import gauge
-    f = PolyField(1, {(0, (2,)): 1.0})
-    A = ClosedFormCurve([["exp(700*t)*(1+t)^300"]])
+    f = PolyField(1, {(0, (1,)): -700.0, (0, (2,)): 1.0})
+    A = ClosedFormCurve([["1e300*exp(700*t)"]])
+    assert (0, (1,)) not in gauge._closed_form_table(f, A, (0.0, 0.01))
     with np.errstate(over="ignore", invalid="ignore"):
-        symbolic, samples = gauge._symbolic_entries(A, (0.0, 1.0))
-        assert not np.all(np.isfinite(samples[0]))
-        const, linear, terms = gauge.symbolic_pushforward(f, *symbolic)
-        assert list(terms) == [(0, (2,))]
-        assert gauge._kept(f, samples, terms) == [False, True, True]
-        assert gauge_transform(f, A).closed_form is None
+        for span in ((0.0, 0.025), (0.0, 1.0)):
+            assert not np.all(np.isfinite([A.derivative(t) for t in gauge._sample_times(span)]))
+            assert (0, (1,)) in gauge._closed_form_table(f, A, span)
+            assert gauge_transform(f, A, span).closed_form is None
 
 
 def test_a_curve_failing_at_a_sample_time_keeps_every_candidate():
     # the second diagonal entry has its pole at one of the zero test's sample
-    # times in [0, 1], so no candidate is dropped there, not even the
-    # 1e-13 exp(-t) x1^2 coefficient, which [0, 0.4] drops
+    # times in [0, 1], so no candidate is dropped there, not even the x1
+    # coefficient of e1, which cancels to rounding error and which [0, 0.4]
+    # drops; 1e-13 exp(-t) x1^2 is nonzero relative to its bound and kept on
+    # both spans
     from gaugekit import gauge
     pole = float(gauge._sample_times((0.0, 1.0))[10])
     A = ClosedFormCurve([["exp(t)", "0"], ["0", f"1/(t - {pole!r})"]])
-    f = PolyField(2, {(0, (2, 0)): 1e-13, (1, (0, 2)): 1.0})
-    assert gauge._symbolic_entries(A, (0.0, 1.0))[1] is None
+    f = PolyField(2, {(0, (1, 0)): -1.0, (0, (2, 0)): 1e-13, (1, (0, 2)): 1.0})
+    candidates = gauge.symbolic_pushforward(f, A.entries, A.inverse_entries, A._dentries)
+    assert list(gauge._closed_form_table(f, A, (0.0, 1.0))) == list(candidates)
     q = gauge_transform(f, A).closed_form
-    assert q is not None and (0, (2, 0)) in q.terms
-    assert (0, (2, 0)) not in gauge_transform(f, A, t_span=(0.0, 0.4)).closed_form.terms
+    assert q is not None and (0, (2, 0)) in q.terms and q.linear[0][0] != tx.Lit(0.0)
+    q = gauge_transform(f, A, t_span=(0.0, 0.4)).closed_form
+    assert (0, (2, 0)) in q.terms and q.linear[0][0] == tx.Lit(0.0)
 
 
 def test_symbolic_exponential_entries_are_validated_on_the_span(monkeypatch):
@@ -384,23 +398,86 @@ def test_symbolic_exponential_entries_are_validated_on_the_span(monkeypatch):
 
 
 def test_tiny_nonlinear_coefficients_are_kept():
-    # 1e-11 x1^2 e1 and 1e-12 x1 x2 e2 under a rotation are far below the
-    # absolute 1e-10 of a sampled zero test, but not zero relative to their
-    # own bound: the transform keeps them, and it is a gauge transform
+    # 1e-11 x1^2 e1 and 1e-12 x1 x2 e2 under a rotation are far below an
+    # absolute 1e-10, but not zero relative to their own bound: the
+    # transform keeps all six of their terms, and it is a gauge transform,
+    # whether the rotation is exp(-tJ) or a closed form with a supplied or
+    # an adjugate inverse
     from gaugekit.identify import identify
     f = PolyField(2, {(0, (1, 0)): 0.3, (1, (0, 1)): -0.2,
                       (0, (2, 0)): 1e-11, (1, (1, 1)): 1e-12})
-    A = ExponentialCurve(J, -1)
-    ev = gauge_transform(f, A)
-    q = ev.closed_form
-    assert q is not None and q.degrees() == [2]
-    for t in (0.2, 0.7):
-        y = np.array([0.4, -0.9])
-        quad = q.degree_part_at(t, 2).eval(y)
-        want = A.value(t) @ PolyField(2, {key: c for key, c in f.terms.items()
-                                          if sum(key[1]) == 2}).eval(A.inverse(t) @ y)
-        assert np.max(np.abs(quad - want)) <= 1e-12 * np.max(np.abs(want))
-    assert identify(q).status == "gauge"
+    for A in (ExponentialCurve(J, -1), rotation_curve("-t"),
+              ClosedFormCurve(rotation_curve("-t").entries)):
+        q = gauge_transform(f, A).closed_form
+        assert q is not None and q.degrees() == [2] and len(q.terms) == 6
+        for t in (0.2, 0.7):
+            y = np.array([0.4, -0.9])
+            quad = q.degree_part_at(t, 2).eval(y)
+            want = A.value(t) @ PolyField(2, {key: c for key, c in f.terms.items()
+                                              if sum(key[1]) == 2}).eval(A.inverse(t) @ y)
+            assert np.max(np.abs(quad - want)) <= 1e-12 * np.max(np.abs(want))
+        assert identify(q).status == "gauge"
+
+
+def _coefficients_at(q, t: float) -> dict:
+    """{(component, exponents): value} of every coefficient of q at t."""
+    n = q.dim
+    values = q._table(t)
+    keys = [(i, (0,) * n) for i in range(n)] \
+        + [(i, tuple(int(k == j) for k in range(n))) for i in range(n) for j in range(n)] \
+        + list(q.terms)
+    return dict(zip(keys, values))
+
+
+def test_one_rotation_three_spellings_emit_one_system():
+    # the rotation by theta = a t in the first plane, as exp(sign t a J) and
+    # as a closed form with a supplied and with an adjugate inverse: the one
+    # zero rule keeps the same coefficients in all three, tiny ones included,
+    # and the systems agree in value and in verdict
+    from hypothesis import example, given, settings, strategies as st
+    from gaugekit.identify import default_grid, identify
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=2, max_value=3),
+           st.sampled_from([1, -1]), st.floats(min_value=-2.0, max_value=-0.1),
+           st.floats(min_value=0.3, max_value=2.5))
+    @example(seed=0, n=2, sign=-1, t0=-1.0, length=2.0)
+    def run(seed, n, sign, t0, length):
+        rng = np.random.default_rng(seed)
+        a = float(np.round(rng.uniform(-1.5, 1.5), 6))
+        G = np.zeros((n, n))
+        G[:2, :2] = a * J
+        th = tx.parse_expr(f"{sign * a}*t")
+        c, s = tx.Fun("cos", th), tx.Fun("sin", th)
+        entries = [[tx.Lit(float(i == j)) for j in range(n)] for i in range(n)]
+        inverse = [row[:] for row in entries]
+        entries[0][:2], entries[1][:2] = [c, tx.Neg(s)], [s, c]
+        inverse[0][:2], inverse[1][:2] = [c, s], [tx.Neg(s), c]
+        degrees = sorted(rng.choice([2, 3], size=int(rng.integers(1, 3)), replace=False))
+        f = random_field(rng, n, degrees, density=0.5 if n == 3 else 0.8)
+        f = PolyField(n, {key: c * 10.0 ** rng.uniform(-14.0, 0.0)
+                          for key, c in f.terms.items()})
+        span = (t0, t0 + length)
+        systems = [gauge_transform(f, A, span).closed_form
+                   for A in (ExponentialCurve(G, sign), ClosedFormCurve(entries, inverse),
+                             ClosedFormCurve(entries))]
+        assert all(q is not None for q in systems)
+        zero = tx.Lit(0.0)
+        nonzero = [{key for key, e in zip(_coefficients_at(q, 0.0), q._coefficients())
+                    if e != zero} for q in systems]
+        assert nonzero[0] == nonzero[1] == nonzero[2]
+        for t in rng.uniform(*span, size=3).tolist():
+            want = _coefficients_at(systems[0], t)
+            scale = max(abs(v) for v in want.values())
+            for q in systems[1:]:
+                got = _coefficients_at(q, t)
+                for key in nonzero[0]:
+                    assert abs(got[key] - want[key]) <= 1e-9 * scale
+        grid = default_grid(*span)
+        statuses = {identify(q, grid).status for q in systems}
+        assert len(statuses) == 1
+
+    run()
 
 
 def test_a_transform_generates_no_right_hand_side(monkeypatch):
