@@ -295,9 +295,11 @@ def _emit_closed_form(n: int, table: dict, direct_rhs, points: list) -> NonAutoS
             const[i] = e
     system = NonAutoSystem(n, const, linear, terms)
     for t, x in points:
-        with np.errstate(all="ignore"):  # non-finite values are refused below
-            want = direct_rhs(t, x)
+        # an overflow on either side means no closed form, and non-finite
+        # values are refused below
         try:
+            with np.errstate(all="ignore"):
+                want = direct_rhs(t, x)
             vals = system._table(t)
         except OverflowError:
             return None

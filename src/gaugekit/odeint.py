@@ -61,12 +61,14 @@ def _as_rhs(rhs):
 
 def integrate(rhs, x0, t_span=(0.0, 1.0), tol: float = TOL,
               samples: int = _COMPARE_POINTS) -> Trajectory:
-    """Adaptive 5(4) trajectory of x' = rhs(t, x), sampled on `samples`
-    equispaced dense-output points.
+    """Adaptive DOP853 trajectory of x' = rhs(t, x), sampled on `samples`
+    equispaced points of its 7th-order dense output.
 
     rhs may be a PolyField (autonomous), a NonAutoSystem/NonAutoEvaluator,
     or a plain (t, x) callable.  Finite-time blow-up (norm above
-    BLOWUP_NORM) truncates the trajectory and sets meta["blowup"].
+    BLOWUP_NORM, or a step size that underflows on the way there)
+    truncates the trajectory at its last accepted step and sets
+    meta["blowup"].
     """
     fun = _as_rhs(rhs)
     t0, t1 = float(t_span[0]), float(t_span[1])

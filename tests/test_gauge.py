@@ -544,6 +544,14 @@ def test_an_overflowing_closed_form_is_refused(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_an_overflowing_direct_rhs_is_no_closed_form():
+    # the curve's derivative folds to exp(1000 t), so the direct RHS itself
+    # overflows math.exp from t ~ 0.71 during validation
+    f = PolyField(1, {(0, (1,)): -1000.0, (0, (2,)): 1.0})
+    ev = gauge_transform(f, ClosedFormCurve([["exp(700*t)*exp(300*t)"]]))
+    assert ev.closed_form is None
+
+
 def _random_generator(rng, n: int, spectrum: str) -> np.ndarray:
     """A diagonalizable generator: real eigenvalues, a complex pair plus
     real ones, or a diagonal with a repeated eigenvalue."""

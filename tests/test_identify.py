@@ -399,12 +399,28 @@ def test_integration_failure_diagnostic_prints_a_plain_float():
     float(note.rsplit("t=", 1)[1])
 
 
+def test_a_curved_linear_part_is_gauge_at_tight_tolerances():
+    # q = C(t) y + exp(-int_0^t C) y^2 is y' = y^2 transformed by A(t) =
+    # exp(int_0^t C), B = 0.  Its grid reads T(t) = A(t) between steps of
+    # the flow; a quartic interpolant was 7e-8 off there, and the verdict
+    # not_gauge at tol 3e-8 and below
+    C = "0.845401*sin(1.628445*t) - 0.705892*t - 0.621631"
+    decay = "exp(0.845401/1.628445*(cos(1.628445*t) - 1) + 0.352946*t^2 + 0.621631*t)"
+    q = NonAutoSystem(1, linear=[[C]], terms={(0, (2,)): decay})
+    for points in (33, 101):
+        cert = identify(q, grid=np.linspace(-1.0, 0.0, points), tol=1e-8)
+        assert cert.status == "gauge"
+        assert cert.B.tolist() == [[0.0]]
+        assert cert.f.terms == {(0, (2,)): 1.0}
+        assert cert.residuals["per_degree"][2] <= 1e-9
+
+
 def test_factored_curve_equals_the_direct_flow():
     # A(t) = T(t) exp(-tB), T' = CT, T(0) = I, solves A' = CA - AB, A(0) = I;
     # against the flow of that equation, relative to the curve's size.  Both
-    # are read through the quartic dense output of a tol-1e-10 solve, whose
-    # error between steps the step control does not bound: 5e-8 relative on
-    # [-1, 0] at seed 2555, n = 1
+    # are read through the 7th-order dense output of a tol-1e-10 solve, whose
+    # error between steps the step control does not bound: 7e-11 relative on
+    # [-1, 0] at seed 2555, n = 1 (5e-8 under the quartic one of DOPRI5)
     from hypothesis import example, given, settings, strategies as st
 
     @settings(max_examples=40, deadline=None)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gaugekit import timexpr as tx
-from gaugekit._rk import IntegrationError, _rms, integrate_dense, rk_fixed_step
+from gaugekit._rk import (IntegrationError, _P, _dense_stages, _rms, _step, integrate_dense,
+                          rk_fixed_step)
 from gaugekit.gauge import FlowMap, gauge_transform
 from gaugekit.identify import identify
 from gaugekit.matcurve import ClosedFormCurve, ExponentialCurve, solve_gauge_ode
@@ -64,8 +65,8 @@ def test_integrate_rotation():
 
 
 def test_dense_output_accuracy_between_steps():
-    # the quartic interpolant must hold the integration accuracy at off-step
-    # sample points, not just at accepted steps
+    # the 7th-order interpolant must hold the integration accuracy at
+    # off-step sample points, not just at accepted steps
     f = PolyField.from_linear(J)
     traj = integrate(f, [1.0, 0.0], (0.0, 2.0), tol=1e-12, samples=1000)
     worst = max(np.max(np.abs(x - [math.cos(t), math.sin(t)]))
@@ -85,6 +86,21 @@ def test_integrate_blowup_truncates():
     assert traj.meta["blowup"]
     assert traj.times[-1] < 0.51
     assert np.all(np.isfinite(traj.states))
+
+
+def test_integrate_blowup_by_step_underflow_truncates():
+    # y' = y^k, y(0) = 1 escapes at t = 1/(k-1); from k = 3 on the state
+    # passes BLOWUP_NORM only closer to that time than a step resolves, so
+    # the step underflows first, which stops a trajectory as blown up too
+    for k in range(2, 7):
+        f = PolyField(1, {(0, (k,)): 1.0})
+        traj = integrate(f, [1.0], (0.0, 2.0))
+        assert traj.meta["blowup"]
+        assert abs(traj.meta["t_end"] - 1 / (k - 1)) <= 1e-6
+        assert np.all(np.isfinite(traj.states))
+    # without a blow-up norm (flows) the underflow still raises
+    with pytest.raises(IntegrationError, match="step size underflow at t=0.5"):
+        integrate_dense(PolyField(1, {(0, (3,)): 1.0}).rhs(), 0.0, 1.0, [1.0])
 
 
 def test_trajectory_validation_and_json():
@@ -198,8 +214,9 @@ def test_second_order_lift_correspondence():
 # ---------------------------------------------------------------------------
 
 def test_integrator_order_step_halving():
-    # the propagated solution is 5th order: halving the step cuts the error
-    # by about 2^5; assert a conservative floor of 4x per halving on average
+    # the propagated solution is 8th order: halving the step cuts the error
+    # by about 2^8; assert a floor of 2^7 per halving on average.  From 20
+    # steps on the errors are already at rounding, so halve from 2 steps
     fixtures = [
         (lambda t, x: J @ x, np.array([1.0, 0.0]), 1.0,
          lambda t: np.array([math.cos(t), math.sin(t)])),
@@ -209,12 +226,58 @@ def test_integrator_order_step_halving():
     ratios = []
     for rhs, x0, T, exact in fixtures:
         prev = None
-        for n in (20, 40, 80):
+        for n in (2, 4, 8):
             err = np.linalg.norm(rk_fixed_step(rhs, 0.0, T, x0, n) - exact(T))
             if prev is not None and err > 0:
                 ratios.append(prev / err)
             prev = err
-    assert np.mean(ratios) >= 4.0
+    assert np.mean(ratios) >= 128.0
+
+
+def test_dop853_tableau_literals():
+    # read the written-out tableau back through the step itself: from y = 0
+    # with hd = 1, and a right-hand side whose i-th call returns the unit
+    # vector e_i, every call sees (c_i, row i of A), y_new is b, and the
+    # error estimates are their weight vectors
+    eye = np.eye(16)
+    calls = []
+
+    def probe(t, y):
+        calls.append((t, y))
+        return eye[len(calls)].tolist()
+
+    zero = [0.0] * 16
+    y_new, ks, e5, e3 = _step(probe, 0.0, zero, eye[0].tolist(), 1.0, 1.0)
+    ks += _dense_stages(probe, 0.0, zero, 1.0, ks)
+    assert [list(k) for k in ks] == eye.tolist()
+    c = np.array([0.0] + [t for t, _ in calls])
+    A = np.array([zero] + [y for _, y in calls])
+    b, e5, e3 = np.array(y_new), np.array(e5), np.array(e3)
+    assert np.array_equal(A[12], b) and c[12] == 1.0  # k13 = rhs(t_new, y_new)
+    assert np.allclose(A.sum(axis=1), c, rtol=0.0, atol=1e-14)
+    # the solution and its error estimates weigh the first 12 stages only
+    assert not (b[12:].any() or e5[12:].any() or e3[12:].any())
+    A, c12, b, e5, e3 = A[:12, :12], c[:12], b[:12], e5[:12], e3[:12]
+    for k in range(1, 9):
+        assert abs(b @ c12 ** (k - 1) - 1 / k) <= 1e-14
+        if k < 8:
+            assert abs(b @ A @ c12 ** (k - 1) - 1 / (k * (k + 1))) <= 1e-14
+    # the error estimates are of orders 5 and 3, and not higher
+    for e, order in ((e5, 5), (e3, 3)):
+        assert all(abs(e @ c12 ** (k - 1)) <= 1e-14 for k in range(1, order + 1))
+        assert abs(e @ c12 ** order) > 1e-4
+    # the dense output is a continuous extension of order 7 (HNW II.6),
+    # to the rounding of power-basis weights up to 545 in size:
+    # sum_i b_i(x) c_i^(k-1) = x^k / k, with b_i(x) = sum_j _P[i, j] x^(j+1)
+    powers = np.arange(1, 8)
+    for k in range(1, 8):
+        assert np.allclose(c ** (k - 1) @ _P, (powers == k) / k, rtol=0.0, atol=4e-12)
+    # at x = 0 it is y_old (no constant column) and at x = 1 y_new; its
+    # derivative is k1 at x = 0 and k13 at x = 1
+    assert _P.shape == (16, 7)
+    assert np.allclose(_P.sum(axis=1), np.append(b, [0.0] * 4), rtol=0.0, atol=4e-12)
+    assert np.allclose(_P[:, 0], eye[0], rtol=0.0, atol=4e-12)
+    assert np.allclose(_P @ powers, eye[12], rtol=0.0, atol=4e-12)
 
 
 def test_integrate_lands_exactly_on_awkward_endpoints():

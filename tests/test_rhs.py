@@ -151,7 +151,8 @@ def test_step_counters_match_the_rhs_calls():
 
     sol = integrate_dense(counting, 0.0, 10.0, [2.0, 0.0])
     assert sol.steps_rejected > 0
-    assert sol.rhs_calls == len(calls) == 2 + 6 * (len(sol.t_starts) + sol.steps_rejected)
+    accepted = len(sol.t_starts)
+    assert sol.rhs_calls == len(calls) == 2 + 12 * (accepted + sol.steps_rejected) + 3 * accepted
 
 
 def test_integrate_hands_a_plain_callable_an_array():
