@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,43 +84,48 @@ class IntegrationError(RuntimeError):
     """Step-size underflow or step budget exhausted."""
 
 
+def check_in_span(ts: np.ndarray, lo: float, hi: float) -> None:
+    """Raise IntegrationError for the first t of ts more than 1e-12 outside
+    [lo, hi], naming it and the span as plain floats."""
+    outside = (ts < lo - 1e-12) | (ts > hi + 1e-12)
+    if outside.any():
+        raise IntegrationError(f"t={float(ts[np.argmax(outside)])!r} "
+                               f"outside the integrated span [{float(lo)!r}, {float(hi)!r}]")
+
+
+@dataclass
 class DenseSolution:
-    """Piecewise degree-7 continuous solution over the integrated span."""
+    """Piecewise degree-7 continuous solution over the integrated span.
 
-    def __init__(self, direction: int, dim: int):
-        self.direction = direction
-        self.dim = dim
-        self.t_starts: list[float] = []
-        self.hs: list[float] = []
-        self.y_olds: list[np.ndarray] = []
-        self.Qs: list[np.ndarray] = []
-        self.t_end: float | None = None
-        self.y_end: np.ndarray | None = None
-        self.status = "running"  # -> "done" | "blowup"
-        self.steps_rejected = 0   # accepted steps: len(t_starts)
-        self.rhs_calls = 0
+    Accepted step k starts at t_starts[k] from Y[k] and is hs[k] long
+    (negative backward); on it the solution is Y[k] + hs[k] Q[k] (x, x^2,
+    ..., x^7) at t_starts[k] + x hs[k], 0 <= x <= 1.  The arrays have m rows,
+    one per accepted step: t_starts and hs (m,), Y (m, n), Q (m, n, 7).
+    """
 
-    @property
-    def t_start(self) -> float:
-        return self.t_starts[0]
+    direction: int
+    t_starts: np.ndarray
+    hs: np.ndarray
+    Y: np.ndarray
+    Q: np.ndarray
+    t_end: float
+    y_end: np.ndarray
+    status: str  # "done" | "blowup"
+    steps_rejected: int
+    rhs_calls: int
 
     def _locate(self, ts) -> tuple:
-        """Segment index, step and local coordinate of every t of ts: a
-        list, an array and a list of Python floats, so that powers of a
+        """Segment index, step and local coordinate of every t of ts: an
+        array, an array and a list of Python floats, so that powers of a
         coordinate round as scalar powers do.  Raises IntegrationError for
         the first t outside the integrated span."""
         ts = np.asarray(ts, dtype=float)
-        lo, hi = sorted((float(self.t_start), float(self.t_end)))
-        outside = (ts < lo - 1e-12) | (ts > hi + 1e-12)
-        if outside.any():
-            raise IntegrationError(f"t={float(ts[np.argmax(outside)])!r} "
-                                   f"outside the integrated span [{lo!r}, {hi!r}]")
-        t_starts = np.asarray(self.t_starts)
+        check_in_span(ts, *sorted((self.t_starts[0], self.t_end)))
         # a t up to 1e-12 before the start belongs to the first segment
-        idx = np.maximum(np.searchsorted(t_starts * self.direction, ts * self.direction,
-                                         side="right") - 1, 0).tolist()
-        hs = np.array([self.hs[i] for i in idx])
-        return idx, hs, ((ts - t_starts[idx]) / hs).tolist()
+        idx = np.maximum(np.searchsorted(self.t_starts * self.direction, ts * self.direction,
+                                         side="right") - 1, 0)
+        hs = self.hs[idx]
+        return idx, hs, ((ts - self.t_starts[idx]) / hs).tolist()
 
     def __call__(self, t: float) -> np.ndarray:
         return self.sample([t])[0]
@@ -127,20 +133,16 @@ class DenseSolution:
     def derivative(self, t: float) -> np.ndarray:
         """Derivative of the interpolant (not an extra RHS evaluation)."""
         idx, _, (x,) = self._locate([t])
-        return self.Qs[idx[0]] @ np.array([1.0, 2 * x, 3 * x * x, 4 * x ** 3, 5 * x ** 4,
-                                           6 * x ** 5, 7 * x ** 6])
+        return self.Q[idx[0]] @ np.array([1.0, 2 * x, 3 * x * x, 4 * x ** 3, 5 * x ** 4,
+                                          6 * x ** 5, 7 * x ** 6])
 
     def sample(self, ts) -> np.ndarray:
         """The interpolant at every t of ts, one row per t: one segment
-        search and one stacked product."""
+        search and one stacked product over the segments in use."""
         idx, hs, x = self._locate(ts)
         p = np.array([(v, v * v, v ** 3, v ** 4, v ** 5, v ** 6, v ** 7)
                       for v in x]).reshape(len(x), 7, 1)
-        # only the segments in use: stacking all of them would make a
-        # one-row read cost as much as the whole solution
-        Q = np.array([self.Qs[i] for i in idx]).reshape(len(x), self.dim, 7)
-        y_old = np.array([self.y_olds[i] for i in idx]).reshape(len(x), self.dim)
-        return y_old + hs[:, None] * (Q @ p)[:, :, 0]
+        return self.Y[idx] + hs[:, None] * (self.Q[idx] @ p)[:, :, 0]
 
 
 def _rms(v: np.ndarray) -> float:
@@ -293,22 +295,21 @@ def integrate_dense(rhs, t0: float, t1: float, y0, tol: float = TOL,
         raise ValueError("empty time span")
     direction = 1 if t1 > t0 else -1
     n = len(y)
-    sol = DenseSolution(direction, n)
 
     t = float(t0)
     f = rhs(t, y)
     h = min(_initial_step(rhs, t, y, f, direction, tol), abs(t1 - t0))
 
-    # the state and the sixteen stages of every accepted step, as packed
-    # doubles: lists of Python floats would cost four times the memory
-    y_olds, stages = array("d"), array("d")
+    # the start, step, state and sixteen stages of every accepted step, as
+    # packed doubles: lists of Python floats would cost four times the memory
+    t_starts, hs, y_olds, stages = array("d"), array("d"), array("d"), array("d")
     n_steps = 0
     status = "done"
     while (t1 - t) * direction > 0:
         # a remaining span below the step resolution is taken in one step
         if h < 1e-14 * max(1.0, abs(t)) and h < abs(t1 - t):
             # a trajectory that escapes faster than steps resolve has blown up
-            if blowup_norm is not None and sol.t_starts:
+            if blowup_norm is not None and t_starts:
                 status = "blowup"
                 break
             raise IntegrationError(f"step size underflow at t={float(t)!r}")
@@ -333,8 +334,8 @@ def integrate_dense(rhs, t0: float, t1: float, y0, tol: float = TOL,
         err = abs(hd) * err5 * err5 / math.sqrt(n * den) if den > 0.0 else 0.0
 
         if err <= 1.0:
-            sol.t_starts.append(t)
-            sol.hs.append(hd)
+            t_starts.append(t)
+            hs.append(hd)
             y_olds.extend(y)
             for k in ks + _dense_stages(rhs, t, y, hd, ks):
                 stages.extend(k)
@@ -349,13 +350,12 @@ def integrate_dense(rhs, t0: float, t1: float, y0, tol: float = TOL,
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.125)
 
     # dense output: one stacked product for every accepted step
-    accepted = len(sol.t_starts)
-    sol.y_olds = list(np.frombuffer(y_olds).reshape(-1, n))
-    sol.Qs = list(np.frombuffer(stages).reshape(-1, 16, n).transpose(0, 2, 1) @ _P)
-    sol.t_end, sol.y_end, sol.status = t, np.array(y, dtype=float), status
-    sol.rhs_calls = 2 + 12 * n_steps + 3 * accepted
-    sol.steps_rejected = n_steps - accepted
-    return sol
+    accepted = len(t_starts)
+    Q = np.frombuffer(stages).reshape(-1, 16, n).transpose(0, 2, 1) @ _P
+    return DenseSolution(direction, np.frombuffer(t_starts), np.frombuffer(hs),
+                         np.frombuffer(y_olds).reshape(-1, n), Q, float(t),
+                         np.array(y, dtype=float), status, n_steps - accepted,
+                         2 + 12 * n_steps + 3 * accepted)
 
 
 def rk_fixed_step(rhs, t0: float, t1: float, y0, n_steps: int) -> np.ndarray:

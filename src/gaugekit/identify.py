@@ -22,7 +22,7 @@ from ._rk import IntegrationError
 from .matcurve import FlowCurve, mat_exp, solve_gauge_ode
 from .polyfield import (
     NearSingularMatrixError, PolyField, as_index, check_invertible, check_keys, field_to_dict,
-    lie_bracket, linear_pushforward,
+    invert_checked, lie_bracket, linear_pushforward,
 )
 
 __all__ = [
@@ -593,9 +593,7 @@ def remove_linear_part(q: NonAutoSystem, grid=None) -> ReducedSystem:
                         t_span=(float(ts.min()), float(ts.max())))
     const_samples = np.empty((len(ts), q.dim))
     field_samples: dict = {j: [] for j in q.degrees()}
-    for k, t in enumerate(ts):
-        t = float(t)
-        Tinv = T.inverse(t)
+    for k, (t, Tinv) in enumerate(zip(ts.tolist(), invert_checked(T.sample(ts)))):
         vals = q._table(t)
         const_samples[k] = Tinv @ q._constant_of(vals)
         for j in q.degrees():

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import timexpr as tx
-from ._rk import TOL, DenseSolution, IntegrationError, integrate_dense
+from ._rk import TOL, IntegrationError, check_in_span, integrate_dense
 from .polyfield import (
     NearSingularMatrixError, as_index, check_invertible, check_keys, invert_checked,
 )
@@ -271,11 +271,10 @@ class ExponentialCurve(MatrixCurve):
 class FlowCurve(MatrixCurve):
     """Solution of A' = C(t) A - A B, A(0) = A0, via dense-output integration.
 
-    C is as for solve_gauge_ode.  The requested span is integrated eagerly
-    and memoized; evaluation outside it extends the integration from the
-    nearest endpoint.  Reads inside an integrated span are safe to share
-    across threads; extending the span mutates the cache, so integrate the
-    full span up front before evaluating in parallel.
+    C is as for solve_gauge_ode.  The flow integrates its span [min(t0, 0),
+    max(t1, 0)] once, on construction: one leg forward from 0 and one
+    backward, a leg of length zero skipped.  It never integrates again: a
+    read outside that span raises IntegrationError.
     """
 
     def __init__(self, C, B, A0, t_span=(0.0, 1.0), tol: float = TOL):
@@ -295,13 +294,9 @@ class FlowCurve(MatrixCurve):
         self._C = (_table_of(self.C_entries) if self.C_entries is not None
                    else C or (lambda t: None))
         self._dC = None  # compiled on first use by second_derivative
-        self._fwd: DenseSolution | None = None
-        self._bwd: DenseSolution | None = None
-        lo, hi = float(min(t_span)), float(max(t_span))
-        if hi > 0:
-            self._fwd = self._integrate(0.0, hi)
-        if lo < 0:
-            self._bwd = self._integrate(0.0, lo)
+        self.span = (float(min(*t_span, 0.0)), float(max(*t_span, 0.0)))
+        self.legs = tuple(integrate_dense(self._rhs, 0.0, end, self.A0.ravel(), tol=self.tol)
+                          for end in self.span[::-1] if end != 0.0)
 
     def _rhs(self, t: float, a) -> list:
         A = np.asarray(a).reshape(self.dim, self.dim)
@@ -311,53 +306,21 @@ class FlowCurve(MatrixCurve):
             dA = dA + C @ A
         return dA.ravel().tolist()
 
-    def _integrate(self, t_from: float, t_to: float,
-                   y_from: np.ndarray | None = None) -> DenseSolution:
-        y0 = (self.A0 if y_from is None else y_from).ravel()
-        return integrate_dense(self._rhs, t_from, t_to, y0, tol=self.tol)
-
-    @property
-    def span(self) -> tuple[float, float]:
-        lo = self._bwd.t_end if self._bwd is not None else 0.0
-        hi = self._fwd.t_end if self._fwd is not None else 0.0
-        return lo, hi
-
-    def _solution_for(self, t: float) -> DenseSolution:
-        lo, hi = self.span
-        if t > hi + 1e-12:
-            start = (hi, self._fwd.y_end.reshape(self.dim, self.dim)) \
-                if self._fwd is not None else (0.0, self.A0)
-            ext = self._integrate(start[0], t, start[1])
-            self._fwd = _concat(self._fwd, ext)
-        elif t < lo - 1e-12:
-            start = (lo, self._bwd.y_end.reshape(self.dim, self.dim)) \
-                if self._bwd is not None else (0.0, self.A0)
-            ext = self._integrate(start[0], t, start[1])
-            self._bwd = _concat(self._bwd, ext)
-        if t >= 0 and self._fwd is not None:
-            return self._fwd
-        if t < 0 and self._bwd is not None:
-            return self._bwd
-        return self._fwd if self._fwd is not None else self._bwd
-
     def value(self, t: float) -> np.ndarray:
         return self.sample([t])[0]
 
     def sample(self, ts) -> np.ndarray:
         """A(t) for every t of ts, as one (K, n, n) stack: A0 at t = 0, and
-        one DenseSolution.sample per direction, extending the integrated
-        span to cover ts."""
+        one DenseSolution.sample per leg."""
         ts = np.asarray(ts, dtype=float)
-        n = self.dim
-        out = np.empty((ts.size, n, n))
-        self._solution_for(float(ts.min()))
-        self._solution_for(float(ts.max()))
-        fwd = self._fwd if self._fwd is not None else self._bwd
-        bwd = self._bwd if self._bwd is not None else self._fwd
-        for sol, mask in ((fwd, ts > 0.0), (bwd, ts < 0.0)):
+        check_in_span(ts, *self.span)
+        out = np.empty((ts.size, self.dim, self.dim))
+        # A0 also within 1e-12 past an end of the span at 0, where no leg runs
+        out[:] = self.A0
+        for leg in self.legs:
+            mask = ts * leg.direction > 0.0
             if mask.any():
-                out[mask] = sol.sample(ts[mask]).reshape(-1, n, n)
-        out[ts == 0.0] = self.A0
+                out[mask] = leg.sample(ts[mask]).reshape(-1, self.dim, self.dim)
         return out
 
     def derivative(self, t: float) -> np.ndarray:
@@ -377,54 +340,28 @@ class FlowCurve(MatrixCurve):
             out = out + self._dC(t) @ A
         return out
 
-    def checkpoints(self) -> list[float]:
-        """The accepted step times of the dense output (plus the endpoints)."""
-        out = []
-        for sol in (self._bwd, self._fwd):
-            if sol is not None:
-                out.extend(sol.t_starts)
-                out.append(sol.t_end)
-        return sorted(out)
-
     def residual_max(self) -> float:
-        """max of ||A'_interp - (C A - A B)|| / (1 + ||A||) over the
-        dense-output checkpoints."""
+        """max of ||A'_interp - (C A - A B)|| / (1 + ||A||) over the step
+        starts and the end of each leg."""
         worst = 0.0
-        for t in self.checkpoints():
-            t = float(t)
-            sol = self._solution_for(t)
-            a = sol(t)
-            lhs = sol.derivative(t)
-            rhs = self._rhs(t, a)
-            A = a.reshape(self.dim, self.dim)
-            worst = max(worst, np.linalg.norm((lhs - rhs).reshape(self.dim, self.dim))
-                        / (1.0 + np.linalg.norm(A)))
+        for leg in self.legs:
+            for t in [*leg.t_starts.tolist(), leg.t_end]:
+                a = leg(t)
+                lhs = leg.derivative(t)
+                rhs = self._rhs(t, a)
+                A = a.reshape(self.dim, self.dim)
+                worst = max(worst, np.linalg.norm((lhs - rhs).reshape(self.dim, self.dim))
+                            / (1.0 + np.linalg.norm(A)))
         return worst
 
     def assert_invertible_on_span(self):
-        """Determinant must keep its sign at every dense-output checkpoint."""
+        """Determinant must keep its sign at every step start and end of each leg."""
         sign0 = math.copysign(1.0, np.linalg.det(self.A0))
-        for sol in (self._fwd, self._bwd):
-            if sol is None:
-                continue
-            dets = np.linalg.det(np.stack(sol.y_olds + [sol.y_end])
-                                 .reshape(-1, self.dim, self.dim))
+        for leg in self.legs:
+            dets = np.linalg.det(np.vstack([leg.Y, leg.y_end]).reshape(-1, self.dim, self.dim))
             if np.any((dets == 0.0) | (np.copysign(1.0, dets) != sign0)):
                 raise NearSingularMatrixError(
                     "flow curve lost invertibility inside the integrated span")
-
-
-def _concat(base: DenseSolution | None, ext: DenseSolution) -> DenseSolution:
-    if base is None:
-        return ext
-    base.t_starts += ext.t_starts
-    base.hs += ext.hs
-    base.y_olds += ext.y_olds
-    base.Qs += ext.Qs
-    base.steps_rejected += ext.steps_rejected
-    base.rhs_calls += ext.rhs_calls
-    base.t_end, base.y_end, base.status = ext.t_end, ext.y_end, ext.status
-    return base
 
 
 class LiftedCurve(MatrixCurve):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -296,12 +297,10 @@ def test_dense_sample_equals_pointwise_calls():
     C = [["sin(3*t)", "t"], ["0.3", "cos(2*t)"]]
     for span in ((0.0, 1.0), (-0.7, 1.3)):
         A = solve_gauge_ode(C, B, A0, t_span=span)
-        for sol in (A._fwd, A._bwd):
-            if sol is None:
-                continue
+        for sol in A.legs:
             # segment boundaries (t = 0 among them), the end point, and
             # points inside each segment
-            starts = np.array(sol.t_starts)
+            starts = sol.t_starts
             ends = np.append(starts[1:], sol.t_end)
             ts = np.concatenate([starts, [sol.t_end], (starts + ends) / 2,
                                  starts + 0.3 * (ends - starts)])
@@ -316,9 +315,9 @@ def test_dense_sample_equals_pointwise_calls():
     # scalar powers, which numpy's vectorized power does not always match
     y_old, h = np.zeros(2), 1.0
     Q = np.array([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
-    sol = DenseSolution(1, 2)
-    sol.t_starts, sol.hs, sol.y_olds, sol.Qs = [0.0], [h], [y_old], [Q]
-    sol.t_end, sol.y_end = 1.0, np.ones(2)
+    sol = DenseSolution(direction=1, t_starts=np.array([0.0]), hs=np.array([h]),
+                        Y=y_old[None], Q=Q[None], t_end=1.0, y_end=np.ones(2),
+                        status="done", steps_rejected=0, rhs_calls=0)
     ts = np.linspace(0.0, 1.0, 101)
     want = [y_old + h * (Q @ np.array([x, x * x, x ** 3, x ** 4, x ** 5, x ** 6, x ** 7]))
             for x in ts.tolist()]
@@ -329,13 +328,14 @@ def test_gauge_ode_invertibility_check_reads_every_checkpoint():
     A = solve_gauge_ode([["sin(t)", "t"], ["0", "cos(t)"]],
                         np.array([[0.2, 0.0], [0.1, -0.4]]), np.eye(2), t_span=(-1.0, 1.0))
     A.assert_invertible_on_span()
-    for sol in (A._fwd, A._bwd):
+    assert len(A.legs) == 2
+    for sol in A.legs:
         for bad in (np.diag([1.0, -1.0]), np.zeros((2, 2))):
-            kept = sol.y_olds[-2]
-            sol.y_olds[-2] = bad.ravel()
+            kept = sol.Y[-2].copy()
+            sol.Y[-2] = bad.ravel()
             with pytest.raises(NearSingularMatrixError, match="lost invertibility"):
                 A.assert_invertible_on_span()
-            sol.y_olds[-2] = kept
+            sol.Y[-2] = kept
         kept = sol.y_end
         sol.y_end = kept * np.array([-1.0, -1.0, 1.0, 1.0])  # first row negated
         with pytest.raises(NearSingularMatrixError, match="lost invertibility"):
@@ -369,12 +369,36 @@ def test_gauge_ode_with_C_as_a_callable():
     ref.second_derivative(0.3)
 
 
-def test_gauge_ode_span_extension():
+def test_gauge_ode_reads_outside_the_span_raise(monkeypatch):
+    # a flow integrates [min(t0, 0), max(t1, 0)] once, one leg each way from
+    # 0, and refuses to read past either end of it
+    from gaugekit import matcurve
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args[1:3])
+        return integrate_dense(*args, **kwargs)
+
+    integrate_dense = matcurve.integrate_dense
+    monkeypatch.setattr(matcurve, "integrate_dense", recording)
     B = np.array([[0.0, -1.0], [1.0, 0.0]])
-    A = solve_gauge_ode(None, B, np.eye(2), t_span=(0.0, 0.5))
-    # beyond the integrated span: extends transparently
-    assert np.max(np.abs(A.value(1.5) - mat_exp(-1.5 * B))) <= 1e-8
-    assert np.max(np.abs(A.value(-0.5) - mat_exp(0.5 * B))) <= 1e-8
+    for span, legs in (((0.0, 0.5), [(0.0, 0.5)]), ((-0.7, 1.3), [(0.0, 1.3), (0.0, -0.7)]),
+                       ((-1.0, -0.5), [(0.0, -1.0)]), ((0.0, 0.0), [])):
+        calls.clear()
+        A = solve_gauge_ode(None, B, np.eye(2), t_span=span)
+        assert calls == legs and len(A.legs) == len(legs)
+        lo, hi = min(span[0], 0.0), max(span[1], 0.0)
+        assert A.span == (lo, hi)
+        for t in np.linspace(lo, hi, 7):
+            assert np.max(np.abs(A.value(t) - mat_exp(-t * B))) <= 1e-8
+        for t in (lo - 0.5, hi + 0.5):
+            with pytest.raises(IntegrationError,
+                               match=re.escape(f"t={t!r} outside the integrated span "
+                                               f"[{lo!r}, {hi!r}]")):
+                A.value(t)
+            with pytest.raises(IntegrationError):
+                A.sample([0.0, t])
+        assert calls == legs  # reads never integrate
 
 
 def test_gauge_ode_span_reaching_just_below_zero():
