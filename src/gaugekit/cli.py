@@ -1,10 +1,15 @@
 """Command-line interface: transform, identify, integrate, verify, idempotents.
 
+Each subcommand takes only the options it reads.  `transform` writes the
+closed-form system, which `identify` and `integrate` load back, or exits 3
+when the transform has none.
+
 Exit codes: 0 success (identify: gauge or linear_family), 1 negative verdict
 (identify: not_gauge; verify: deviation above tolerance), 2 parse/validation
-error (also a non-finite --t0 or --t1, a --tol that is not finite and > 0,
-an unknown key in an input file, or an expression nested deeper than
-Python's recursion limit allows), 3 numeric failure, 4 undetermined.
+error (also a non-finite --t0, --t1 or --x0 entry, a --tol that is not
+finite and > 0, an unknown key in an input file, or an expression nested
+deeper than Python's recursion limit allows), 3 numeric failure (transform:
+also no closed form), 4 undetermined.
 """
 
 from __future__ import annotations
@@ -19,25 +24,28 @@ import numpy as np
 
 from . import timexpr as tx
 from ._rk import TOL, IntegrationError
-from .gauge import frozen_transform_field, gauge_transform
-from .identify import (
-    NonAutoSystem, default_grid, find_idempotents, identify,
-)
-from .matcurve import curve_from_dict
+from .gauge import gauge_transform
+from .identify import NonAutoSystem, default_grid, find_idempotents, identify
+from .matcurve import ClosedFormCurve, curve_from_dict
 from .odeint import integrate as integrate_traj
 from .odeint import verify_correspondence
 from .polyfield import (
-    NearSingularMatrixError, field_from_dict, field_to_dict, format_field,
+    NearSingularMatrixError, field_from_dict, format_field, format_monomial,
 )
 
 __all__ = ["main"]
 
-_NUMERIC_ERRORS = (IntegrationError, NearSingularMatrixError, tx.EvalError,
-                   OverflowError, FloatingPointError, ZeroDivisionError)
-
 
 class _InputError(Exception):
     """Validation failure naming the offending file (exit code 2)."""
+
+
+class _NoClosedForm(Exception):
+    """A transform with no closed form to write (exit code 3)."""
+
+
+_NUMERIC_ERRORS = (IntegrationError, NearSingularMatrixError, tx.EvalError,
+                   OverflowError, FloatingPointError, ZeroDivisionError, _NoClosedForm)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +118,8 @@ def _parse_x0(text: str, dim: int) -> np.ndarray:
         raise _InputError(f"--x0: {exc}") from exc
     if len(vals) != dim:
         raise _InputError(f"--x0 has {len(vals)} entries, expected {dim}")
+    if not np.all(np.isfinite(vals)):
+        raise _InputError(f"--x0 entries must be finite, got {text!r}")
     return np.array(vals)
 
 
@@ -132,39 +142,24 @@ def _run_transform(args) -> int:
     if f.dim != A.dim:
         raise _InputError(f"{args.field}: field dim {f.dim} does not match "
                           f"curve dim {A.dim} from {args.curve}")
-    ev = gauge_transform(f, A, t_span=(args.t0, args.t1))
-    if ev.closed_form is not None:
-        data = ev.closed_form.to_dict()
-    else:
-        ts = default_grid(args.t0, args.t1, args.grid)
-        with np.errstate(all="ignore"):  # the pushforward refuses a non-finite A(t)
-            data = {"dim": f.dim, "kind": "sampled",
-                    "samples": [{"t": float(t),
-                                 "field": field_to_dict(frozen_transform_field(f, A, float(t)))}
-                                for t in ts]}
+    system = gauge_transform(f, A, t_span=(args.t0, args.t1)).closed_form
+    if system is None:
+        kind = "closed_form" if isinstance(A, ClosedFormCurve) else "exp"
+        raise _NoClosedForm(f"{args.curve}: no closed form for the {kind} curve "
+                            f"on [{args.t0:g}, {args.t1:g}]")
 
     def render(d: dict) -> str:
-        lines = ["gauge transform" + ("" if "samples" in d else " (closed form)")]
-        if "samples" in d:
-            lines.append(f"sampled at {len(d['samples'])} grid times "
-                         f"on [{args.t0:g}, {args.t1:g}]")
-            first = d["samples"][0]
-            lines.append(f"t = {first['t']:g}: "
-                         + format_field(field_from_dict(first["field"]), digits=6))
-        else:
-            lines.append("constant: [" + ", ".join(d["constant"]) + "]")
-            lines.append("linear:")
-            for row in d["linear"]:
-                lines.append("  [" + ", ".join(row) + "]")
-            lines.append("terms:")
-            for term in d["terms"]:
-                mono = "*".join(f"x{k + 1}^{p}" if p > 1 else f"x{k + 1}"
-                                for k, p in enumerate(term["exponents"]) if p)
-                lines.append(f"  component {term['component'] + 1}: "
-                             f"({term['coeff']}) * {mono}")
+        lines = ["gauge transform (closed form)",
+                 "constant: [" + ", ".join(d["constant"]) + "]", "linear:"]
+        for row in d["linear"]:
+            lines.append("  [" + ", ".join(row) + "]")
+        lines.append("terms:")
+        for term in d["terms"]:
+            lines.append(f"  component {term['component'] + 1}: "
+                         f"({term['coeff']}) * {format_monomial(term['exponents'])}")
         return "\n".join(lines) + "\n"
 
-    _emit(data, render, args)
+    _emit(system.to_dict(), render, args)
     return 0
 
 
@@ -193,7 +188,7 @@ def _render_certificate(d: dict) -> str:
 def _run_identify(args) -> int:
     q = _load(args.system, NonAutoSystem.from_dict)
     grid = default_grid(args.t0, args.t1, args.grid)
-    cert = identify(q, grid, tol=args.tol if args.tol is not None else 1e-6)
+    cert = identify(q, grid, tol=args.tol)
     _emit(cert.to_dict(), _render_certificate, args)
     if cert.status in ("gauge", "linear_family"):
         return 0
@@ -206,8 +201,7 @@ def _run_integrate(args) -> int:
     rhs = (_load(args.system, NonAutoSystem.from_dict) if args.system
            else _load(args.field, field_from_dict))
     x0 = _parse_x0(args.x0, rhs.dim)
-    traj = integrate_traj(rhs, x0, (args.t0, args.t1),
-                          tol=args.tol if args.tol is not None else TOL)
+    traj = integrate_traj(rhs, x0, (args.t0, args.t1), tol=args.tol)
     data = traj.to_dict()
 
     def render(d: dict) -> str:
@@ -227,9 +221,8 @@ def _run_verify(args) -> int:
     f = _load(args.field, field_from_dict)
     A = _load(args.curve, curve_from_dict)
     x0 = _parse_x0(args.x0, f.dim)
-    tol = args.tol if args.tol is not None else 1e-6
     dev = verify_correspondence(f, A, x0, (args.t0, args.t1))
-    data = {"max_deviation": dev, "tol": tol, "passed": dev <= tol}
+    data = {"max_deviation": dev, "tol": args.tol, "passed": dev <= args.tol}
 
     def render(d: dict) -> str:
         verdict = "within" if d["passed"] else "ABOVE"
@@ -237,7 +230,7 @@ def _run_verify(args) -> int:
                 f"({verdict} tolerance {d['tol']:g})\n")
 
     _emit(data, render, args)
-    return 0 if dev <= tol else 1
+    return 0 if data["passed"] else 1
 
 
 def _run_idempotents(args) -> int:
@@ -271,14 +264,15 @@ def _run_idempotents(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--t0", type=float, default=0.0, help="grid start (default 0)")
-    sp.add_argument("--t1", type=float, default=1.0, help="grid end (default 1)")
-    sp.add_argument("--grid", type=int, default=33,
-                    help="number of grid points (default 33)")
-    sp.add_argument("--tol", type=float, default=None,
-                    help=f"tolerance (default 1e-6; integrate: {TOL:g})")
-    sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+def _add_options(sp: argparse.ArgumentParser, span: str | None = None,
+                 tol: float | None = None) -> None:
+    """--t0/--t1 for a subcommand that reads a span, --tol for one that reads a
+    tolerance, and the output options of every subcommand."""
+    if span:
+        sp.add_argument("--t0", type=float, default=0.0, help=f"{span} start (default 0)")
+        sp.add_argument("--t1", type=float, default=1.0, help=f"{span} end (default 1)")
+    if tol is not None:
+        sp.add_argument("--tol", type=float, default=tol, help=f"tolerance (default {tol:g})")
     sp.add_argument("--out", help="output file (JSON unless --format text)")
     sp.add_argument("--format", choices=("json", "text"),
                     help="output format (default: json to file, text to console)")
@@ -295,20 +289,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("transform", help="gauge-transform a field by a matrix curve")
     sp.add_argument("--field", required=True, help="autonomous field JSON")
     sp.add_argument("--curve", required=True, help="matrix curve JSON")
-    _add_common(sp)
+    _add_options(sp, span="validation span")
     sp.set_defaults(run=_run_transform)
 
     sp = sub.add_parser("identify",
                         help="decide whether a system is a gauge transform")
     sp.add_argument("--system", required=True, help="nonautonomous system JSON")
-    _add_common(sp)
+    sp.add_argument("--grid", type=int, default=33,
+                    help="number of grid points (default 33)")
+    _add_options(sp, span="grid", tol=1e-6)
     sp.set_defaults(run=_run_identify)
 
     sp = sub.add_parser("integrate", help="integrate a system or field")
     sp.add_argument("--system", help="nonautonomous system JSON")
     sp.add_argument("--field", help="autonomous field JSON")
     sp.add_argument("--x0", required=True, help="initial state, comma separated")
-    _add_common(sp)
+    _add_options(sp, span="integration", tol=TOL)
     sp.set_defaults(run=_run_integrate)
 
     sp = sub.add_parser("verify",
@@ -316,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", required=True, help="autonomous field JSON")
     sp.add_argument("--curve", required=True, help="matrix curve JSON")
     sp.add_argument("--x0", required=True, help="initial state, comma separated")
-    _add_common(sp)
+    _add_options(sp, span="integration", tol=1e-6)
     sp.set_defaults(run=_run_verify)
 
     sp = sub.add_parser("idempotents",
@@ -324,17 +320,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", required=True, help="homogeneous field JSON")
     sp.add_argument("--starts", type=int, default=200,
                     help="number of Newton starts (default 200)")
-    _add_common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    _add_options(sp)
     sp.set_defaults(run=_run_idempotents)
     return ap
 
 
 def _check_options(args) -> None:
+    opts = vars(args)  # only the options the subcommand has
     for name in ("t0", "t1"):
-        if not np.isfinite(getattr(args, name)):
-            raise _InputError(f"--{name} must be finite, got {getattr(args, name)!r}")
-    if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
-        raise _InputError(f"--tol must be finite and > 0, got {args.tol!r}")
+        if name in opts and not np.isfinite(opts[name]):
+            raise _InputError(f"--{name} must be finite, got {opts[name]!r}")
+    if "tol" in opts and not (np.isfinite(opts["tol"]) and opts["tol"] > 0):
+        raise _InputError(f"--tol must be finite and > 0, got {opts['tol']!r}")
 
 
 def main(argv=None) -> int:

@@ -190,20 +190,7 @@ class NonAutoSystem:
             raise ValueError("'linear' must be a table (list of lists)")
         linear = [[parse_at(e, f"linear[{i}][{j}]") for j, e in enumerate(row)]
                   for i, row in enumerate(linear_src)]
-        terms_src = d.get("terms", [])
-        if not isinstance(terms_src, list):
-            raise ValueError("'terms' must be a list")
-        terms = {}
-        for k, entry in enumerate(terms_src):
-            if not isinstance(entry, dict):
-                raise ValueError(f"bad system term #{k}: expected an object")
-            check_keys(entry, ("component", "exponents", "coeff"), f"system term #{k}")
-            try:
-                comp = as_index(entry["component"], "component")
-                exps = tuple(as_index(v, "exponent") for v in entry["exponents"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"bad system term #{k}: {exc}") from exc
-            terms[(comp, exps)] = parse_at(entry.get("coeff", "0"), f"terms[{k}].coeff")
+        terms = polyfield.terms_from_list(d.get("terms", []), "system", parse_at)
         return cls(dim, constant, linear, terms)
 
 

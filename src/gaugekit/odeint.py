@@ -90,7 +90,8 @@ def verify_correspondence(f: PolyField, A: MatrixCurve, x0, t_span=(0.0, 1.0)) -
     tolerance TOL, then returns max_t ||w(t) - A(t) z(t)|| / (1 + ||A(t) z(t)||)
     over _COMPARE_POINTS equispaced dense samples.  If either trajectory
     blows up, the comparison interval is truncated to the span both
-    trajectories reached.
+    trajectories reached.  A NaN deviation (a non-finite x0 gives one) is
+    returned as NaN, so it fails every tolerance.
     """
     x0 = np.asarray(x0, dtype=float)
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -99,9 +100,8 @@ def verify_correspondence(f: PolyField, A: MatrixCurve, x0, t_span=(0.0, 1.0)) -
     sol_w = integrate_dense(fstar, t0, t1, A.value(t0) @ x0, blowup_norm=BLOWUP_NORM)
     t_hi = min(sol_z.t_end, sol_w.t_end) if t1 > t0 else max(sol_z.t_end, sol_w.t_end)
     ts = np.linspace(t0, t_hi, _COMPARE_POINTS)
-    worst = 0.0
+    devs = []
     for t, z, w in zip(ts.tolist(), sol_z.sample(ts), sol_w.sample(ts)):
         ref = A.value(t) @ z
-        dev = np.linalg.norm(w - ref) / (1.0 + np.linalg.norm(ref))
-        worst = max(worst, float(dev))
-    return worst
+        devs.append(np.linalg.norm(w - ref) / (1.0 + np.linalg.norm(ref)))
+    return float(np.max(devs))

@@ -413,39 +413,52 @@ def check_keys(d: dict, known: tuple, what: str) -> None:
                              f"(expected {', '.join(map(repr, known))})")
 
 
+def terms_from_list(entries, what: str, parse_coeff) -> dict:
+    """The {(component, exponents): coefficient} table of a JSON term list,
+    each coefficient read by parse_coeff(value, "terms[k].coeff").  A term
+    without "coeff", or with the key of an earlier term, is refused."""
+    if not isinstance(entries, list):
+        raise ValueError("'terms' must be a list")
+    terms = {}
+    for k, entry in enumerate(entries):
+        where = f"{what} term #{k}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"bad {where}: expected an object")
+        check_keys(entry, ("component", "exponents", "coeff"), where)
+        try:
+            key = (as_index(entry["component"], "component"),
+                   tuple(as_index(v, "exponent") for v in entry["exponents"]))
+            coeff = parse_coeff(entry["coeff"], f"terms[{k}].coeff")
+        except KeyError as exc:
+            raise ValueError(f"bad {where}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad {where}: {exc}") from exc
+        if key in terms:
+            raise ValueError(f"bad {where}: repeats component {key[0]}, "
+                             f"exponents {list(key[1])} of an earlier term")
+        terms[key] = coeff
+    return terms
+
+
+def _float_coeff(src, where: str) -> float:
+    coeff = float(src)
+    if not np.isfinite(coeff):
+        raise ValueError(f"{where}: non-finite coefficient")
+    return coeff
+
+
 def field_from_dict(d: dict) -> PolyField:
     if not isinstance(d, dict) or "dim" not in d:
         raise ValueError("field object must have a 'dim' entry")
     check_keys(d, ("dim", "terms"), "field object")
     dim = as_index(d["dim"], "dim")
-    entries = d.get("terms", [])
-    if not isinstance(entries, list):
-        raise ValueError("'terms' must be a list")
-    terms = {}
-    for k, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"bad field term #{k}: expected an object")
-        check_keys(entry, ("component", "exponents", "coeff"), f"field term #{k}")
-        try:
-            comp = as_index(entry["component"], "component")
-            exps = tuple(as_index(v, "exponent") for v in entry["exponents"])
-            coeff = float(entry["coeff"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad field term #{k}: {exc}") from exc
-        if not np.isfinite(coeff):
-            raise ValueError(f"bad field term #{k}: non-finite coefficient")
-        terms[(comp, exps)] = terms.get((comp, exps), 0.0) + coeff
-    return PolyField(dim, terms)
+    return PolyField(dim, terms_from_list(d.get("terms", []), "field", _float_coeff))
 
 
-def _format_monomial(exps: tuple) -> str:
-    parts = []
-    for k, p in enumerate(exps):
-        if p == 1:
-            parts.append(f"x{k + 1}")
-        elif p > 1:
-            parts.append(f"x{k + 1}^{p}")
-    return "*".join(parts)
+def format_monomial(exps: tuple) -> str:
+    """x1^2*x3 for the exponents (2, 0, 1)."""
+    return "*".join(f"x{k + 1}^{p}" if p > 1 else f"x{k + 1}"
+                    for k, p in enumerate(exps) if p > 0)
 
 
 def format_field(f: PolyField, digits: int = 12) -> str:
@@ -459,7 +472,7 @@ def format_field(f: PolyField, digits: int = 12) -> str:
             continue
         out = ""
         for exps, c in entries:
-            mono = _format_monomial(exps)
+            mono = format_monomial(exps)
             mag = abs(c)
             coeff = f"{mag:.{digits}g}"
             if mono and coeff == "1":

@@ -186,6 +186,14 @@ def test_correspondence_blowup_truncated():
     assert verify_correspondence(p2_field(), A, [2.5, 0.0], (0.0, 0.39)) <= 1e-5
 
 
+def test_correspondence_nan_start_fails_every_tolerance():
+    # a NaN deviation is kept by the maximum, not dropped in favour of 0
+    A = ExponentialCurve(np.diag([1.0, 2.0]), -1)
+    dev = verify_correspondence(p2_field(), A, [float("nan"), 0.1], (0.0, 0.5))
+    assert math.isnan(dev)
+    assert not dev <= 1.0
+
+
 def test_second_order_lift_correspondence():
     # x'' = -x - |x|^2 x recast as first order in (x, y); the block lift of a
     # matrix curve transforms it with the same solution correspondence
