@@ -335,8 +335,21 @@ def _check_options(args) -> None:
         raise _InputError(f"--tol must be finite and > 0, got {opts['tol']!r}")
 
 
+def _join_x0(argv: list) -> list:
+    """argv with each --x0 joined to the token after it, so that a start
+    whose first entry is negative ("-0.5,0.3") is read as the value of --x0
+    rather than taken for an option."""
+    out: list = []
+    for arg in argv:
+        if out and out[-1] == "--x0":
+            out[-1] = f"--x0={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_x0(sys.argv[1:] if argv is None else argv))
     try:
         _check_options(args)
         return args.run(args)

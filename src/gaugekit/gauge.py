@@ -9,9 +9,10 @@ like PolyField terms:
 
 - A one-parameter exponential exp(tM) with a diagonalizable generator,
   M = V Lambda V^{-1} with cond(V) <= 1e8, gives exact exponential sums.
-  The field is pushed through the eigenbasis once, and every coefficient
-  comes out as a table {integer exponent vector k: value}, printed as a
-  sum of exp(a t) (p cos(b t) + q sin(b t)) with a + ib = k . Lambda.
+  The field is pushed through the eigenbasis once, each term's integer
+  exponent vector k riding in its key as a tag, so every coefficient comes
+  out as plain complex values {k: value}, printed as a sum of
+  exp(a t) (p cos(b t) + q sin(b t)) with a + ib = k . Lambda.
 - A closed-form curve with a symbolic inverse is pushed forward as
   expression tables.
 
@@ -22,8 +23,10 @@ Exponential sums expand |V^{-1}|, |V| and |f| once; closed-form curves
 expand |S|, |S^{-1}|, |S'| and |f| at 20 sample times in the span, and a
 coefficient is zero when it is zero at all of them.
 
-The table is kept only if its system matches the numeric transform within
-1e-9 relative at ten points of the span.
+The table is kept only if its system matches the numeric transform, the
+direct formula of transform_rhs, within 1e-9 relative at ten points of the
+span; an exponential curve reads A(t) and A(t)^{-1} at all ten from one
+stacked mat_exp.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 from . import timexpr as tx
 from ._rk import BLOWUP_NORM, IntegrationError, integrate_dense
 from .identify import NonAutoSystem
-from .matcurve import ClosedFormCurve, ExponentialCurve, MatrixCurve
+from .matcurve import ClosedFormCurve, ExponentialCurve, MatrixCurve, mat_exp
 from .polyfield import PolyField, lie_bracket, linear_pushforward, pushforward_terms
 
 __all__ = [
@@ -58,7 +61,6 @@ class NonAutoEvaluator:
     """A nonautonomous right-hand side with an optional closed-form realization."""
     dim: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    t_span: tuple
     closed_form: NonAutoSystem | None = None
 
     def __call__(self, t: float, x) -> np.ndarray:
@@ -139,23 +141,6 @@ def _validation_points(n: int, t_span: tuple) -> list:
     return points
 
 
-class _ExpSum(dict):
-    """A coefficient of the eigenbasis expansion, {exponent vector k: c}:
-    the sum of c exp((k . lambda) t) over the eigenvalues lambda of the
-    generator.  `+` adds two sums, `*` scales one by a number."""
-
-    __slots__ = ()
-
-    def __add__(self, other: "_ExpSum") -> "_ExpSum":
-        out = _ExpSum(self)
-        for k, c in other.items():
-            out[k] = out[k] + c if k in out else c
-        return out
-
-    def __mul__(self, s) -> "_ExpSum":
-        return _ExpSum({k: c * s for k, c in self.items()})
-
-
 def _exponents(lam: np.ndarray):
     """k -> (a, b), the real and imaginary parts of k . lam for an integer
     vector k, or None when a complex eigenvalue has no exact conjugate.
@@ -195,27 +180,30 @@ def _combination(pairs) -> tx.TimeExpr:
         if c == 0.0:
             continue
         if acc is None:
-            acc = c * e
+            acc = tx.emul(tx.lit(c), e)
+        elif c < 0.0:
+            acc = tx.esub(acc, tx.emul(tx.lit(-c), e))
         else:
-            acc = acc - (-c) * e if c < 0.0 else acc + c * e
+            acc = tx.eadd(acc, tx.emul(tx.lit(c), e))
     return tx.Lit(0.0) if acc is None else acc
 
 
-def _exponential_sum(values: _ExpSum, bounds: _ExpSum, exponent, wave) -> tx.TimeExpr:
-    """A coefficient as the sum over rates a of exp(a t) times the sum over
-    frequencies b >= 0 of p cos(b t) + q sin(b t), both sorted.  The vectors
-    of one (a, b), and each vector with its conjugate, are summed first (a
-    real field gives conjugate values); p and q are zero when at most
-    _ZERO_RTOL times the summed bounds.  wave(name, rate) gives the node
-    name(rate t)."""
+def _exponential_sum(triples: list, exponent, wave) -> tx.TimeExpr:
+    """A coefficient, the sum of c exp((k . lambda) t) over its (k, c, m)
+    triples (m bounds c), as the sum over rates a of exp(a t) times the sum
+    over frequencies b >= 0 of p cos(b t) + q sin(b t), both sorted.  The
+    vectors of one (a, b), and each vector with its conjugate, are summed
+    first (a real field gives conjugate values); p and q are zero when at
+    most _ZERO_RTOL times the summed bounds.  wave(name, rate) gives the
+    node name(rate t)."""
     merged: dict = {}
-    for k, c in values.items():
+    for k, c, m in triples:
         a, b = exponent(k)
         if b < 0.0:
             c, b = c.conjugate(), -b
         slot = merged.setdefault((a, b), [0.0, 0.0])
         slot[0] += c
-        slot[1] += bounds[k]
+        slot[1] += m
     by_rate: dict = {}
     for (a, b), (c, m) in sorted(merged.items()):
         tol = _ZERO_RTOL * m
@@ -228,9 +216,9 @@ def _exponential_sum(values: _ExpSum, bounds: _ExpSum, exponent, wave) -> tx.Tim
     for a, terms in by_rate.items():
         E = wave("exp", a)
         if len(terms) == 1:
-            parts.append((terms[0][0], E * terms[0][1]))
+            parts.append((terms[0][0], tx.emul(E, terms[0][1])))
         elif terms:
-            parts.append((1.0, E * _combination(terms)))
+            parts.append((1.0, tx.emul(E, _combination(terms))))
     return _combination(parts)
 
 
@@ -242,10 +230,11 @@ def _exponential_table(f: PolyField, A: ExponentialCurve) -> dict | None:
     With M = V Lambda W, W = V^{-1}, S f(S^{-1} y) = V e^{t Lambda}
     g(e^{-t Lambda} W y) for g = W f(V .), so the coefficient of u^m in
     component a of g carries the one exponential exp(((e_a - m) . lambda) t).
-    f is pushed forward by (W, V) once, each coefficient tagged with its
-    vector e_a - m, and pushed back by (V, W); S'S^{-1} = M adds M to the
-    linear part.  The same two pushforwards of |W|, |V| and |f| bound every
-    value for the zero test."""
+    f is pushed forward by (W, V) once, the vector k = e_a - m is appended
+    to each key, and the tagged terms are pushed back by (V, W) in one
+    expansion, to {(component, exponents, k): value}; S'S^{-1} = M adds M
+    to the linear part at k = 0.  The same two pushforwards of |W|, |V| and
+    |f| bound every value for the zero test."""
     n = f.dim
     M = A.sign * A.generator
     lam, V = np.linalg.eig(M)
@@ -259,31 +248,33 @@ def _exponential_table(f: PolyField, A: ExponentialCurve) -> dict | None:
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
 
     def expand(W: list, V: list, fterms: dict, M: np.ndarray) -> dict:
-        tagged = {(a, m): _ExpSum({tuple(int(r == a) - p for r, p in enumerate(m)): c})
+        tagged = {(a, m, tuple(int(r == a) - p for r, p in enumerate(m))): c
                   for (a, m), c in pushforward_terms(W, V, fterms).items()}
         table = pushforward_terms(V, W, tagged)
         for (i, j), c in np.ndenumerate(M):
             if c != 0.0:
-                key, add = (i, units[j]), _ExpSum({origin: float(c)})
-                table[key] = table[key] + add if key in table else add
+                key = (i, units[j], origin)
+                table[key] = table[key] + float(c) if key in table else float(c)
         return table
 
     values = expand(W.tolist(), V.tolist(), f.terms, M)
     bounds = expand(np.abs(W).tolist(), np.abs(V).tolist(),
                     {key: abs(c) for key, c in f.terms.items()}, np.abs(M))
+    triples: dict = {}
+    for (i, e, k), c in values.items():
+        triples.setdefault((i, e), []).append((k, c, bounds[i, e, k]))
     # one node per wave, shared by every coefficient
-    wave = functools.cache(lambda name, rate: tx.efun(name, rate * tx.T))
+    wave = functools.cache(lambda name, rate: tx.efun(name, tx.emul(tx.lit(rate), tx.T)))
     zero = tx.Lit(0.0)
-    coeff = {key: _exponential_sum(values[key], bounds[key], exponent, wave)
-             for key in sorted(values)}
+    coeff = {key: _exponential_sum(triples[key], exponent, wave) for key in sorted(triples)}
     return {key: e for key, e in coeff.items() if e != zero}
 
 
-def _emit_closed_form(n: int, table: dict, direct_rhs, points: list) -> NonAutoSystem | None:
+def _emit_closed_form(n: int, table: dict, points: list, direct) -> NonAutoSystem | None:
     """The system of a coefficient table, or None unless it matches the
-    direct RHS within 1e-9 relative at every validation point.  It is read
-    through its table, one row per point, so no right-hand side is
-    generated for it here."""
+    direct RHS, direct(k) at points[k], within 1e-9 relative at every
+    validation point.  It is read through its table, one row per point, so
+    no right-hand side is generated for it here."""
     zero = tx.Lit(0.0)
     const, linear, terms = [zero] * n, [[zero] * n for _ in range(n)], {}
     for (i, exps), e in table.items():
@@ -294,12 +285,12 @@ def _emit_closed_form(n: int, table: dict, direct_rhs, points: list) -> NonAutoS
         else:
             const[i] = e
     system = NonAutoSystem(n, const, linear, terms)
-    for t, x in points:
+    for k, (t, x) in enumerate(points):
         # an overflow on either side means no closed form, and non-finite
         # values are refused below
         try:
             with np.errstate(all="ignore"):
-                want = direct_rhs(t, x)
+                want = direct(k)
             vals = system._table(t)
         except OverflowError:
             return None
@@ -321,6 +312,15 @@ def _emit_closed_form(n: int, table: dict, direct_rhs, points: list) -> NonAutoS
 # The transform and its companions
 # ---------------------------------------------------------------------------
 
+def _direct_rhs(f: PolyField, y: np.ndarray, At: np.ndarray, Ainv: np.ndarray,
+                M: np.ndarray | None, Adot: np.ndarray | None) -> np.ndarray:
+    """A'A^{-1} y + A f(A^{-1} y) at one time, from A(t), A(t)^{-1}, and
+    either the generator M = A'A^{-1} of a one-parameter group or A'(t)."""
+    u = Ainv @ y
+    lin = M @ y if M is not None else Adot @ u
+    return lin + At @ f.eval(u)
+
+
 def transform_rhs(f: PolyField, A: MatrixCurve) -> Callable[[float, np.ndarray], np.ndarray]:
     """The right-hand side y' = A'A^{-1} y + A f(A^{-1} y), evaluated
     numerically through the curve."""
@@ -332,11 +332,22 @@ def transform_rhs(f: PolyField, A: MatrixCurve) -> Callable[[float, np.ndarray],
 
     def rhs(t: float, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        u = A.inverse(t) @ y
-        lin = M @ y if M is not None else A.derivative(t) @ u
-        return lin + A.value(t) @ f.eval(u)
+        Ainv = A.inverse(t)
+        Adot = A.derivative(t) if M is None else None
+        return _direct_rhs(f, y, A.value(t), Ainv, M, Adot)
 
     return rhs
+
+
+def _exponential_direct(f: PolyField, A: ExponentialCurve, points: list):
+    """k -> transform_rhs(f, A) at points[k], with A(t) and A(t)^{-1} at
+    every point read from one stacked mat_exp over sign t G and -sign t G;
+    its slices equal the lone calls bit for bit."""
+    s = A.sign * np.array([t for t, _ in points])
+    with np.errstate(all="ignore"):
+        E = mat_exp(np.multiply.outer(np.concatenate([s, -s]), A.generator))
+    M = A.sign * A.generator
+    return lambda k: _direct_rhs(f, points[k][1], E[k], E[len(points) + k], M, None)
 
 
 def gauge_transform(f: PolyField, A: MatrixCurve,
@@ -353,14 +364,15 @@ def gauge_transform(f: PolyField, A: MatrixCurve,
     points = _validation_points(f.dim, t_span)
     if isinstance(A, ClosedFormCurve):
         A.check_inverse([t for t, _ in points])
+    closed = None
     if isinstance(A, ExponentialCurve):
         table = _exponential_table(f, A)
+        if table is not None:
+            closed = _emit_closed_form(f.dim, table, points, _exponential_direct(f, A, points))
     elif isinstance(A, ClosedFormCurve) and A.inverse_entries is not None:
-        table = _closed_form_table(f, A, t_span)
-    else:
-        table = None
-    closed = None if table is None else _emit_closed_form(f.dim, table, rhs, points)
-    return NonAutoEvaluator(f.dim, rhs, t_span, closed)
+        closed = _emit_closed_form(f.dim, _closed_form_table(f, A, t_span), points,
+                                   lambda k: rhs(*points[k]))
+    return NonAutoEvaluator(f.dim, rhs, closed)
 
 
 def transform_solution(traj, A: MatrixCurve):

@@ -7,6 +7,8 @@ convention; every operation returns a fresh object.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from . import timexpr as tx
@@ -65,7 +67,7 @@ class PolyField:
     len dim; entries that are exactly zero are dropped on construction.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "terms", "_rhs")
 
     def __init__(self, dim: int, terms: dict | None = None):
         if dim < 1:
@@ -88,6 +90,7 @@ class PolyField:
             if c != 0.0:
                 clean[(int(comp), exps)] = c
         self.terms = clean
+        self._rhs = None
 
     # -- constructors --------------------------------------------------
 
@@ -189,10 +192,12 @@ class PolyField:
         """The field as a generated right-hand side (t, y) -> tuple of floats,
         for y a list of floats: equal to eval at real points bit for bit.
         Integrations go through it; eval stays for complex and one-off
-        points."""
-        return tx.compile_rhs(self.dim, [
-            (i, c, tuple((k, p) for k, p in enumerate(exps) if p))
-            for (i, exps), c in self.terms.items()])
+        points.  It is generated on the first call and kept with the field."""
+        if self._rhs is None:
+            self._rhs = tx.compile_rhs(self.dim, [
+                (i, c, tuple((k, p) for k, p in enumerate(exps) if p))
+                for (i, exps), c in self.terms.items()])
+        return self._rhs
 
     def jacobian(self, x) -> np.ndarray:
         """Matrix of partial derivatives at x, from exact coefficient differentiation."""
@@ -251,7 +256,7 @@ def _poly_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            key = tuple(i + j for i, j in zip(ea, eb))
+            key = tuple(map(operator.add, ea, eb))
             term = ca * cb
             out[key] = out[key] + term if key in out else term
     return out
@@ -327,7 +332,9 @@ def _poly_pow(p: dict, k: int, dim: int) -> dict:
 def pushforward_terms(A: list, Ainv: list, terms: dict) -> dict:
     """Coefficients of A f(A^{-1} x), keyed like PolyField terms, for f the
     field with the coefficient table `terms` ((component, exponents) ->
-    coefficient).
+    coefficient).  A key may carry a tag after its exponents: (j, exponents,
+    *tag) comes back as (i, exponents', *tag), so each tag's terms are pushed
+    forward on their own, bit for bit as if alone, in one expansion.
 
     A and Ainv are n x n tables (rows) of floats, complex numbers, TimeExprs
     or (K,) arrays, one slice per matrix of a stack; the coefficients come
@@ -352,15 +359,17 @@ def pushforward_terms(A: list, Ainv: list, terms: dict) -> dict:
         return cache[exps]
 
     out: dict = {}
-    for (j, exps), c in terms.items():
+    for src, c in terms.items():
+        j, exps, tag = src[0], src[1], src[2:]
         expanded = expand(exps)
         for i in range(n):
             aij = A[i][j]
             if _is_zero(aij):
                 continue
+            ca = c * aij
             for e, v in expanded.items():
-                key = (i, e)
-                term = c * aij * v
+                key = (i, e) + tag
+                term = ca * v
                 out[key] = out[key] + term if key in out else term
     return out
 

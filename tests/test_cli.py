@@ -552,6 +552,20 @@ def test_non_finite_start_exit_2_names_x0(files, capsys, x0):
             assert captured.err == f"error: --x0 entries must be finite, got {x0!r}\n"
 
 
+def test_a_negative_first_start_entry_reads_in_both_spellings(files, capsys):
+    # "--x0 -0.3,0.4" is one start, not an option: it reads as --x0=-0.3,0.4
+    for argv in (["integrate", "--field", files["p2"]],
+                 ["integrate", "--system", files["quad"]],
+                 ["verify", "--field", files["p2"], "--curve", files["expB"]]):
+        outputs = []
+        for x0 in (["--x0", "-0.3,0.4"], ["--x0=-0.3,0.4"]):
+            assert main([*argv, *x0, "--t1", "0.5"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1] != ""
+
+
 def test_verify_correspondence_cli(files, capsys):
     code = main(["verify", "--field", files["p2"], "--curve", files["expB"],
                  "--x0", "0.3,0.4", "--t1", "0.5"])

@@ -524,6 +524,41 @@ def test_transform_rhs_evaluates_two_exponentials(monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
+def test_validation_reads_one_stacked_exponential(monkeypatch):
+    # the ten points' A(t) and A(t)^{-1} come from one mat_exp over a stack
+    # of 20 matrices, and the direct values it compares against are
+    # transform_rhs's at the same points, bit for bit
+    from gaugekit import gauge, matcurve
+    from gaugekit.gauge import transform_rhs
+    real_exp, real_direct = matcurve.mat_exp, gauge._direct_rhs
+    shapes, direct = [], []
+
+    def counting(M):
+        shapes.append(np.shape(M))
+        return real_exp(M)
+
+    def recording(*args):
+        direct.append(real_direct(*args))
+        return direct[-1]
+
+    for module in (gauge, matcurve):
+        monkeypatch.setattr(module, "mat_exp", counting)
+    monkeypatch.setattr(gauge, "_direct_rhs", recording)
+    f = random_field(np.random.default_rng(6), 3, [0, 1, 2, 3])
+    for sign, span in ((-1, (0.0, 1.0)), (1, (-1.5, 0.5))):
+        A = ExponentialCurve(_random_generator(np.random.default_rng(7), 3, "complex"), sign)
+        shapes.clear()
+        direct.clear()
+        assert gauge_transform(f, A, span).closed_form is not None
+        assert shapes == [(20, 3, 3)]
+        validated = list(direct)
+        rhs = transform_rhs(f, A)
+        points = gauge._validation_points(3, span)
+        assert len(validated) == len(points) == 10
+        for got, (t, y) in zip(validated, points):
+            assert got.tobytes() == rhs(t, y).tobytes()
+
+
 def test_an_overflowing_closed_form_is_refused(tmp_path, capsys):
     # the x1 x2 e2 coefficient is exp(1000 t), which overflows math.exp
     # from t ~ 0.71: validation refuses the closed form instead of raising
@@ -566,6 +601,18 @@ def _random_generator(rng, n: int, spectrum: str) -> np.ndarray:
     return V @ D @ np.linalg.inv(V)
 
 
+def _exponential_input(rng, n: int, spectrum: str, sign: int, cancel: bool):
+    """A seeded field of degrees 0, 1 and one or two of 2-4, and the curve
+    exp(sign t G); with cancel, the field's linear part is -sign G."""
+    G = _random_generator(rng, n, spectrum)
+    degrees = sorted(rng.choice([2, 3, 4], size=int(rng.integers(1, 3)), replace=False))
+    f = random_field(rng, n, [0, 1, *degrees], density=0.5 if n == 3 else 0.8)
+    if cancel:
+        f = PolyField(n, {key: c for key, c in f.terms.items() if sum(key[1]) != 1}) \
+            + PolyField.from_linear(-sign * G)
+    return f, ExponentialCurve(G, sign)
+
+
 def test_exponential_closed_forms_equal_the_direct_rhs():
     # the exponential sums equal transform_rhs within 1e-9 relative at
     # random points of the span, negative times included, and a second
@@ -584,13 +631,7 @@ def test_exponential_closed_forms_equal_the_direct_rhs():
     @example(seed=0, n=3, spectrum="complex", sign=-1, cancel=True, t0=-2.0, length=2.0)
     def run(seed, n, spectrum, sign, cancel, t0, length):
         rng = np.random.default_rng(seed)
-        G = _random_generator(rng, n, spectrum)
-        A = ExponentialCurve(G, sign)
-        degrees = sorted(rng.choice([2, 3, 4], size=int(rng.integers(1, 3)), replace=False))
-        f = random_field(rng, n, [0, 1, *degrees], density=0.5 if n == 3 else 0.8)
-        if cancel:
-            f = PolyField(n, {key: c for key, c in f.terms.items() if sum(key[1]) != 1}) \
-                + PolyField.from_linear(-sign * G)
+        f, A = _exponential_input(rng, n, spectrum, sign, cancel)
         span = (t0, t0 + length)
         q = gauge_transform(f, A, span).closed_form
         assert q is not None
@@ -605,6 +646,44 @@ def test_exponential_closed_forms_equal_the_direct_rhs():
         assert dumps(again.to_dict()) == dumps(q.to_dict())
 
     run()
+
+
+# sha256 of the printed closed form of _exponential_input(default_rng(seed),
+# n, spectrum, sign, cancel) over span
+_EXPONENTIAL_GOLDEN = [
+    (0, 1, "real", -1, False, (-1.0, 1.0), "ce2b3320a2741920a251ad92a240caf92eb870a0affbe569330f9ebbded0fea6"),
+    (1, 1, "real", 1, True, (0.0, 1.0), "56d42218aae24c046c40f2093666239e0cff113f363ba342b0007e679946c457"),
+    (2, 1, "real", -1, False, (-2.0, 0.0), "1c4c4e5afcad0f664af8537d683027e2f156ecd717629f9b72ef3095b8c9ab18"),
+    (3, 1, "real", 1, True, (-0.5, 1.5), "6f9f02c300f33f294b431ee2234747dba49bfa0f857ade96c25fee71527ced0d"),
+    (4, 2, "real", -1, False, (-1.5, -0.25), "d6e83c25277e5b907d17ae72b4365a39acf1449f6555d983fe0db8f694800d12"),
+    (5, 2, "real", 1, True, (-1.0, 1.0), "41c8da8461d487ec427bee8beeaced40aeebdafd88a34416e5693f8a963f5591"),
+    (6, 2, "complex", -1, False, (0.0, 1.0), "8f2d92f742e223cb6f635d75728a21c5c33551e72131d2e004ff07bcd1d9a7c7"),
+    (7, 2, "complex", 1, True, (-2.0, 0.0), "642955fe6c23428771a60b80eda0385ecaa52b72aeaf8f16b49c66c70d479e61"),
+    (8, 2, "repeated", -1, False, (-0.5, 1.5), "402379e9206b383dd269c7f94d0d5c8d16f8ce92954355776afc3e456adbbb98"),
+    (9, 2, "repeated", 1, True, (-1.5, -0.25), "ff181742c9048d173d8da1d106149f50177c43096900104c33af203949ac433c"),
+    (10, 3, "real", -1, False, (-1.0, 1.0), "113170348d2e820afd7b06d8586ba989bf696e78766e30852e687ccf2ab4e5ad"),
+    (11, 3, "real", 1, True, (0.0, 1.0), "59bafec87c4b75476ae86392fc3b9c5b10d9bf6d06f22756ef3c958d71cf66eb"),
+    (12, 3, "complex", -1, False, (-2.0, 0.0), "50c84034cf857497204bc7b5868c2b092d4ace2eed5bee5bd455128cfc9e6ab9"),
+    (13, 3, "complex", 1, True, (-0.5, 1.5), "24c0856b4972b624c3482e70c3d5b46577d8e4697df4e70473d9bd64093e5acf"),
+    (14, 3, "repeated", -1, False, (-1.5, -0.25), "aba582d9749b32b224e72ce09b5386422fdb341261f8911bc16fa386e578408f"),
+    (15, 3, "repeated", 1, True, (-1.0, 1.0), "91747680344cea6933a8f678eb9d6f4f66cc394ebc608239ef6d51175ef18547"),
+    (16, 2, "complex", 1, False, (0.0, 1.0), "022f6f4c9155f4f6468283fca77f113249a7bbb359b58ad570bc18d98831b9e2"),
+    (17, 3, "complex", -1, True, (-2.0, 0.0), "363a85b175e648c87baa62f77e15eac2b2af488e80bc9178f5f487ece80af646"),
+    (18, 3, "real", 1, False, (-0.5, 1.5), "8e7037ad996e3ffc782a26d3cd375272bb3cafa7b7c645d211481004a59cf5b0"),
+    (19, 2, "real", -1, True, (-1.5, -0.25), "2daed36348561050bb84a4dd1685c84a93c5694cfc5926de9b42db3e8dad4775"),
+]
+
+
+@pytest.mark.parametrize("seed,n,spectrum,sign,cancel,span,digest", _EXPONENTIAL_GOLDEN)
+def test_exponential_closed_forms_print_their_recorded_bytes(seed, n, spectrum, sign,
+                                                             cancel, span, digest):
+    # the printed system is pinned byte for byte, so a change to how the
+    # exponential sums are accumulated or validated cannot move a digit
+    import hashlib
+    from gaugekit.cli import dumps
+    f, A = _exponential_input(np.random.default_rng(seed), n, spectrum, sign, cancel)
+    q = gauge_transform(f, A, span).closed_form
+    assert hashlib.sha256(dumps(q.to_dict()).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

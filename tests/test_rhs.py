@@ -138,6 +138,22 @@ def test_generated_rhs_and_table_die_with_their_system():
         gc.enable()
 
 
+def test_a_field_generates_its_right_hand_side_once(monkeypatch):
+    real = tx.compile_rhs
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tx, "compile_rhs", recording)
+    f = PolyField(2, {(0, (2, 0)): 1.0, (0, (0, 2)): -1.0, (1, (1, 1)): 2.0})
+    first = integrate(f, [0.1, -0.2], (0.0, 0.5))
+    second = integrate(f, [0.1, -0.2], (0.0, 0.5))
+    assert calls == [2]
+    assert np.array_equal(first.states, second.states)
+
+
 def test_step_counters_match_the_rhs_calls():
     # van der Pol with mu = 5 over [0, 10] rejects steps at its fast turns
     f = PolyField(2, {(0, (0, 1)): 1.0, (1, (0, 1)): 5.0, (1, (2, 1)): -5.0,
