@@ -142,11 +142,12 @@ def _run_transform(args) -> int:
     if f.dim != A.dim:
         raise _InputError(f"{args.field}: field dim {f.dim} does not match "
                           f"curve dim {A.dim} from {args.curve}")
-    system = gauge_transform(f, A, t_span=(args.t0, args.t1)).closed_form
+    ev = gauge_transform(f, A, t_span=(args.t0, args.t1))
+    system = ev.closed_form
     if system is None:
         kind = "closed_form" if isinstance(A, ClosedFormCurve) else "exp"
         raise _NoClosedForm(f"{args.curve}: no closed form for the {kind} curve "
-                            f"on [{args.t0:g}, {args.t1:g}]")
+                            f"on [{args.t0:g}, {args.t1:g}]: {ev.reason}")
 
     def render(d: dict) -> str:
         lines = ["gauge transform (closed form)",
@@ -209,8 +210,10 @@ def _run_integrate(args) -> int:
         if traj.meta.get("blowup"):
             lines.append(f"blow-up detected; trajectory truncated at "
                          f"t = {traj.meta['t_end']:g}")
-        lines.append("final state: ["
-                     + ", ".join(f"{v:.12g}" for v in d["x"][-1]) + "]")
+        # rows run in increasing time, so a backward span ends at the first
+        end = 0 if args.t1 < args.t0 else -1
+        lines.append(f"final state at t = {d['t'][end]:g}: ["
+                     + ", ".join(f"{v:.12g}" for v in d["x"][end]) + "]")
         return "\n".join(lines) + "\n"
 
     _emit(data, render, args)

@@ -58,10 +58,12 @@ _SAMPLE_FRACTIONS = np.linspace(0.025, 0.975, 20)
 
 @dataclass
 class NonAutoEvaluator:
-    """A nonautonomous right-hand side with an optional closed-form realization."""
+    """A nonautonomous right-hand side with an optional closed-form
+    realization; `reason` says why there is none."""
     dim: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
     closed_form: NonAutoSystem | None = None
+    reason: str | None = None
 
     def __call__(self, t: float, x) -> np.ndarray:
         return self.rhs(t, x)
@@ -70,6 +72,10 @@ class NonAutoEvaluator:
 # ---------------------------------------------------------------------------
 # Closed-form emission over TimeExpr tables
 # ---------------------------------------------------------------------------
+
+class _Refused(Exception):
+    """Why a transform gets no closed form."""
+
 
 def _table_product(A: list, B: list) -> list:
     """Product of two n x n tables of floats or TimeExprs."""
@@ -222,10 +228,11 @@ def _exponential_sum(triples: list, exponent, wave) -> tx.TimeExpr:
     return _combination(parts)
 
 
-def _exponential_table(f: PolyField, A: ExponentialCurve) -> dict | None:
+def _exponential_table(f: PolyField, A: ExponentialCurve) -> dict:
     """The nonzero coefficients of the transform by S(t) = exp(tM),
-    M = sign G, as exact exponential sums in one table, sorted by key; None
-    when M is defective or its eigenvectors are ill-conditioned.
+    M = sign G, as exact exponential sums in one table, sorted by key.
+    Refused when M is defective or its eigenvectors are ill-conditioned, or
+    a complex eigenvalue has no exact conjugate.
 
     With M = V Lambda W, W = V^{-1}, S f(S^{-1} y) = V e^{t Lambda}
     g(e^{-t Lambda} W y) for g = W f(V .), so the coefficient of u^m in
@@ -239,10 +246,10 @@ def _exponential_table(f: PolyField, A: ExponentialCurve) -> dict | None:
     M = A.sign * A.generator
     lam, V = np.linalg.eig(M)
     if not np.all(np.isfinite(V)) or np.linalg.cond(V) > 1e8:
-        return None
+        raise _Refused("defective or ill-conditioned generator (cond V > 1e8)")
     exponent = _exponents(lam)
     if exponent is None:
-        return None
+        raise _Refused("complex eigenvalues without an exact conjugate pair")
     W = np.linalg.inv(V)
     origin = (0,) * n
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
@@ -270,8 +277,8 @@ def _exponential_table(f: PolyField, A: ExponentialCurve) -> dict | None:
     return {key: e for key, e in coeff.items() if e != zero}
 
 
-def _emit_closed_form(n: int, table: dict, points: list, direct) -> NonAutoSystem | None:
-    """The system of a coefficient table, or None unless it matches the
+def _emit_closed_form(n: int, table: dict, points: list, direct) -> NonAutoSystem:
+    """The system of a coefficient table, refused unless it matches the
     direct RHS, direct(k) at points[k], within 1e-9 relative at every
     validation point.  It is read through its table, one row per point, so
     no right-hand side is generated for it here."""
@@ -293,7 +300,7 @@ def _emit_closed_form(n: int, table: dict, points: list, direct) -> NonAutoSyste
                 want = direct(k)
             vals = system._table(t)
         except OverflowError:
-            return None
+            raise _Refused(f"validation refused at t = {t:g}: overflow") from None
         y = x.tolist()
         got = [0.0] * n
         for i, k, powers in system._monomials:
@@ -301,10 +308,12 @@ def _emit_closed_form(n: int, table: dict, points: list, direct) -> NonAutoSyste
             for j, p in powers:
                 term *= y[j] ** p
             got[i] += term
-        # NaN fails no comparison: non-finite values refuse the closed form
-        if not (np.isfinite(want).all() and np.isfinite(got).all()) \
-                or np.max(np.abs(np.subtract(got, want))) > 1e-9 * (1.0 + np.max(np.abs(want))):
-            return None
+        if not (np.isfinite(want).all() and np.isfinite(got).all()):
+            raise _Refused(f"validation refused at t = {t:g}: non-finite value")
+        gap = np.max(np.abs(np.subtract(got, want))) / (1.0 + np.max(np.abs(want)))
+        if gap > 1e-9:
+            raise _Refused(f"validation refused at t = {t:g}: mismatch {gap:.1e} "
+                           f"relative to the direct RHS")
     return system
 
 
@@ -358,21 +367,25 @@ def gauge_transform(f: PolyField, A: MatrixCurve,
     NonAutoSystem is attached for an exponential curve with a diagonalizable
     generator, and for a closed-form curve with a symbolic inverse (see the
     module docstring for the zero test).  The closed form is checked
-    against the evaluator at times inside t_span.
+    against the evaluator at times inside t_span.  Without one, the
+    evaluator's `reason` names the case.
     """
     rhs = transform_rhs(f, A)
     points = _validation_points(f.dim, t_span)
     if isinstance(A, ClosedFormCurve):
         A.check_inverse([t for t, _ in points])
-    closed = None
-    if isinstance(A, ExponentialCurve):
-        table = _exponential_table(f, A)
-        if table is not None:
-            closed = _emit_closed_form(f.dim, table, points, _exponential_direct(f, A, points))
-    elif isinstance(A, ClosedFormCurve) and A.inverse_entries is not None:
-        closed = _emit_closed_form(f.dim, _closed_form_table(f, A, t_span), points,
-                                   lambda k: rhs(*points[k]))
-    return NonAutoEvaluator(f.dim, rhs, closed)
+    try:
+        if isinstance(A, ExponentialCurve):
+            table, direct = _exponential_table(f, A), _exponential_direct(f, A, points)
+        elif isinstance(A, ClosedFormCurve) and A.inverse_entries is not None:
+            table, direct = _closed_form_table(f, A, t_span), lambda k: rhs(*points[k])
+        elif isinstance(A, ClosedFormCurve):
+            raise _Refused(f"no inverse table for the {A.dim} x {A.dim} curve")
+        else:
+            raise _Refused(f"no symbolic entries in a {type(A).__name__}")
+        return NonAutoEvaluator(f.dim, rhs, _emit_closed_form(f.dim, table, points, direct))
+    except _Refused as exc:
+        return NonAutoEvaluator(f.dim, rhs, reason=str(exc))
 
 
 def transform_solution(traj, A: MatrixCurve):

@@ -23,7 +23,10 @@ one-entry form), ``_taylor`` loops over it for the Taylor coefficients of any
 order at t (the table's ``taylor`` reader; ``eval_expr`` reads order 0), and
 ``diff_expr`` for the derivative as an expression.  The printer writes from an
 explicit stack; only the parser recurses.  Values agree bit for bit across all
-of them.
+of them.  A table's source is written with Python's own precedence,
+parenthesized only where Python would bind the operands otherwise, so it
+parses to the same tree, and compiles to the same code, as if every node
+were parenthesized.
 """
 
 from __future__ import annotations
@@ -478,6 +481,14 @@ _INLINE_DEPTH = 12
 
 _BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
+# compile_table writes Python's precedence: 0 sum, 1 product, 2 unary minus
+# (a Neg or a negative literal), 3 power, 4 atom.  A left operand is wrapped
+# when it binds more loosely than its operator, a right one also when it
+# binds equally, the base of ** unless it is an atom, so Python parses the
+# same tree as from full parentheses.  format_expr's levels do not transfer:
+# the TimeExpr grammar reads -t^2 as (-t)^2, Python reads -t**2 as -(t**2).
+_LEVEL = {Add: 0, Sub: 0, Mul: 1, Div: 1}
+
 
 def _number_nodes(exprs: list) -> tuple[list, list]:
     """Number the distinct subtrees of `exprs` bottom-up.
@@ -491,16 +502,18 @@ def _number_nodes(exprs: list) -> tuple[list, list]:
     num_of: dict[int, int] = {}   # id(node) -> number; exprs keep nodes alive
     numbers: dict[tuple, int] = {}
     nodes: list = []
+    get = num_of.get
     for root in exprs:
         stack = [root]
         while stack:
             node = stack[-1]
-            if id(node) in num_of:
+            i = id(node)
+            if i in num_of:
                 stack.pop()
                 continue
             cls = type(node)
             if cls in _BINARY:
-                a, b = num_of.get(id(node.left)), num_of.get(id(node.right))
+                a, b = get(id(node.left)), get(id(node.right))
                 if a is None or b is None:
                     if b is None:
                         stack.append(node.right)
@@ -517,7 +530,7 @@ def _number_nodes(exprs: list) -> tuple[list, list]:
                 key = (cls,)
             elif cls is Pow or cls is Neg or cls is Fun:
                 kid = node.base if cls is Pow else node.arg
-                a = num_of.get(id(kid))
+                a = get(id(kid))
                 if a is None:
                     stack.append(kid)
                     continue
@@ -531,7 +544,7 @@ def _number_nodes(exprs: list) -> tuple[list, list]:
             if k is None:
                 k = numbers[key] = len(nodes)
                 nodes.append((node, kid_nums))
-            num_of[id(node)] = k
+            num_of[i] = k
     return nodes, [num_of[id(e)] for e in exprs]
 
 
@@ -557,6 +570,7 @@ def compile_table(exprs):
     dens = {kid_nums[1] for node, kid_nums in nodes if type(node) is Div}
     consts: dict = {}
     refs: list = [None] * len(nodes)
+    level = [4] * len(nodes)   # how tightly refs[k] binds in Python, see _LEVEL
     depth = [0] * len(nodes)
     body: list = []
     for k, (node, kid_nums) in enumerate(nodes):
@@ -567,24 +581,32 @@ def compile_table(exprs):
                 refs[k] = f"_c{k}"
                 consts[refs[k]] = v
             else:
-                text = repr(v)
-                refs[k] = f"({text})" if text.startswith("-") else text
+                refs[k] = repr(v)
+                if refs[k].startswith("-"):
+                    level[k] = 2
         elif cls is TVar:
             refs[k] = "t"
         else:
-            args = [refs[c] for c in kid_nums]
+            a = kid_nums[0]
+            arg, d = refs[a], depth[a]
             if cls in _BINARY:
-                text = f"({args[0]}{_BINARY[cls]}{args[1]})"
+                b = kid_nums[1]
+                lv = level[k] = _LEVEL[cls]
+                right = refs[b] if level[b] > lv else f"({refs[b]})"
+                text = (arg if level[a] >= lv else f"({arg})") + _BINARY[cls] + right
+                d = max(d, depth[b])
             elif cls is Neg:
-                text = f"(-{args[0]})"
+                level[k] = 2
+                text = "-" + (arg if level[a] >= 2 else f"({arg})")
             elif cls is Pow:
-                text = f"({args[0]}**{node.exponent})"
+                level[k] = 3
+                text = (arg if level[a] == 4 else f"({arg})") + f"**{node.exponent}"
             else:
-                text = f"{node.name}({args[0]})"
-            depth[k] = 1 + max(depth[c] for c in kid_nums)
+                text = f"{node.name}({arg})"
+            depth[k] = d + 1
             if uses[k] > 1 or k in dens or depth[k] > _INLINE_DEPTH:
                 body.append(f"    v{k} = {text}")
-                refs[k], depth[k] = f"v{k}", 0
+                refs[k], level[k], depth[k] = f"v{k}", 4, 0
             else:
                 refs[k] = text
         if k in dens and not (cls is Lit and abs(node.value) > _DENOM_FLOOR):

@@ -75,7 +75,8 @@ SHEAR4_CURVE = {"dim": 4, "kind": "closed_form",
                             ["0", "0", "1", "0"], ["0", "0", "t^2", "1"]]}
 F4 = {"dim": 4, "terms": [{"component": 0, "exponents": [2, 0, 0, 0], "coeff": 1.0}]}
 
-NO_CLOSED_FORM_4 = "no closed form for the closed_form curve on [0, 1]"
+NO_CLOSED_FORM_4 = ("no closed form for the closed_form curve on [0, 1]: "
+                    "no inverse table for the 4 x 4 curve")
 
 
 def _write(path, data) -> str:
@@ -151,8 +152,9 @@ def test_transform_overflow_prints_no_numpy_warnings(tmp_path, capsys):
         warnings.simplefilter("always")
         code = main(["transform", "--field", str(fpath), "--curve", str(cpath)])
     assert code == 3
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("numeric failure:")
+    assert capsys.readouterr().err == (f"numeric failure: {cpath}: no closed form for the "
+                                       f"exp curve on [0, 1]: validation refused at "
+                                       f"t = 0.891565: overflow\n")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -273,7 +275,8 @@ def test_transform_emits_no_closed_form_validated_against_nan(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"numeric failure: {cpath}: no closed form for the "
-                            f"exp curve on [0, 1]\n")
+                            f"exp curve on [0, 1]: validation refused at t = 0.781943: "
+                            f"non-finite value\n")
 
 
 @pytest.mark.parametrize("generator", ['[["nan"]]', "[[1e999]]"])
@@ -365,7 +368,8 @@ def test_sampled_output_and_misspelled_keys_are_refused(files, tmp_path, capsys)
                  "--out", str(sampled)]) == 3
     assert not sampled.exists()
     assert capsys.readouterr().err == (f"numeric failure: {cpath}: no closed form "
-                                       f"for the exp curve on [0, 1]\n")
+                                       f"for the exp curve on [0, 1]: defective or "
+                                       f"ill-conditioned generator (cond V > 1e8)\n")
     sampled.write_text(json.dumps({"dim": 2, "kind": "sampled", "samples": [
         {"t": 0.0, "field": json.loads(fpath.read_text())}]}))
     misspelled = tmp_path / "term.json"
@@ -516,6 +520,33 @@ def test_integrate_trajectory_file(files):
     assert len(traj["t"]) == 200
     assert traj["t"][0] == 0.0 and abs(traj["t"][-1] - 0.5) < 1e-12
     assert len(traj["x"][0]) == 2
+
+
+def _power_field(k: int) -> dict:
+    return {"dim": 1, "terms": [{"component": 0, "exponents": [k], "coeff": 1.0}]}
+
+
+@pytest.mark.parametrize("field, x0, t1, blowup", [
+    (P2, "0.1,0.2", 1.0, False), (P2, "0.1,0.2", -1.0, False),
+    # y' = y^2 from y0 blows up at t = 1/y0, forward or backward
+    (_power_field(2), "2", 1.0, True), (_power_field(2), "-2", -1.0, True),
+], ids=["forward", "backward", "blowup-forward", "blowup-backward"])
+def test_integrate_text_prints_the_state_where_it_ended(tmp_path, capsys, field, x0, t1,
+                                                        blowup):
+    # rows run in increasing time, so a backward span ends at the first
+    # row; the text names that time and prints that row
+    fpath = _write(tmp_path / "f.json", field)
+    argv = ["integrate", "--field", fpath, f"--x0={x0}", "--t1", str(t1)]
+    assert main(argv + ["--format", "json"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--format", "text"]) == 0
+    text = capsys.readouterr().out
+    end = 0 if t1 < 0 else -1
+    assert ("blow-up detected" in text) == blowup
+    assert (d["t"][end] == t1) != blowup
+    state = ", ".join(f"{v:.12g}" for v in d["x"][end])
+    assert f"final state at t = {d['t'][end]:g}: [{state}]" in text.splitlines()
+    assert d["x"][end] != [float(v) for v in x0.split(",")]
 
 
 def test_system_with_negative_exponent_exit_2_names_file(tmp_path, capsys):

@@ -76,6 +76,7 @@ def test_closed_form_refused_where_the_direct_rhs_is_not_finite():
     with np.errstate(over="ignore", invalid="ignore"):
         ev = gauge_transform(f, ExponentialCurve(np.array([[1000.0]])))
     assert ev.closed_form is None
+    assert ev.reason == "validation refused at t = 0.781943: non-finite value"
     assert ev.rhs(0.0, np.array([1.0]))[0] == pytest.approx(1001.0, rel=1e-12)
 
 
@@ -182,13 +183,23 @@ def test_defective_generator_has_no_closed_form():
     M = np.array([[0.0, 1.0], [0.0, 0.0]])  # defective: one eigenvector
     ev = gauge_transform(p2_field(), ExponentialCurve(M, -1))
     assert ev.closed_form is None
+    assert ev.reason == "defective or ill-conditioned generator (cond V > 1e8)"
     assert np.all(np.isfinite(ev(0.5, np.array([0.2, 0.1]))))
+
+
+def test_validation_names_a_mismatch():
+    from gaugekit import gauge
+    points = gauge._validation_points(1, (0.0, 1.0))
+    with pytest.raises(gauge._Refused, match=r"^validation refused at t = 0\.623266: "
+                                             r"mismatch \S+ relative to the direct RHS$"):
+        gauge._emit_closed_form(1, {(0, (2,)): tx.Lit(1.0)}, points,
+                                lambda k: 1.001 * points[k][1] ** 2)
 
 
 def test_flow_curve_has_no_closed_form():
     A = solve_gauge_ode([["0", "t"], ["0", "0"]], np.zeros((2, 2)), np.eye(2))
     ev = gauge_transform(p2_field(), A)
-    assert ev.closed_form is None
+    assert ev.closed_form is None and ev.reason == "no symbolic entries in a FlowCurve"
     # but the numeric evaluator still works
     assert np.all(np.isfinite(ev(0.5, np.array([0.3, 0.1]))))
 

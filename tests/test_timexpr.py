@@ -1,3 +1,4 @@
+import ast
 import copy
 import math
 
@@ -343,11 +344,14 @@ def test_compile_table_merges_equal_subtrees_of_parsed_trees():
 
 def test_compile_table_keeps_signed_zeros():
     exprs = [Lit(-0.0), Lit(0.0), Add(Lit(-0.0), Lit(-0.0)), Add(Lit(0.0), Lit(-0.0)),
-             Neg(T), Mul(Lit(-0.0), T), Mul(Lit(0.0), T)]
+             Neg(T), Mul(Lit(-0.0), T), Mul(Lit(0.0), T),
+             Neg(Lit(-0.0)), Sub(T, Lit(-0.0)), Mul(T, Lit(-0.0)), Neg(Mul(Lit(-0.0), T))]
     got = tx.compile_table(exprs)(0.0)
     want = tuple(eval_expr(e, 0.0) for e in exprs)
     assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
-    assert [math.copysign(1.0, v) for v in got] == [-1, 1, -1, 1, -1, -1, 1]
+    assert [math.copysign(1.0, v) for v in got] == [-1, 1, -1, 1, -1, -1, 1, 1, 1, -1, 1]
+    # Python reads -t**2 as -(t**2): the table keeps (-t)**2 apart
+    assert tx.compile_table([Pow(Neg(T), 2), Neg(Pow(T, 2))])(3.0) == (9.0, -9.0)
 
 
 def test_compile_table_guard_names_the_denominator():
@@ -370,6 +374,121 @@ def test_compile_table_long_sum():
     e = parse_expr("+".join(["t"] * 500))
     assert tx.compile_table([e])(2.0) == (1000.0,)
     assert tx.compile_expr(e)(0.5) == eval_expr(e, 0.5) == 250.0
+    # right-nested, every level needs its own parentheses (the parser cannot
+    # read that depth, so these are built from nodes)
+    s, p = T, T
+    for _ in range(499):
+        s, p = Add(T, s), Mul(Lit(1.0), p)
+    assert tx.compile_table([s, p])(2.0) == (1000.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# The table's source reads as the same tree: an AST oracle
+# ---------------------------------------------------------------------------
+
+_PY_OPS = {Add: ast.Add, Sub: ast.Sub, Mul: ast.Mult, Div: ast.Div}
+
+
+def _expected_ast(nodes: list, k: int, named: set, top: bool = False) -> ast.expr:
+    """Node k of a _number_nodes list as a fully parenthesized source would
+    parse: named nodes other than the top one are their variables, and a
+    negative literal is a unary minus over its magnitude, since ast.parse
+    does not fold constants."""
+    if k in named and not top:
+        return ast.Name(f"v{k}", ast.Load())
+    node, kids = nodes[k]
+    kid = [_expected_ast(nodes, c, named) for c in kids]
+    cls = type(node)
+    if cls is Lit:
+        v = node.value
+        if not math.isfinite(v):
+            return ast.Name(f"_c{k}", ast.Load())
+        if math.copysign(1.0, v) < 0:
+            return ast.UnaryOp(ast.USub(), ast.Constant(-v))
+        return ast.Constant(v)
+    if cls is tx.TVar:
+        return ast.Name("t", ast.Load())
+    if cls in _PY_OPS:
+        return ast.BinOp(kid[0], _PY_OPS[cls](), kid[1])
+    if cls is Neg:
+        return ast.UnaryOp(ast.USub(), kid[0])
+    if cls is Pow:
+        return ast.BinOp(kid[0], ast.Pow(), ast.Constant(node.exponent))
+    return ast.Call(ast.Name(str(node.name), ast.Load()), kid, [])
+
+
+def _assert_source_parses_as_the_tree(exprs: list):
+    sources = []
+    real = tx._define
+
+    def recording(src, name, namespace):
+        sources.append(src)
+        return real(src, name, namespace)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tx, "_define", recording)
+        tx.compile_table(exprs)
+    (fn,) = ast.parse(sources[0]).body
+    assigns = [s for s in fn.body if isinstance(s, ast.Assign) and s.targets[0].id != "t"]
+    named = {int(s.targets[0].id[1:]) for s in assigns}
+    nodes, roots = tx._number_nodes(exprs)
+    for stmt in assigns:
+        k = int(stmt.targets[0].id[1:])
+        assert ast.dump(stmt.value) == ast.dump(_expected_ast(nodes, k, named, top=True))
+    returned = fn.body[-1].value.elts
+    assert len(returned) == len(roots)
+    for elt, k in zip(returned, roots):
+        assert ast.dump(elt) == ast.dump(_expected_ast(nodes, k, named))
+
+
+_LITERALS = [-0.0, 0.0, -0.5, 2.5, -3e30, 1e-20, -1e-5, math.inf, -math.inf]
+_SIGNS = [Lit(-0.5), Lit(-0.0), Neg(T), Lit(2.0)]
+_SHAPES = (
+    # negative literals and -0.0 as left, right and ** base operands
+    [cls(a, T) for cls in (Add, Sub, Mul, Div) for a in _SIGNS]
+    + [cls(T, a) for cls in (Add, Sub, Mul, Div) for a in _SIGNS]
+    + [Pow(a, 3) for a in _SIGNS]
+    # Neg over Mul, Div, Pow and Neg; Pow over Neg, Pow and Mul
+    + [Neg(Mul(T, Lit(-2.0))), Neg(Div(Lit(-1.0), T)), Neg(Pow(T, 2)), Neg(Neg(T)),
+       Neg(Neg(Lit(-0.0))), Neg(Add(T, T)), Neg(Sub(T, Lit(-1.0)))]
+    + [Pow(Neg(T), 2), Pow(Pow(T, 2), 3), Pow(Mul(T, T), 2), Pow(Add(T, Lit(-1.0)), 2),
+       Pow(Fun("exp", Neg(T)), 2), Pow(Div(T, Lit(3.0)), 2)]
+    # right nesting, which is not re-associated
+    + [cls(T, cls(T, cls(Lit(-1.0), T))) for cls in (Add, Sub, Mul, Div)]
+    + [Sub(T, Add(T, T)), Div(T, Mul(T, T)), Mul(T, Div(T, T)), Add(T, Sub(T, T)),
+       Sub(Sub(T, T), T), Div(Div(T, T), Lit(-2.0)), Mul(Neg(T), Pow(T, 2)),
+       Add(Mul(T, T), Neg(Mul(T, T)))]
+)
+
+
+@pytest.mark.parametrize("e", _SHAPES, ids=[format_expr(e) for e in _SHAPES])
+def test_compile_table_source_parses_as_the_tree_shapes(e):
+    _assert_source_parses_as_the_tree([e, Mul(e, e), Neg(e), Pow(e, 2)])
+
+
+def _leaf():
+    return st.one_of(st.just(T), st.sampled_from(_LITERALS).map(Lit))
+
+
+def _grow(children):
+    binary = st.tuples(st.sampled_from([Add, Sub, Mul, Div]), children, children)
+    return st.one_of(
+        binary.map(lambda x: x[0](x[1], x[2])),
+        children.map(Neg),
+        st.tuples(children, st.integers(2, 3)).map(lambda x: Pow(*x)),
+        st.tuples(st.sampled_from(["exp", "sin", "cos"]), children).map(lambda x: Fun(*x)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_leaf(), _grow, max_leaves=60), st.integers(0, 2**32 - 1))
+def test_compile_table_source_parses_as_the_tree(e, seed):
+    # drawn trees, random_time_expr's trees, and shared subtrees (by
+    # identity and by structure) that get statements of their own
+    rng = np.random.default_rng(seed)
+    a = random_time_expr(rng, 5)
+    _assert_source_parses_as_the_tree(
+        [e, a, Add(e, a), Sub(copy.deepcopy(a), Neg(e)), Pow(Neg(a), 2), Div(T, e)])
 
 
 def test_compile_table_empty_and_constant():
