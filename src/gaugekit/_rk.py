@@ -4,7 +4,9 @@ Shared numerical core for trajectory integration and matrix-curve flows.
 The propagated solution is 8th order; step control uses the combined
 5th/3rd-order error estimate, and dense output the 7th-order continuous
 extension, which takes three more stages per accepted step (Hairer, Norsett
-& Wanner, Solving ODEs I, II.5-II.6 and II.10).
+& Wanner, Solving ODEs I, II.5-II.6 and II.10).  The tableau is held once,
+as data, and the stage code of a step is generated from it through
+`timexpr._define`.
 
 Every integration in gaugekit runs at TOL unless its caller states another
 tolerance: flows, trajectories and the solution-correspondence check.
@@ -18,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .timexpr import _define
+
 __all__ = ["IntegrationError", "DenseSolution", "integrate_dense", "rk_fixed_step",
            "TOL", "BLOWUP_NORM"]
 
@@ -27,15 +31,67 @@ TOL = 1e-10
 # a trajectory whose state norm passes this has blown up
 BLOWUP_NORM = 1e8
 
+# The DOP853 tableau (HNW II.5-II.6 and Hairer's DOP853 code), each
+# coefficient written once.  Stage i, for i = 2..12 and the dense output's
+# 14..16, is k_i = rhs(t + c_i h, y + h sum_j a_ij k_j), and its row of _A
+# lists the (j, a_ij) in the order the sum adds them.  Stage 13 is
+# rhs(t_new, y_new), the next step's first.  The solution y + h sum_i b_i k_i
+# and the 5th- and 3rd-order error estimates sum_i e_i k_i weigh the stages
+# by _B, _E5 and _E3, one entry per stage.
+_A = {
+    2: ((1, 0.05260015195876773),),
+    3: ((1, 0.0197250569845379), (2, 0.0591751709536137)),
+    4: ((1, 0.02958758547680685), (3, 0.08876275643042054)),
+    5: ((1, 0.2413651341592667), (3, -0.8845494793282861), (4, 0.924834003261792)),
+    6: ((1, 0.037037037037037035), (4, 0.17082860872947386), (5, 0.12546768756682242)),
+    7: ((1, 0.037109375), (4, 0.17025221101954405), (5, 0.06021653898045596),
+        (6, -0.017578125)),
+    8: ((1, 0.03709200011850479), (4, 0.17038392571223998), (5, 0.10726203044637328),
+        (6, -0.015319437748624402), (7, 0.008273789163814023)),
+    9: ((1, 0.6241109587160757), (4, -3.3608926294469414), (5, -0.868219346841726),
+        (6, 27.59209969944671), (7, 20.154067550477894), (8, -43.48988418106996)),
+    10: ((1, 0.47766253643826434), (4, -2.4881146199716677), (5, -0.590290826836843),
+         (6, 21.230051448181193), (7, 15.279233632882423), (8, -33.28821096898486),
+         (9, -0.020331201708508627)),
+    11: ((1, -0.9371424300859873), (4, 5.186372428844064), (5, 1.0914373489967295),
+         (6, -8.149787010746927), (7, -18.52006565999696), (8, 22.739487099350505),
+         (9, 2.4936055526796523), (10, -3.0467644718982196)),
+    12: ((1, 2.273310147516538), (4, -10.53449546673725), (5, -2.0008720582248625),
+         (6, -17.9589318631188), (7, 27.94888452941996), (8, -2.8589982771350235),
+         (9, -8.87285693353063), (10, 12.360567175794303), (11, 0.6433927460157636)),
+    14: ((1, 0.056167502283047954), (7, 0.25350021021662483), (8, -0.2462390374708025),
+         (9, -0.12419142326381637), (10, 0.15329179827876568), (11, 0.00820105229563469),
+         (12, 0.007567897660545699), (13, -0.008298)),
+    15: ((1, 0.03183464816350214), (6, 0.028300909672366776), (7, 0.053541988307438566),
+         (8, -0.05492374857139099), (11, -0.00010834732869724932),
+         (12, 0.0003825710908356584), (13, -0.00034046500868740456),
+         (14, 0.1413124436746325)),
+    16: ((1, -0.42889630158379194), (6, -4.697621415361164), (7, 7.683421196062599),
+         (8, 4.06898981839711), (9, 0.3567271874552811), (13, -0.0013990241651590145),
+         (14, 2.9475147891527724), (15, -9.15095847217987)),
+}
+# c_2 = a_21, stage 2's one weight
+_C = {2: _A[2][0][1], 3: 0.0789002279381516, 4: 0.1183503419072274,
+      5: 0.2816496580927726, 6: 0.3333333333333333, 7: 0.25, 8: 0.3076923076923077,
+      9: 0.6512820512820513, 10: 0.6, 11: 0.8571428571428571, 12: 1.0, 14: 0.1, 15: 0.2,
+      16: 0.7777777777777778}
+_B = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+               1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+               -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+               0.0, 0.0, 0.0, 0.0])
+_E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
+                0.0, 0.0, 0.0, 0.0])
+# the 3rd-order estimate is b less Hairer's weights bhh on stages 1, 9 and 12
+_E3 = _B.copy()
+_E3[[0, 8, 11]] -= (0.2440944881889764, 0.7338466882816118, 0.022058823529411766)
+
 # Dense output over a step of size h from y (HNW II.6, Hairer's CONTD8): at
 # t + x h it is y + h x (G1 + (1-x)(G2 + x (G3 + (1-x)(G4 + x (G5 + (1-x)(G6
 # + x G7)))))), with G1 = sum b_i k_i, G2 = k1 - G1, G3 = 2 G1 - k1 - k13 and
 # G4..G7 the rows of _D applied to the 16 stages.  _P is the same polynomial
 # in the power basis: one row per stage, columns x, x^2, ..., x^7.
-_B = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
-               1.8915178993145003, -5.801203960010585, 0.3111643669578199,
-               -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
-               0.0, 0.0, 0.0, 0.0])
 _D = np.array([
     [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
      2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
@@ -169,111 +225,54 @@ def _initial_step(rhs, t0, y0, f0, direction, tol):
     return min(100 * h0, h1)
 
 
-def _step(rhs, t, y, k1, hd, t_new):
-    """One DOP853 step of size hd from (t, y), k1 = rhs(t, y) (Hairer, Norsett
-    & Wanner, Solving ODEs I, II.5, and Hairer's DOP853 code).
-
-    Returns the 8th-order solution at t_new, the stages k1..k13, k13 =
-    rhs(t_new, y_new) being the next step's first stage, and the 5th- and
-    3rd-order error estimates per component, not yet times hd.  States are
-    lists of floats and each stage sum is written out per component with the
-    tableau's weights, so a step makes no array operation of its own.
-    """
-    k2 = rhs(t + hd * 0.05260015195876773,
-             [v + hd * (0.05260015195876773 * a1) for v, a1 in zip(y, k1)])
-    k3 = rhs(t + hd * 0.0789002279381516,
-             [v + hd * (0.0197250569845379 * a1 + 0.0591751709536137 * a2)
-              for v, a1, a2 in zip(y, k1, k2)])
-    k4 = rhs(t + hd * 0.1183503419072274,
-             [v + hd * (0.02958758547680685 * a1 + 0.08876275643042054 * a3)
-              for v, a1, a3 in zip(y, k1, k3)])
-    k5 = rhs(t + hd * 0.2816496580927726,
-             [v + hd * (0.2413651341592667 * a1 - 0.8845494793282861 * a3
-                        + 0.924834003261792 * a4)
-              for v, a1, a3, a4 in zip(y, k1, k3, k4)])
-    k6 = rhs(t + hd * 0.3333333333333333,
-             [v + hd * (0.037037037037037035 * a1 + 0.17082860872947386 * a4
-                        + 0.12546768756682242 * a5)
-              for v, a1, a4, a5 in zip(y, k1, k4, k5)])
-    k7 = rhs(t + hd * 0.25,
-             [v + hd * (0.037109375 * a1 + 0.17025221101954405 * a4
-                        + 0.06021653898045596 * a5 - 0.017578125 * a6)
-              for v, a1, a4, a5, a6 in zip(y, k1, k4, k5, k6)])
-    k8 = rhs(t + hd * 0.3076923076923077,
-             [v + hd * (0.03709200011850479 * a1 + 0.17038392571223998 * a4
-                        + 0.10726203044637328 * a5 - 0.015319437748624402 * a6
-                        + 0.008273789163814023 * a7)
-              for v, a1, a4, a5, a6, a7 in zip(y, k1, k4, k5, k6, k7)])
-    k9 = rhs(t + hd * 0.6512820512820513,
-             [v + hd * (0.6241109587160757 * a1 - 3.3608926294469414 * a4
-                        - 0.868219346841726 * a5 + 27.59209969944671 * a6
-                        + 20.154067550477894 * a7 - 43.48988418106996 * a8)
-              for v, a1, a4, a5, a6, a7, a8 in zip(y, k1, k4, k5, k6, k7, k8)])
-    k10 = rhs(t + hd * 0.6,
-              [v + hd * (0.47766253643826434 * a1 - 2.4881146199716677 * a4
-                         - 0.590290826836843 * a5 + 21.230051448181193 * a6
-                         + 15.279233632882423 * a7 - 33.28821096898486 * a8
-                         - 0.020331201708508627 * a9)
-               for v, a1, a4, a5, a6, a7, a8, a9 in zip(y, k1, k4, k5, k6, k7, k8, k9)])
-    k11 = rhs(t + hd * 0.8571428571428571,
-              [v + hd * (-0.9371424300859873 * a1 + 5.186372428844064 * a4
-                         + 1.0914373489967295 * a5 - 8.149787010746927 * a6
-                         - 18.52006565999696 * a7 + 22.739487099350505 * a8
-                         + 2.4936055526796523 * a9 - 3.0467644718982196 * a10)
-               for v, a1, a4, a5, a6, a7, a8, a9, a10
-               in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
-    k12 = rhs(t + hd,
-              [v + hd * (2.273310147516538 * a1 - 10.53449546673725 * a4
-                         - 2.0008720582248625 * a5 - 17.9589318631188 * a6
-                         + 27.94888452941996 * a7 - 2.8589982771350235 * a8
-                         - 8.87285693353063 * a9 + 12.360567175794303 * a10
-                         + 0.6433927460157636 * a11)
-               for v, a1, a4, a5, a6, a7, a8, a9, a10, a11
-               in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
-    y_new, e5, e3 = [], [], []
-    for v, a1, a6, a7, a8, a9, a10, a11, a12 in zip(y, k1, k6, k7, k8, k9, k10, k11, k12):
-        y_new.append(v + hd * (0.054293734116568765 * a1 + 4.450312892752409 * a6
-                               + 1.8915178993145003 * a7 - 5.801203960010585 * a8
-                               + 0.3111643669578199 * a9 - 0.1521609496625161 * a10
-                               + 0.20136540080403034 * a11 + 0.04471061572777259 * a12))
-        e5.append(0.01312004499419488 * a1 - 1.2251564463762044 * a6
-                  - 0.4957589496572502 * a7 + 1.6643771824549864 * a8
-                  - 0.35032884874997366 * a9 + 0.3341791187130175 * a10
-                  + 0.08192320648511571 * a11 - 0.022355307863886294 * a12)
-        e3.append(-0.18980075407240762 * a1 + 4.450312892752409 * a6
-                  + 1.8915178993145003 * a7 - 5.801203960010585 * a8
-                  - 0.4226823213237919 * a9 - 0.1521609496625161 * a10
-                  + 0.20136540080403034 * a11 + 0.02265179219836082 * a12)
-    ks = (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, rhs(t_new, y_new))
-    return y_new, ks, e5, e3
+def _sum(weights) -> str:
+    """Source of sum_j w_j a_j over the (j, w_j) of `weights`, in their
+    order, with a negative weight after the first as a subtraction."""
+    (j, w), *rest = weights
+    return " ".join([f"{w!r} * a{j}"]
+                    + [f"{'-' if w < 0 else '+'} {abs(w)!r} * a{j}" for j, w in rest])
 
 
-def _dense_stages(rhs, t, y, hd, ks):
-    """The three extra stages k14..k16 of DOP853's dense output on an
-    accepted step, from its stages ks = k1..k13."""
-    k1, _, _, _, _, k6, k7, k8, k9, k10, k11, k12, k13 = ks
-    k14 = rhs(t + hd * 0.1,
-              [v + hd * (0.056167502283047954 * a1 + 0.25350021021662483 * a7
-                         - 0.2462390374708025 * a8 - 0.12419142326381637 * a9
-                         + 0.15329179827876568 * a10 + 0.00820105229563469 * a11
-                         + 0.007567897660545699 * a12 - 0.008298 * a13)
-               for v, a1, a7, a8, a9, a10, a11, a12, a13
-               in zip(y, k1, k7, k8, k9, k10, k11, k12, k13)])
-    k15 = rhs(t + hd * 0.2,
-              [v + hd * (0.03183464816350214 * a1 + 0.028300909672366776 * a6
-                         + 0.053541988307438566 * a7 - 0.05492374857139099 * a8
-                         - 0.00010834732869724932 * a11 + 0.0003825710908356584 * a12
-                         - 0.00034046500868740456 * a13 + 0.1413124436746325 * a14)
-               for v, a1, a6, a7, a8, a11, a12, a13, a14
-               in zip(y, k1, k6, k7, k8, k11, k12, k13, k14)])
-    k16 = rhs(t + hd * 0.7777777777777778,
-              [v + hd * (-0.42889630158379194 * a1 - 4.697621415361164 * a6
-                         + 7.683421196062599 * a7 + 4.06898981839711 * a8
-                         + 0.3567271874552811 * a9 - 0.0013990241651590145 * a13
-                         + 2.9475147891527724 * a14 - 9.15095847217987 * a15)
-               for v, a1, a6, a7, a8, a9, a13, a14, a15
-               in zip(y, k1, k6, k7, k8, k9, k13, k14, k15)])
-    return k14, k15, k16
+def _zip(js) -> str:
+    """Source of `v, a1, a4 in zip(y, k1, k4)` over the stages js."""
+    return f"v, {', '.join(f'a{j}' for j in js)} in zip(y, {', '.join(f'k{j}' for j in js)})"
+
+
+def _stage(i: int) -> str:
+    """Source of the line that computes stage i."""
+    return (f"    k{i} = rhs(t + hd * {_C[i]!r}, [v + hd * ({_sum(_A[i])})"
+            f" for {_zip([j for j, _ in _A[i]])}])")
+
+
+def _weights(e: np.ndarray) -> list:
+    """The (stage, weight) pairs of the nonzero entries of e, in stage order."""
+    return [(j + 1, w) for j, w in enumerate(e.tolist()) if w]
+
+
+# _step(rhs, t, y, k1, hd, t_new) is one DOP853 step of size hd from (t, y),
+# k1 = rhs(t, y).  It returns the 8th-order solution at t_new, the stages
+# k1..k13, k13 = rhs(t_new, y_new) being the next step's first stage, and the
+# 5th- and 3rd-order error estimates per component, not yet times hd.
+# _dense_stages(rhs, t, y, hd, ks) returns the three extra stages k14..k16 of
+# the dense output on an accepted step, from its stages ks = k1..k13.  Both
+# are generated from the tableau above: states are lists of floats and each
+# stage sum is written out per component with the tableau's weights, so a
+# step makes no array operation of its own.
+_step = _define("\n".join([
+    "def _step(rhs, t, y, k1, hd, t_new):",
+    *map(_stage, range(2, 13)),
+    "    y_new, e5, e3 = [], [], []",
+    f"    for {_zip(sorted({j for e in (_B, _E5, _E3) for j, _ in _weights(e)}))}:",
+    f"        y_new.append(v + hd * ({_sum(_weights(_B))}))",
+    f"        e5.append({_sum(_weights(_E5))})",
+    f"        e3.append({_sum(_weights(_E3))})",
+    "    ks = (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, rhs(t_new, y_new))",
+    "    return y_new, ks, e5, e3\n"]), "_step", {})
+_dense_stages = _define("\n".join([
+    "def _dense_stages(rhs, t, y, hd, ks):",
+    "    k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13 = ks",
+    *map(_stage, (14, 15, 16)),
+    "    return k14, k15, k16\n"]), "_dense_stages", {})
 
 
 def integrate_dense(rhs, t0: float, t1: float, y0, tol: float = TOL,

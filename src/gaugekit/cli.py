@@ -25,7 +25,9 @@ import numpy as np
 from . import timexpr as tx
 from ._rk import TOL, IntegrationError
 from .gauge import gauge_transform
-from .identify import NonAutoSystem, default_grid, find_idempotents, identify
+from .identify import (
+    DEFAULT_GRID_POINTS, NonAutoSystem, default_grid, find_idempotents, identify,
+)
 from .matcurve import ClosedFormCurve, curve_from_dict
 from .odeint import integrate as integrate_traj
 from .odeint import verify_correspondence
@@ -298,8 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("identify",
                         help="decide whether a system is a gauge transform")
     sp.add_argument("--system", required=True, help="nonautonomous system JSON")
-    sp.add_argument("--grid", type=int, default=33,
-                    help="number of grid points (default 33)")
+    sp.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS,
+                    help=f"number of grid points (default {DEFAULT_GRID_POINTS})")
     _add_options(sp, span="grid", tol=1e-6)
     sp.set_defaults(run=_run_identify)
 

@@ -222,6 +222,7 @@ def test_each_subcommand_has_exactly_its_options():
     # each subcommand takes only the options it reads: 24 settable options
     # in all, not counting input files and --x0
     from gaugekit.cli import _build_parser
+    from gaugekit.identify import DEFAULT_GRID_POINTS
     inputs = {"--field", "--curve", "--system", "--x0", "-h", "--help"}
     subparsers = _build_parser()._subparsers._group_actions[0].choices
     assert set(subparsers) == set(OPTIONS)
@@ -229,6 +230,8 @@ def test_each_subcommand_has_exactly_its_options():
         flags = {flag for action in sp._actions for flag in action.option_strings}
         assert flags - inputs == set(OPTIONS[command]), command
     assert sum(map(len, OPTIONS.values())) == 24
+    # identify's grid defaults to the library's grid
+    assert subparsers["identify"].get_default("grid") == DEFAULT_GRID_POINTS
 
 
 def test_transform_missing_file_exit_2(files, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from gaugekit import timexpr as tx
-from gaugekit._rk import (IntegrationError, _P, _dense_stages, _rms, _step, integrate_dense,
-                          rk_fixed_step)
+from gaugekit._rk import (_A, _B, _C, _E3, _E5, IntegrationError, _P, _dense_stages, _rms,
+                          _step, integrate_dense, rk_fixed_step)
 from gaugekit.gauge import FlowMap, gauge_transform
 from gaugekit.identify import identify
 from gaugekit.matcurve import ClosedFormCurve, ExponentialCurve, solve_gauge_ode
@@ -265,6 +266,16 @@ def test_dop853_tableau_literals():
     assert np.allclose(A.sum(axis=1), c, rtol=0.0, atol=1e-14)
     # the solution and its error estimates weigh the first 12 stages only
     assert not (b[12:].any() or e5[12:].any() or e3[12:].any())
+    # and they are the tableau's data, exactly: a step that drops a term,
+    # re-signs it or weighs another stage with it reads back otherwise (the
+    # digests below catch a reordered sum)
+    tableau = np.zeros((16, 16))
+    for i, row in _A.items():
+        for j, a in row:
+            tableau[i - 1, j - 1] = a
+    assert np.array_equal(np.delete(A, 12, axis=0), np.delete(tableau, 12, axis=0))
+    assert np.array_equal(np.delete(c, 12), [0.0] + [_C[i] for i in sorted(_C)])
+    assert np.array_equal(b, _B) and np.array_equal(e5, _E5) and np.array_equal(e3, _E3)
     A, c12, b, e5, e3 = A[:12, :12], c[:12], b[:12], e5[:12], e3[:12]
     for k in range(1, 9):
         assert abs(b @ c12 ** (k - 1) - 1 / k) <= 1e-14
@@ -286,6 +297,54 @@ def test_dop853_tableau_literals():
     assert np.allclose(_P.sum(axis=1), np.append(b, [0.0] * 4), rtol=0.0, atol=4e-12)
     assert np.allclose(_P[:, 0], eye[0], rtol=0.0, atol=4e-12)
     assert np.allclose(_P @ powers, eye[12], rtol=0.0, atol=4e-12)
+
+
+# SHA-256 of a step's y_new, stages, e5 and e3, and of its dense stages, as
+# the step with the tableau written out by hand computed them.  The
+# right-hand side is a polynomial, so a step is + and * alone and the digests
+# cannot depend on libm.
+_STEP_SHA256 = {
+    (1, 0.07): ("46e19cda25008b06a752fac3b71531096f0530ba04f49e188f89b93368f7c994",
+                "70db2479c5f6550f35c832c1899613110b4cc64e9735356d6b279723d6dd4ff4"),
+    (1, -0.11): ("9a7f2a287369473c198780a96703cfb62e67744cca3b8491b1f1a180d4f31153",
+                 "14b8c2ee5338eef21cf0aeaeac36596bd7da37658c3b4e9746458ea3caf5d847"),
+    (2, 0.07): ("8c7e66281382a3d7e3a9569524e01657241f6187255e61c216c4d07b8ca8b9ec",
+                "751f980141601d08af930025350ebf338de2d0d76c38621550c150107b6aeb8e"),
+    (2, -0.11): ("e64089ad64a6d99c8978d1002ad76a77d0961c5048b039914f55c33637713ed0",
+                 "6e5b7892c6ae4a682587fc82e87c226cf99f535fbe315c06198fda6d92078851"),
+    (4, 0.07): ("09e654c119d2733f6b9dd43c299aa95eb793aaacc166a5166b0421217c2354b2",
+                "11bcc87b56bd3a3fc2d6b970653ce5ce11b4a7aefafa459258450864e6d8e944"),
+    (4, -0.11): ("ba856ea42fe722cf7b95f786691d593d148cdf72a7e410a304998af7570255ea",
+                 "df7f84de8ce69137dbfcf4da9fef29e791cc6e20d1bc5ac630f6a79b804b510f"),
+    (9, 0.07): ("d335bc69e340926adac64d200dd16c79efcd913baa833895b1fe7f0307a6c054",
+                "f243ee8ca8cca6e1a758eeeb98fbf58599a42e24c0719b323a2878ada26223b8"),
+    (9, -0.11): ("6a7e1e15d30913f8ee1eef251ee476f0f245f444a00e89aa6ec440f6bdbf0482",
+                 "3988ff00a79d7353ded5ce33461101cfd167a2d93e4d577b1c46583cfdfc70ea"),
+    (16, 0.07): ("8b9ce4c8e5743da38973c9f617b5d566a69ea36b467375442c991375565d4bd8",
+                 "73a39611c71a7b71fd4dd4394ac4e964a3a5d6745b842b6408a3b9c83833290d"),
+    (16, -0.11): ("bcc68cbfa543e9cc8e60f926118af6928c664ce0585ac20ef605380610169556",
+                  "8f576f735b66284738e59b43dd67457b05a2863911a66d758bb803c37b033437"),
+}
+
+
+def _polynomial_rhs(t, y):
+    n = len(y)
+    return [0.5 * y[i - 1] * y[i] - y[(i + 1) % n] + t * (0.25 * i + 1.0) for i in range(n)]
+
+
+def _sha256(*vectors) -> str:
+    h = hashlib.sha256()
+    for v in vectors:
+        h.update(np.asarray(v, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n, hd", list(_STEP_SHA256))
+def test_step_is_bit_identical_to_the_recorded_digests(n, hd):
+    t, y = 0.3, [0.125 * i - 0.7 for i in range(n)]
+    y_new, ks, e5, e3 = _step(_polynomial_rhs, t, y, _polynomial_rhs(t, y), hd, t + hd)
+    dense = _dense_stages(_polynomial_rhs, t, y, hd, ks)
+    assert (_sha256(y_new, *ks, e5, e3), _sha256(*dense)) == _STEP_SHA256[n, hd]
 
 
 def test_integrate_lands_exactly_on_awkward_endpoints():
