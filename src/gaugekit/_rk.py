@@ -6,7 +6,7 @@ The propagated solution is 8th order; step control uses the combined
 extension, which takes three more stages per accepted step (Hairer, Norsett
 & Wanner, Solving ODEs I, II.5-II.6 and II.10).  The tableau is held once,
 as data, and the stage code of a step is generated from it through
-`timexpr._define`.
+`timexpr._define`, once per state dimension, on first use.
 
 Every integration in gaugekit runs at TOL unless its caller states another
 tolerance: flows, trajectories and the solution-correspondence check.
@@ -14,6 +14,7 @@ tolerance: flows, trajectories and the solution-correspondence check.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -225,23 +226,24 @@ def _initial_step(rhs, t0, y0, f0, direction, tol):
     return min(100 * h0, h1)
 
 
-def _sum(weights) -> str:
-    """Source of sum_j w_j a_j over the (j, w_j) of `weights`, in their
-    order, with a negative weight after the first as a subtraction."""
+def _sum(weights, c: int) -> str:
+    """Source of sum_j w_j k_j over the (j, w_j) of `weights`, in their
+    order, for component c, with a negative weight after the first as a
+    subtraction."""
     (j, w), *rest = weights
-    return " ".join([f"{w!r} * a{j}"]
-                    + [f"{'-' if w < 0 else '+'} {abs(w)!r} * a{j}" for j, w in rest])
+    return " ".join([f"{w!r} * k{j}_{c}"]
+                    + [f"{'-' if w < 0 else '+'} {abs(w)!r} * k{j}_{c}" for j, w in rest])
 
 
-def _zip(js) -> str:
-    """Source of `v, a1, a4 in zip(y, k1, k4)` over the stages js."""
-    return f"v, {', '.join(f'a{j}' for j in js)} in zip(y, {', '.join(f'k{j}' for j in js)})"
+def _names(prefix: str, n: int) -> str:
+    """`k2_0, k2_1` for prefix "k2_" and n = 2."""
+    return ", ".join(f"{prefix}{c}" for c in range(n))
 
 
-def _stage(i: int) -> str:
-    """Source of the line that computes stage i."""
-    return (f"    k{i} = rhs(t + hd * {_C[i]!r}, [v + hd * ({_sum(_A[i])})"
-            f" for {_zip([j for j, _ in _A[i]])}])")
+def _stage(i: int, n: int) -> list:
+    """Source lines that compute stage i for states of n components."""
+    return ([f"    s{c} = y{c} + hd * ({_sum(_A[i], c)})" for c in range(n)]
+            + [f"    [{_names(f'k{i}_', n)}] = rhs(t + hd * {_C[i]!r}, [{_names('s', n)}])"])
 
 
 def _weights(e: np.ndarray) -> list:
@@ -249,30 +251,41 @@ def _weights(e: np.ndarray) -> list:
     return [(j + 1, w) for j, w in enumerate(e.tolist()) if w]
 
 
-# _step(rhs, t, y, k1, hd, t_new) is one DOP853 step of size hd from (t, y),
-# k1 = rhs(t, y).  It returns the 8th-order solution at t_new, the stages
-# k1..k13, k13 = rhs(t_new, y_new) being the next step's first stage, and the
-# 5th- and 3rd-order error estimates per component, not yet times hd.
-# _dense_stages(rhs, t, y, hd, ks) returns the three extra stages k14..k16 of
-# the dense output on an accepted step, from its stages ks = k1..k13.  Both
-# are generated from the tableau above: states are lists of floats and each
-# stage sum is written out per component with the tableau's weights, so a
-# step makes no array operation of its own.
-_step = _define("\n".join([
-    "def _step(rhs, t, y, k1, hd, t_new):",
-    *map(_stage, range(2, 13)),
-    "    y_new, e5, e3 = [], [], []",
-    f"    for {_zip(sorted({j for e in (_B, _E5, _E3) for j, _ in _weights(e)}))}:",
-    f"        y_new.append(v + hd * ({_sum(_weights(_B))}))",
-    f"        e5.append({_sum(_weights(_E5))})",
-    f"        e3.append({_sum(_weights(_E3))})",
-    "    ks = (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, rhs(t_new, y_new))",
-    "    return y_new, ks, e5, e3\n"]), "_step", {})
-_dense_stages = _define("\n".join([
-    "def _dense_stages(rhs, t, y, hd, ks):",
-    "    k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13 = ks",
-    *map(_stage, (14, 15, 16)),
-    "    return k14, k15, k16\n"]), "_dense_stages", {})
+@functools.cache
+def _stepper(n: int) -> tuple:
+    """The pair (step, dense_stages) for states of n components, generated
+    from the tableau above on first use and kept for the process.
+
+    step(rhs, t, y, k1, hd, t_new) is one DOP853 step of size hd from (t, y),
+    k1 = rhs(t, y).  It returns the 8th-order solution at t_new, the stages
+    k1..k13 as one flat tuple of 13 n floats, k13 = rhs(t_new, y_new) being
+    the next step's first stage, and the 5th- and 3rd-order error estimates
+    per component, not yet times hd.  dense_stages(rhs, t, y, hd, ks) returns
+    the three extra stages k14..k16 of the dense output on an accepted step,
+    flat too, from its stages ks.  Every stage sum is written out per
+    component with the tableau's weights on named locals, and every RHS
+    result is unpacked into n locals, so a step makes no array operation
+    and no loop of its own, and an RHS must return exactly n values.
+    """
+    unpack_y = f"    [{_names('y', n)}] = y"
+    ks = [_names(f"k{i}_", n) for i in range(1, 17)]
+    y_new = ", ".join(f"y{c} + hd * ({_sum(_weights(_B), c)})" for c in range(n))
+    e5, e3 = (", ".join(_sum(_weights(e), c) for c in range(n)) for e in (_E5, _E3))
+    step = "\n".join([
+        "def _step(rhs, t, y, k1, hd, t_new):",
+        unpack_y,
+        f"    [{ks[0]}] = k1",
+        *[line for i in range(2, 13) for line in _stage(i, n)],
+        f"    y_new = [{y_new}]",
+        f"    [{ks[12]}] = rhs(t_new, y_new)",
+        f"    return y_new, ({', '.join(ks[:13])}), [{e5}], [{e3}]\n"])
+    dense = "\n".join([
+        "def _dense_stages(rhs, t, y, hd, ks):",
+        unpack_y,
+        f"    [{', '.join(ks[:13])}] = ks",
+        *[line for i in (14, 15, 16) for line in _stage(i, n)],
+        f"    return {', '.join(ks[13:])}\n"])
+    return _define(step, "_step", {}), _define(dense, "_dense_stages", {})
 
 
 def integrate_dense(rhs, t0: float, t1: float, y0, tol: float = TOL,
@@ -281,19 +294,25 @@ def integrate_dense(rhs, t0: float, t1: float, y0, tol: float = TOL,
     as both the relative and the absolute tolerance.
 
     rhs gets the state as a list of floats and may return any sequence of
-    floats (a tuple, a list or a 1-D array).  It is called twice to start,
-    twelve times per attempted step and three more times per accepted step,
-    for the dense output.  Returns a DenseSolution, which also counts the
-    rejected steps and the RHS calls.  With `blowup_norm` set, status
-    "blowup" means the trajectory passed that norm, or its step size
-    underflowed, and integration stopped early at sol.t_end, the last
+    exactly n floats (a tuple, a list or a 1-D array), n the dimension of
+    y0: the step unpacks the values into locals.  The step is generated for
+    n on first use, once per process (about 1-2 ms per component).  rhs is
+    called twice to start, twelve times per attempted step and three more
+    times per accepted step, for the dense output.  Returns a
+    DenseSolution, which also counts the rejected steps and the RHS calls.
+    An empty state or time span is a ValueError.  With `blowup_norm` set,
+    status "blowup" means the trajectory passed that norm, or its step
+    size underflowed, and integration stopped early at sol.t_end, the last
     accepted step; without it both are an IntegrationError.
     """
     y = np.asarray(y0, dtype=float).tolist()
     if t1 == t0:
         raise ValueError("empty time span")
+    if not y:
+        raise ValueError("empty state")
     direction = 1 if t1 > t0 else -1
     n = len(y)
+    step, dense_stages = _stepper(n)
 
     t = float(t0)
     f = rhs(t, y)
@@ -323,7 +342,7 @@ def integrate_dense(rhs, t0: float, t1: float, y0, tol: float = TOL,
         else:
             t_new = t + hd
 
-        y_new, ks, e5, e3 = _step(rhs, t, y, f, hd, t_new)
+        y_new, ks, e5, e3 = step(rhs, t, y, f, hd, t_new)
         # the combined 5th/3rd-order estimate over the mixed scale, as an
         # RMS norm (HNW II.10)
         scale = [_ERR_SCALE * (tol + tol * max(abs(v), abs(w))) for v, w in zip(y, y_new)]
@@ -336,9 +355,9 @@ def integrate_dense(rhs, t0: float, t1: float, y0, tol: float = TOL,
             t_starts.append(t)
             hs.append(hd)
             y_olds.extend(y)
-            for k in ks + _dense_stages(rhs, t, y, hd, ks):
-                stages.extend(k)
-            t, y, f = t_new, y_new, ks[-1]
+            stages.extend(ks)
+            stages.extend(dense_stages(rhs, t, y, hd, ks))
+            t, y, f = t_new, y_new, ks[-n:]
             if blowup_norm is not None and math.hypot(*y) > blowup_norm:
                 status = "blowup"
                 break
@@ -360,11 +379,13 @@ def integrate_dense(rhs, t0: float, t1: float, y0, tol: float = TOL,
 def rk_fixed_step(rhs, t0: float, t1: float, y0, n_steps: int) -> np.ndarray:
     """Fixed-step DOP853 endpoint, for convergence-order measurements."""
     y = np.asarray(y0, dtype=float).tolist()
+    n = len(y)
+    step, _ = _stepper(n)
     h = (t1 - t0) / n_steps
     t = t0
     f = rhs(t, y)
     for _ in range(n_steps):
-        y, ks, _, _ = _step(rhs, t, y, f, h, t + h)
-        f = ks[-1]
+        y, ks, _, _ = step(rhs, t, y, f, h, t + h)
+        f = ks[-n:]
         t += h
     return np.array(y, dtype=float)

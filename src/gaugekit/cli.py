@@ -26,7 +26,8 @@ from . import timexpr as tx
 from ._rk import TOL, IntegrationError
 from .gauge import gauge_transform
 from .identify import (
-    DEFAULT_GRID_POINTS, NonAutoSystem, default_grid, find_idempotents, identify,
+    DEFAULT_GRID_POINTS, DEFAULT_NEWTON_STARTS, DEFAULT_SEED, NonAutoSystem, default_grid,
+    find_idempotents, identify,
 )
 from .matcurve import ClosedFormCurve, curve_from_dict
 from .odeint import integrate as integrate_traj
@@ -323,9 +324,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("idempotents",
                         help="complex solutions of p(c) = c for a homogeneous field")
     sp.add_argument("--field", required=True, help="homogeneous field JSON")
-    sp.add_argument("--starts", type=int, default=200,
-                    help="number of Newton starts (default 200)")
-    sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    sp.add_argument("--starts", type=int, default=DEFAULT_NEWTON_STARTS,
+                    help=f"number of Newton starts (default {DEFAULT_NEWTON_STARTS})")
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help=f"random seed (default {DEFAULT_SEED})")
     _add_options(sp)
     sp.set_defaults(run=_run_idempotents)
     return ap

@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 DEFAULT_GRID_POINTS = 33
+# find_idempotents' number of Newton starts and random seed
+DEFAULT_NEWTON_STARTS = 200
+DEFAULT_SEED = 0
 _SV_CUTOFF = 1e-10
 _SOLVE_RESIDUAL_TOL = 1e-8
 _NEWTON_ITERS = 60
@@ -612,7 +615,8 @@ class IdempotentSet:
         return len(self.points)
 
 
-def find_idempotents(p: PolyField, starts: int = 200, seed: int = 0) -> IdempotentSet:
+def find_idempotents(p: PolyField, starts: int = DEFAULT_NEWTON_STARTS,
+                     seed: int = DEFAULT_SEED) -> IdempotentSet:
     """Complex solutions of p(c) = c, c != 0, by multistart Newton.
 
     A spanning set of idempotents certifies that B -> [B, p] is injective,

@@ -31,6 +31,7 @@ were parenthesized.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -682,11 +683,19 @@ def compile_rhs(dim: int, terms, table=None):
                    {"_table": table, **consts})
 
 
+# numbers the generated functions, one file name each
+_DEFINED = itertools.count()
+
+
 def _define(src: str, name: str, namespace: dict):
     """Run the source of one generated function and return the function.  It
     is popped from its globals, so that the two form no reference cycle and
-    are freed as soon as the function's owner drops it."""
-    exec(compile(src, "<timexpr>", "exec"), namespace)  # noqa: S102 - our own source
+    are freed as soon as the function's owner drops it.  Its code gets a file
+    name of its own, `<gaugekit _rhs 17>`, so that tracebacks name what
+    generated it and profilers, which key functions by file, line and name,
+    keep the generated functions apart."""
+    filename = f"<gaugekit {name} {next(_DEFINED)}>"
+    exec(compile(src, filename, "exec"), namespace)  # noqa: S102 - our own source
     return namespace.pop(name)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import warnings
 from pathlib import Path
@@ -222,7 +223,7 @@ def test_each_subcommand_has_exactly_its_options():
     # each subcommand takes only the options it reads: 24 settable options
     # in all, not counting input files and --x0
     from gaugekit.cli import _build_parser
-    from gaugekit.identify import DEFAULT_GRID_POINTS
+    from gaugekit.identify import DEFAULT_GRID_POINTS, find_idempotents
     inputs = {"--field", "--curve", "--system", "--x0", "-h", "--help"}
     subparsers = _build_parser()._subparsers._group_actions[0].choices
     assert set(subparsers) == set(OPTIONS)
@@ -230,8 +231,12 @@ def test_each_subcommand_has_exactly_its_options():
         flags = {flag for action in sp._actions for flag in action.option_strings}
         assert flags - inputs == set(OPTIONS[command]), command
     assert sum(map(len, OPTIONS.values())) == 24
-    # identify's grid defaults to the library's grid
+    # identify's grid defaults to the library's grid, and idempotents' starts
+    # and seed to find_idempotents' own
     assert subparsers["identify"].get_default("grid") == DEFAULT_GRID_POINTS
+    defaults = inspect.signature(find_idempotents).parameters
+    for option in ("starts", "seed"):
+        assert subparsers["idempotents"].get_default(option) == defaults[option].default
 
 
 def test_transform_missing_file_exit_2(files, capsys):

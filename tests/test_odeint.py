@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from gaugekit import timexpr as tx
-from gaugekit._rk import (_A, _B, _C, _E3, _E5, IntegrationError, _P, _dense_stages, _rms,
-                          _step, integrate_dense, rk_fixed_step)
+from gaugekit._rk import (_A, _B, _C, _E3, _E5, BLOWUP_NORM, IntegrationError, _P, _rms,
+                          _stepper, integrate_dense, rk_fixed_step)
 from gaugekit.gauge import FlowMap, gauge_transform
 from gaugekit.identify import identify
-from gaugekit.matcurve import ClosedFormCurve, ExponentialCurve, solve_gauge_ode
+from gaugekit.matcurve import ClosedFormCurve, ExponentialCurve, FlowCurve, solve_gauge_ode
 from gaugekit.odeint import Trajectory, integrate, verify_correspondence
 from gaugekit.polyfield import PolyField
 
@@ -256,9 +256,10 @@ def test_dop853_tableau_literals():
         return eye[len(calls)].tolist()
 
     zero = [0.0] * 16
-    y_new, ks, e5, e3 = _step(probe, 0.0, zero, eye[0].tolist(), 1.0, 1.0)
-    ks += _dense_stages(probe, 0.0, zero, 1.0, ks)
-    assert [list(k) for k in ks] == eye.tolist()
+    step, dense_stages = _stepper(16)
+    y_new, ks, e5, e3 = step(probe, 0.0, zero, eye[0].tolist(), 1.0, 1.0)
+    ks += dense_stages(probe, 0.0, zero, 1.0, ks)
+    assert np.reshape(ks, (16, 16)).tolist() == eye.tolist()
     c = np.array([0.0] + [t for t, _ in calls])
     A = np.array([zero] + [y for _, y in calls])
     b, e5, e3 = np.array(y_new), np.array(e5), np.array(e3)
@@ -342,9 +343,50 @@ def _sha256(*vectors) -> str:
 @pytest.mark.parametrize("n, hd", list(_STEP_SHA256))
 def test_step_is_bit_identical_to_the_recorded_digests(n, hd):
     t, y = 0.3, [0.125 * i - 0.7 for i in range(n)]
-    y_new, ks, e5, e3 = _step(_polynomial_rhs, t, y, _polynomial_rhs(t, y), hd, t + hd)
-    dense = _dense_stages(_polynomial_rhs, t, y, hd, ks)
+    step, dense_stages = _stepper(n)
+    y_new, ks, e5, e3 = step(_polynomial_rhs, t, y, _polynomial_rhs(t, y), hd, t + hd)
+    dense = dense_stages(_polynomial_rhs, t, y, hd, ks)
     assert (_sha256(y_new, *ks, e5, e3), _sha256(*dense)) == _STEP_SHA256[n, hd]
+
+
+def _flow_leg():
+    (leg,) = FlowCurve([["t", "1"], ["-t*t", "0.5"]], [[0.25, -1.0], [0.5, 0.0]],
+                       [[1.0, 0.5], [0.0, 1.0]], t_span=(0.0, 1.5)).legs
+    return leg
+
+
+# SHA-256 of whole solves, as the zip-form step, which the generated stage
+# code replaced, computed them: steps, rejections, dense output and all.  The
+# right-hand sides are polynomials; the flow leg's also multiplies 2 x 2
+# matrices through numpy.
+_SOLVE_SHA256 = {
+    "forward n = 2": (
+        lambda: integrate_dense(_polynomial_rhs, 0.3, 2.1, [0.4, -0.6]),
+        "7b35842f457ffbd76e91106be02bd8cecc3bcf21c79ffab2e7e77cada0876d24"),
+    "backward n = 2": (
+        lambda: integrate_dense(_polynomial_rhs, 0.3, -1.4, [0.4, -0.6], tol=1e-12),
+        "4dcb4e39286d60a4e08e9db05fdb6036e541576793418aaddf6a4d2d7e3be437"),
+    "flow leg n = 4": (
+        _flow_leg, "94c8386d54d6ed51079037364dd89c2bd71ca02c93e6deca2637b369fd31e6be"),
+    # z' = z^2 from z = 1 blows up at t = 1
+    "blow-up n = 2": (
+        lambda: integrate_dense(p2_field().rhs(), 0.0, 2.0, [1.0, 0.0],
+                                blowup_norm=BLOWUP_NORM),
+        "90525e05b0e87291c5e8a83854b3e9729d838b020886f65630ac6e3bb1b1aca5"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SOLVE_SHA256))
+def test_solve_is_bit_identical_to_the_recorded_digests(case):
+    solve, digest = _SOLVE_SHA256[case]
+    s = solve()
+    assert _sha256(s.t_starts, s.hs, s.Y, s.Q, s.y_end, s.steps_rejected,
+                   s.rhs_calls) == digest
+
+
+def test_fixed_step_endpoint_is_bit_identical_to_the_recorded_digest():
+    y = rk_fixed_step(_polynomial_rhs, 0.3, 1.1, [0.4, -0.6, 0.2], 7)
+    assert _sha256(y) == "f4768af552d2ec1a56db6b07ddf98830017b381912bc390d0d082553cd5fcbeb"
 
 
 def test_integrate_lands_exactly_on_awkward_endpoints():

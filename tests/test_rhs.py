@@ -1,6 +1,7 @@
 """The generated right-hand sides and the step loop that calls them."""
 
 import gc
+import traceback
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gaugekit import timexpr as tx
-from gaugekit._rk import integrate_dense
+from gaugekit._rk import _stepper, integrate_dense
 from gaugekit.identify import NonAutoSystem
 from gaugekit.odeint import integrate
 from gaugekit.polyfield import PolyField
@@ -154,21 +155,70 @@ def test_a_field_generates_its_right_hand_side_once(monkeypatch):
     assert np.array_equal(first.states, second.states)
 
 
-def test_step_counters_match_the_rhs_calls():
-    # van der Pol with mu = 5 over [0, 10] rejects steps at its fast turns
-    f = PolyField(2, {(0, (0, 1)): 1.0, (1, (0, 1)): 5.0, (1, (2, 1)): -5.0,
-                      (1, (1, 0)): -1.0})
+def _rejecting_solve(n: int, wrap):
+    """A solve that rejects steps, for states of n components, whose RHS
+    passes the field's values through `wrap`.  For n = 1 the logistic
+    y' = 20 y (1 - y) from 1e-4 over [0, 2]; from n = 2 on van der Pol with
+    mu = 5 over [0, 10], which rejects steps at its fast turns, carrying
+    y_i' = y_0 y_i along."""
+    if n == 1:
+        f, y0, t1 = PolyField(1, {(0, (1,)): 20.0, (0, (2,)): -20.0}), [1e-4], 2.0
+    else:
+        def e(*powers):
+            return powers + (0,) * (n - len(powers))
+        terms = {(0, e(0, 1)): 1.0, (1, e(0, 1)): 5.0, (1, e(2, 1)): -5.0,
+                 (1, e(1, 0)): -1.0}
+        terms.update({(i, e(1, *([0] * (i - 1)), 1)): 1.0 for i in range(2, n)})
+        f, y0, t1 = PolyField(n, terms), [2.0, 0.0] + [0.1] * (n - 2), 10.0
     rhs = f.rhs()
+    return integrate_dense(lambda t, y: wrap(rhs(t, y)), 0.0, t1, y0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 9])
+def test_step_counters_match_the_rhs_calls(n):
     calls = []
 
-    def counting(t, y):
-        calls.append(t)
-        return rhs(t, y)
+    def counting(values):
+        calls.append(values)
+        return values
 
-    sol = integrate_dense(counting, 0.0, 10.0, [2.0, 0.0])
+    sol = _rejecting_solve(n, counting)
     assert sol.steps_rejected > 0
     accepted = len(sol.t_starts)
     assert sol.rhs_calls == len(calls) == 2 + 12 * (accepted + sol.steps_rejected) + 3 * accepted
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 9])
+def test_a_tuple_list_or_array_rhs_gives_identical_solutions(n):
+    sols = [_rejecting_solve(n, kind) for kind in (tuple, list, np.array)]
+    for sol in sols[1:]:
+        for name in ("t_starts", "hs", "Y", "Q", "y_end"):
+            assert np.array_equal(getattr(sol, name), getattr(sols[0], name)), name
+        assert (sol.steps_rejected, sol.rhs_calls) == (sols[0].steps_rejected,
+                                                       sols[0].rhs_calls)
+
+
+def test_one_generated_step_per_dimension():
+    assert _stepper(2) is _stepper(2)
+    assert _stepper(3) is not _stepper(2)
+    step, dense_stages = _stepper(2)
+    assert (step.__name__, dense_stages.__name__) == ("_step", "_dense_stages")
+
+
+def test_an_empty_state_or_span_is_refused():
+    with pytest.raises(ValueError, match="empty state"):
+        integrate_dense(lambda t, y: [], 0.0, 1.0, [])
+    with pytest.raises(ValueError, match="empty time span"):
+        integrate_dense(lambda t, y: y, 1.0, 1.0, [1.0])
+
+
+def test_an_error_in_a_generated_step_names_the_step():
+    # an RHS must return exactly n values: the step unpacks them
+    step, _ = _stepper(2)
+    with pytest.raises(ValueError, match="not enough values to unpack") as info:
+        step(lambda t, y: [1.0], 0.0, [0.0, 0.0], [1.0, 1.0], 0.1, 0.1)
+    frame = traceback.extract_tb(info.tb)[-1]
+    assert frame.name == "_step" and frame.filename.startswith("<gaugekit _step ")
 
 
 def test_integrate_hands_a_plain_callable_an_array():

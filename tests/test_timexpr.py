@@ -496,6 +496,18 @@ def test_compile_table_empty_and_constant():
     assert tx.compile_table([Lit(2.5), T])(np.float64(3.0)) == (2.5, 3.0)
 
 
+def test_generated_functions_have_a_file_name_each():
+    # profilers key functions by (file, line, name): two tables or two
+    # right-hand sides under one file name would merge into one entry
+    functions = [tx.compile_table([T]), tx.compile_table([T]),
+                 tx.compile_rhs(1, [(0, 1.0, ())]), tx.compile_rhs(1, [(0, 2.0, ())])]
+    files = [f.__code__.co_filename for f in functions]
+    assert len(set(files)) == len(files)
+    for f, file in zip(functions, files):
+        assert file.startswith(f"<gaugekit {f.__name__} ") and file.endswith(">")
+    assert [f.__name__ for f in functions] == ["_table", "_table", "_rhs", "_rhs"]
+
+
 def _series(exprs, t, order):
     """The Taylor coefficients of each expression, read from their table."""
     return [list(a) for a in zip(*tx.compile_table(exprs).taylor(t, order))]
