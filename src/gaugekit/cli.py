@@ -7,9 +7,11 @@ when the transform has none.
 Exit codes: 0 success (identify: gauge or linear_family), 1 negative verdict
 (identify: not_gauge; verify: deviation above tolerance), 2 parse/validation
 error (also a non-finite --t0, --t1 or --x0 entry, a --tol that is not
-finite and > 0, an unknown key in an input file, or an expression nested
-deeper than Python's recursion limit allows), 3 numeric failure (transform:
-also no closed form), 4 undetermined.
+finite and > 0, a --starts below 1 or a --seed below 0, an unknown key in
+an input file, a JSON integer beyond the float range, or a curve entry
+whose chain of negations or of literal factors is longer than Python's
+recursion limit allows; expressions nest to any depth otherwise), 3
+numeric failure (transform: also no closed form), 4 undetermined.
 """
 
 from __future__ import annotations
@@ -340,6 +342,10 @@ def _check_options(args) -> None:
             raise _InputError(f"--{name} must be finite, got {opts[name]!r}")
     if "tol" in opts and not (np.isfinite(opts["tol"]) and opts["tol"] > 0):
         raise _InputError(f"--tol must be finite and > 0, got {opts['tol']!r}")
+    if opts.get("starts", 1) < 1:
+        raise _InputError(f"--starts must be >= 1, got {opts['starts']}")
+    if opts.get("seed", 0) < 0:
+        raise _InputError(f"--seed must be >= 0, got {opts['seed']}")
 
 
 def _join_x0(argv: list) -> list:
@@ -370,8 +376,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser recurses; expressions come from system and curve
-        # files only
+        # only the smart constructors recurse, along a chain of negations
+        # (--...-x) or of literal factors (1*(1*(...))), and only a curve
+        # file's closed-form entries reach them with such a chain
         files = [v for v in (getattr(args, "system", None), getattr(args, "curve", None)) if v]
         print(f"error: {', '.join(files)}: expression nested too deeply", file=sys.stderr)
         return 2

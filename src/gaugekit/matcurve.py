@@ -468,7 +468,7 @@ def curve_from_dict(d: dict) -> MatrixCurve:
             raise ValueError("'sign' must be 1 or -1")
         try:
             curve = ExponentialCurve(np.asarray(gen, dtype=float), int(sign))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad generator matrix: {exc}") from exc
     else:
         raise ValueError(f"unknown curve kind {kind!r}")

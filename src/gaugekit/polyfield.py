@@ -450,7 +450,10 @@ def terms_from_list(entries, what: str, parse_coeff) -> dict:
 
 
 def _float_coeff(src, where: str) -> float:
-    coeff = float(src)
+    try:
+        coeff = float(src)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{where}: numeric constant out of range") from None
     if not np.isfinite(coeff):
         raise ValueError(f"{where}: non-finite coefficient")
     return coeff

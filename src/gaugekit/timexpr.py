@@ -21,8 +21,10 @@ expressions (children first, structurally equal subtrees once):
 ``compile_table`` generates one function of t from it (``compile_expr`` is its
 one-entry form), ``_taylor`` loops over it for the Taylor coefficients of any
 order at t (the table's ``taylor`` reader; ``eval_expr`` reads order 0), and
-``diff_expr`` for the derivative as an expression.  The printer writes from an
-explicit stack; only the parser recurses.  Values agree bit for bit across all
+``diff_expr`` for the derivative as an expression.  The parser reads and the
+printer writes from an explicit stack, so expressions of any depth pass
+through both; only the smart constructors recurse, along chains of
+negations and of literal factors.  Values agree bit for bit across all
 of them.  A table's source is written with Python's own precedence,
 parenthesized only where Python would bind the operands otherwise, so it
 parses to the same tree, and compiles to the same code, as if every node
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -164,53 +167,14 @@ class EvalError(ArithmeticError):
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_INT_RE = re.compile(r"\d+\Z")
-
-
-class _Tokens:
-    """Single-pass token stream over the source with byte offsets."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self._skip_ws()
-
-    def _skip_ws(self):
-        while self.pos < len(self.source) and self.source[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        """Return the next token text without consuming it, or None at EOF."""
-        if self.pos >= len(self.source):
-            return None
-        ch = self.source[self.pos]
-        if ch in "+-*/^()":
-            return ch
-        m = _NUMBER_RE.match(self.source, self.pos)
-        if m:
-            return m.group(0)
-        m = _IDENT_RE.match(self.source, self.pos)
-        if m:
-            return m.group(0)
-        raise ParseError(f"unexpected character {ch!r}", self.pos)
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.pos)
-        self.pos += len(tok)
-        self._skip_ws()
-        return tok
-
-    def expect(self, token: str):
-        got = self.peek()
-        if got != token:
-            raise ParseError(
-                f"unexpected {'end of input' if got is None else repr(got)}",
-                self.pos, expected=(repr(token),))
-        self.take()
+# one token per match, after any whitespace: group 1 a number, 2 a name, 3 an
+# operator or a parenthesis, 4 any other character, an error once looked at
+_TOKEN = re.compile(r"\s*(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                    r"|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(\S))")
+_NUMBER, _NAME, _OTHER = 1, 2, 4
+_OPERATOR = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+_APPLY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+_OPERAND = ("number", "'t'", "'('", "function", "'-'")
 
 
 def parse_expr(source: str) -> TimeExpr:
@@ -218,114 +182,113 @@ def parse_expr(source: str) -> TimeExpr:
 
     Literal-only subtrees are folded to a single literal at construction;
     no other rewriting happens, so the result is the unique AST of the
-    source under standard precedence.
+    source under standard precedence.  One loop reads the tokens with an
+    explicit stack of pending operators and open parentheses, calls and
+    unary minuses (Dijkstra's shunting-yard), so any nesting depth parses.
     """
-    stream = _Tokens(source)
-    if stream.peek() is None:
+    tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex))
+              for m in _TOKEN.finditer(source)]
+    if not tokens:
         raise ParseError("empty input", 0)
-    tree = _parse_sum(stream)
-    if stream.peek() is not None:
-        raise ParseError(f"trailing input {stream.peek()!r}", stream.pos,
-                         expected=("'+'", "'-'", "'*'", "'/'", "'^'", "end of input"))
-    return tree
+    tokens.append((None, None, len(source)))
+    # above the None at the bottom: "(", a function name, Neg for a unary
+    # minus, or a binary operator's class above its left operand
+    stack: list = [None]
+    i = 0
+    while True:
+        kind, tok, at = tokens[i]  # an operand is due
+        i += 1
+        if kind == _NUMBER:
+            value = float(tok)
+            if not math.isfinite(value):
+                raise ParseError("numeric constant out of range", at)
+            node = Lit(value)
+        elif tok == "t":
+            node = T
+        elif tok == "-" or tok == "(":
+            stack.append(Neg if tok == "-" else tok)
+            continue
+        elif kind == _NAME:
+            if tok not in _FUNCTIONS:
+                raise ParseError(f"unknown function {tok!r}", at,
+                                 expected=("'exp'", "'sin'", "'cos'", "'t'"))
+            if tokens[i][1] != "(":
+                raise _unexpected(*tokens[i], ("'('",))
+            i += 1
+            stack.append(tok)
+            continue
+        else:
+            raise _unexpected(kind, tok, at, _OPERAND)
+        while True:  # node is a number, t, a parenthesis or a call
+            while stack[-1] is Neg:
+                stack.pop()
+                node = Lit(-node.value) if type(node) is Lit else Neg(node)
+            kind, tok, at = tokens[i]
+            if tok == "^":
+                kind, tok, at = tokens[i + 1]
+                if kind != _NUMBER or not tok.isdecimal():
+                    raise _unexpected(kind, tok, at, ("nonnegative integer exponent",))
+                i += 2
+                k = int(tok)
+                node = Lit(_fold_value(pow, tokens[i][2], node.value, k)) \
+                    if type(node) is Lit else Pow(node, k)
+            elif kind == _OTHER:
+                raise _unexpected(kind, tok, at)
+            # a pending * or / folds now, before a token after an exponent is looked at
+            if stack[-1] is Mul or stack[-1] is Div:
+                node = _fold(stack, node, tokens[i][2])
+            kind, tok, at = tokens[i]
+            if kind == _OTHER:
+                raise _unexpected(kind, tok, at)
+            cls = _OPERATOR.get(tok)
+            # a sum folds once the next operator is known not to bind tighter
+            if (stack[-1] is Add or stack[-1] is Sub) and cls is not Mul and cls is not Div:
+                node = _fold(stack, node, at)
+            if cls is not None:
+                stack += (node, cls)
+                i += 1
+                break
+            frame = stack.pop()
+            if frame is None:
+                if tok is None:
+                    return node
+                raise ParseError(f"trailing input {tok!r}", at,
+                                 expected=("'+'", "'-'", "'*'", "'/'", "'^'", "end of input"))
+            if tok != ")":
+                raise _unexpected(kind, tok, at, ("')'",))
+            i += 1
+            if frame != "(":
+                node = Lit(_fold_value(_FUNCTIONS[frame], tokens[i][2], node.value)) \
+                    if type(node) is Lit else Fun(frame, node)
 
 
-def _parse_sum(s: _Tokens) -> TimeExpr:
-    node = _parse_term(s)
-    while s.peek() in ("+", "-"):
-        op = s.take()
-        rhs = _parse_term(s)
-        node = _fold_binary(Add if op == "+" else Sub, node, rhs, s)
-    return node
+def _unexpected(kind, tok, at: int, expected: tuple = ()) -> ParseError:
+    if kind == _OTHER:
+        return ParseError(f"unexpected character {tok!r}", at)
+    return ParseError(f"unexpected {'end of input' if tok is None else repr(tok)}",
+                      at, expected)
 
 
-def _parse_term(s: _Tokens) -> TimeExpr:
-    node = _parse_factor(s)
-    while s.peek() in ("*", "/"):
-        op = s.take()
-        rhs = _parse_factor(s)
-        node = _fold_binary(Mul if op == "*" else Div, node, rhs, s)
-    return node
+def _fold(stack: list, right: TimeExpr, offset: int) -> TimeExpr:
+    """Apply the operator on top of `stack` to the operand below it and
+    `right`, folding two literals to one."""
+    cls = stack.pop()
+    left = stack.pop()
+    if cls is Div and type(right) is Lit and right.value == 0.0:
+        raise ParseError("division by constant zero", offset)
+    if type(left) is Lit and type(right) is Lit:
+        return Lit(_fold_value(_APPLY[cls], offset, left.value, right.value))
+    return cls(left, right)
 
 
-def _parse_factor(s: _Tokens) -> TimeExpr:
-    node = _parse_base(s)
-    if s.peek() == "^":
-        s.take()
-        at = s.pos
-        tok = s.peek()
-        if tok is None or not _INT_RE.match(tok):
-            raise ParseError(
-                f"unexpected {'end of input' if tok is None else repr(tok)}",
-                at, expected=("nonnegative integer exponent",))
-        s.take()
-        node = _fold_pow(node, int(tok), s)
-    return node
-
-
-def _parse_base(s: _Tokens) -> TimeExpr:
-    at = s.pos
-    tok = s.peek()
-    if tok is None:
-        raise ParseError("unexpected end of input", at,
-                         expected=("number", "'t'", "'('", "function", "'-'"))
-    if tok == "-":
-        s.take()
-        inner = _parse_base(s)
-        return Lit(-inner.value) if isinstance(inner, Lit) else Neg(inner)
-    if tok == "(":
-        s.take()
-        node = _parse_sum(s)
-        s.expect(")")
-        return node
-    if _NUMBER_RE.fullmatch(tok):
-        s.take()
-        value = float(tok)
-        if not math.isfinite(value):
-            raise ParseError("numeric constant out of range", at)
-        return Lit(value)
-    if tok == "t":
-        s.take()
-        return T
-    if _IDENT_RE.fullmatch(tok):
-        if tok not in _FUNCTIONS:
-            raise ParseError(f"unknown function {tok!r}", at,
-                             expected=("'exp'", "'sin'", "'cos'", "'t'"))
-        s.take()
-        s.expect("(")
-        arg = _parse_sum(s)
-        s.expect(")")
-        if isinstance(arg, Lit):
-            return Lit(_fold_value(lambda: _FUNCTIONS[tok](arg.value), s.pos))
-        return Fun(tok, arg)
-    raise ParseError(f"unexpected {tok!r}", at,
-                     expected=("number", "'t'", "'('", "function", "'-'"))
-
-
-def _fold_value(compute, offset: int) -> float:
+def _fold_value(f, offset: int, *args) -> float:
     try:
-        value = compute()
+        value = f(*args)
     except OverflowError:
         raise ParseError("constant folding overflows", offset) from None
     if not math.isfinite(value):
         raise ParseError("constant folding overflows", offset)
     return value
-
-
-def _fold_binary(cls, a: TimeExpr, b: TimeExpr, s: _Tokens) -> TimeExpr:
-    if cls is Div and isinstance(b, Lit) and b.value == 0.0:
-        raise ParseError("division by constant zero", s.pos)
-    if isinstance(a, Lit) and isinstance(b, Lit):
-        ops = {Add: lambda x, y: x + y, Sub: lambda x, y: x - y,
-               Mul: lambda x, y: x * y, Div: lambda x, y: x / y}
-        return Lit(_fold_value(lambda: ops[cls](a.value, b.value), s.pos))
-    return cls(a, b)
-
-
-def _fold_pow(base: TimeExpr, k: int, s: _Tokens) -> TimeExpr:
-    if isinstance(base, Lit):
-        return Lit(_fold_value(lambda: base.value ** k, s.pos))
-    return Pow(base, k)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +686,10 @@ def as_expr(e) -> TimeExpr:
     if isinstance(e, str):
         return parse_expr(e)
     if isinstance(e, (int, float)):
-        return lit(float(e))
+        try:
+            return lit(float(e))
+        except OverflowError:  # an int beyond the float range
+            raise ValueError("numeric constant out of range") from None
     return e
 
 

@@ -183,7 +183,8 @@ def _missing_inputs(files, command) -> list:
 
 @pytest.mark.parametrize("command", list(OPTIONS))
 @pytest.mark.parametrize("option", ["--t0=nan", "--t0=inf", "--t1=inf", "--t1=-inf",
-                                    "--tol=0", "--tol=-1", "--tol=nan", "--tol=inf"])
+                                    "--tol=0", "--tol=-1", "--tol=nan", "--tol=inf",
+                                    "--starts=0", "--starts=-3", "--seed=-1"])
 def test_bad_numeric_options_exit_2_before_any_work(files, capsys, command, option):
     # the input files do not exist: an option check that ran after loading
     # them would name a file, not the option
@@ -198,7 +199,8 @@ def test_bad_numeric_options_exit_2_before_any_work(files, capsys, command, opti
         return
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {name} must be finite"), err
+    bound = {"--starts": ">= 1", "--seed": ">= 0"}.get(name, "finite")
+    assert err.startswith(f"error: {name} must be {bound}"), err
     assert "missing.json" not in err
 
 
@@ -287,6 +289,29 @@ def test_transform_emits_no_closed_form_validated_against_nan(tmp_path, capsys):
                             f"non-finite value\n")
 
 
+HUGE = "1" + "0" * 400  # an integer beyond the float range
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("system", "bad system term #0: terms[0].coeff: numeric constant out of range"),
+    ("field", "bad field term #0: terms[0].coeff: numeric constant out of range"),
+    ("closed_form", "numeric constant out of range"),
+    ("exp", "bad generator matrix: int too large to convert to float")])
+def test_huge_json_integers_exit_2_and_name_the_file(tmp_path, capsys, kind, message):
+    term = '{"dim": 1, "terms": [{"component": 0, "exponents": [2], "coeff": %s}]}'
+    path = tmp_path / f"huge-{kind}.json"
+    path.write_text({"system": term, "field": term,
+                     "closed_form": '{"dim": 1, "kind": "closed_form", "entries": [[%s]]}',
+                     "exp": '{"dim": 1, "kind": "exp", "generator": [[%s]]}'}[kind] % HUGE)
+    fpath = _write(tmp_path / "f1.json", {"dim": 1, "terms": [
+        {"component": 0, "exponents": [2], "coeff": 1.0}]})
+    argv = {"system": ["identify", "--system", str(path)],
+            "field": ["integrate", "--field", str(path), "--x0", "0.5"]}.get(
+        kind, ["transform", "--field", fpath, "--curve", str(path)])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("generator", ['[["nan"]]', "[[1e999]]"])
 def test_transform_nonfinite_generator_exit_2_names_file(files, tmp_path, capsys,
                                                          generator):
@@ -333,14 +358,21 @@ def test_identify_long_coefficient(tmp_path, capsys):
     assert "not_gauge" in capsys.readouterr().out
 
 
-def test_nesting_beyond_the_recursion_limit_exit_2_names_file(files, tmp_path, capsys):
-    # the parser recurses per parenthesis; the printer does not recurse, so
-    # a long sum is written and read back
-    sysf = tmp_path / "nested.json"
-    sysf.write_text(json.dumps({"dim": 1, "terms": [
-        {"component": 0, "exponents": [2], "coeff": "(" * 400 + "t" + ")" * 400}]}))
-    assert main(["identify", "--system", str(sysf)]) == 2
-    assert "nested.json: expression nested too deeply" in capsys.readouterr().err
+def test_any_nesting_depth_loads_and_deep_chains_exit_2_names_file(files, tmp_path, capsys):
+    # the parser keeps its own stack: t in 400 or 100,000 parentheses is t
+    outputs = {}
+    for depth in (0, 400, 100_000):
+        sysf = tmp_path / f"nested-{depth}.json"
+        sysf.write_text(json.dumps({"dim": 1, "terms": [
+            {"component": 0, "exponents": [2], "coeff": "(" * depth + "t" + ")" * depth}]}))
+        for argv in (["identify", "--system", str(sysf)],
+                     ["integrate", "--system", str(sysf), "--x0", "0.5"]):
+            out = tmp_path / "out.json"
+            code = main(argv + ["--out", str(out)])
+            outputs.setdefault(argv[0], set()).add((code, out.read_bytes()))
+    assert capsys.readouterr().err == ""
+    assert [len(v) for v in outputs.values()] == [1, 1]
+    # the printer does not recurse either, so a long sum is written and read back
     cpath = tmp_path / "long-curve.json"
     cpath.write_text(json.dumps({"dim": 1, "kind": "closed_form",
                                  "entries": [["+".join(["1"] + ["t"] * 2999)]]}))
@@ -355,6 +387,13 @@ def test_nesting_beyond_the_recursion_limit_exit_2_names_file(files, tmp_path, c
     # y' = 2999/(1 + 2999 t) y + y^2/(1 + 2999 t)
     assert q.linear_at(0.5)[0, 0] == pytest.approx(2999.0 / 1500.5, rel=1e-12)
     assert q.degree_part_at(0.5, 2).terms == {(0, (2,)): pytest.approx(1.0 / 1500.5, rel=1e-12)}
+    # the smart constructors recurse along a chain of negations, which a
+    # curve's entry reaches when the transform multiplies it
+    chain = tmp_path / "chain-curve.json"
+    chain.write_text(json.dumps({"dim": 1, "kind": "closed_form",
+                                 "entries": [["-" * 3000 + "(1+t)"]]}))
+    assert main(["transform", "--field", str(fpath), "--curve", str(chain)]) == 2
+    assert capsys.readouterr().err == f"error: {chain}: expression nested too deeply\n"
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     assert main(["integrate", "--field", str(deep), "--x0", "0"]) == 2
