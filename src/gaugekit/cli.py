@@ -8,10 +8,8 @@ Exit codes: 0 success (identify: gauge or linear_family), 1 negative verdict
 (identify: not_gauge; verify: deviation above tolerance), 2 parse/validation
 error (also a non-finite --t0, --t1 or --x0 entry, a --tol that is not
 finite and > 0, a --starts below 1 or a --seed below 0, an unknown key in
-an input file, a JSON integer beyond the float range, or a curve entry
-whose chain of negations or of literal factors is longer than Python's
-recursion limit allows; expressions nest to any depth otherwise), 3
-numeric failure (transform: also no closed form), 4 undetermined.
+an input file, or a JSON integer beyond the float range), 3 numeric failure
+(transform: also no closed form), 4 undetermined.
 """
 
 from __future__ import annotations
@@ -374,13 +372,6 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # only the smart constructors recurse, along a chain of negations
-        # (--...-x) or of literal factors (1*(1*(...))), and only a curve
-        # file's closed-form entries reach them with such a chain
-        files = [v for v in (getattr(args, "system", None), getattr(args, "curve", None)) if v]
-        print(f"error: {', '.join(files)}: expression nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -22,7 +22,7 @@ from ._rk import IntegrationError
 from .matcurve import FlowCurve, mat_exp, solve_gauge_ode
 from .polyfield import (
     NearSingularMatrixError, PolyField, as_index, check_invertible, check_keys, field_to_dict,
-    invert_checked, lie_bracket, linear_pushforward,
+    invert_checked, lie_bracket, linear_pushforward, parse_at,
 )
 
 __all__ = [
@@ -174,15 +174,6 @@ class NonAutoSystem:
             raise ValueError("system object must have a 'dim' entry")
         check_keys(d, ("dim", "constant", "linear", "terms"), "system object")
         dim = as_index(d["dim"], "dim")
-
-        def parse_at(src, where):
-            if isinstance(src, bool) or not isinstance(src, (str, int, float)):
-                raise ValueError(f"{where}: expected an expression string or number")
-            try:
-                return tx.as_expr(src)
-            except (tx.ParseError, ValueError) as exc:
-                raise ValueError(f"{where}: {exc}") from exc
-
         constant_src = d.get("constant", ["0"] * dim)
         if not isinstance(constant_src, list):
             raise ValueError("'constant' must be a list")

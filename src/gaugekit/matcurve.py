@@ -13,7 +13,7 @@ import numpy as np
 from . import timexpr as tx
 from ._rk import TOL, IntegrationError, check_in_span, integrate_dense
 from .polyfield import (
-    NearSingularMatrixError, as_index, check_invertible, check_keys, invert_checked,
+    NearSingularMatrixError, as_index, check_invertible, check_keys, invert_checked, parse_at,
 )
 
 __all__ = [
@@ -445,6 +445,13 @@ def _expr_table(obj, what: str) -> list:
     return obj
 
 
+def _read_exprs(obj, what: str) -> list:
+    """The expressions of a JSON table, entry [i][j] read by
+    parse_at(entry, "what[i][j]")."""
+    return [[parse_at(e, f"{what}[{i}][{j}]") for j, e in enumerate(row)]
+            for i, row in enumerate(_expr_table(obj, f"'{what}'"))]
+
+
 def curve_from_dict(d: dict) -> MatrixCurve:
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError("curve object must have a 'kind' entry")
@@ -456,8 +463,8 @@ def curve_from_dict(d: dict) -> MatrixCurve:
             raise ValueError("closed_form curve needs an 'entries' table")
         inverse = d.get("inverse")
         curve = ClosedFormCurve(
-            _expr_table(entries, "'entries'"),
-            _expr_table(inverse, "'inverse'") if inverse is not None else None)
+            _read_exprs(entries, "entries"),
+            _read_exprs(inverse, "inverse") if inverse is not None else None)
     elif kind == "exp":
         check_keys(d, ("dim", "kind", "generator", "sign"), "exp curve")
         if "generator" not in d:

@@ -422,6 +422,17 @@ def check_keys(d: dict, known: tuple, what: str) -> None:
                              f"(expected {', '.join(map(repr, known))})")
 
 
+def parse_at(src, where: str) -> tx.TimeExpr:
+    """The expression of a JSON expression string or number, an error
+    naming `where` (as "linear[0][1]") otherwise."""
+    if isinstance(src, bool) or not isinstance(src, (str, int, float)):
+        raise ValueError(f"{where}: expected an expression string or number")
+    try:
+        return tx.as_expr(src)
+    except ValueError as exc:  # tx.ParseError among them
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def terms_from_list(entries, what: str, parse_coeff) -> dict:
     """The {(component, exponents): coefficient} table of a JSON term list,
     each coefficient read by parse_coeff(value, "terms[k].coeff").  A term

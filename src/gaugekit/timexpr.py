@@ -21,11 +21,11 @@ expressions (children first, structurally equal subtrees once):
 ``compile_table`` generates one function of t from it (``compile_expr`` is its
 one-entry form), ``_taylor`` loops over it for the Taylor coefficients of any
 order at t (the table's ``taylor`` reader; ``eval_expr`` reads order 0), and
-``diff_expr`` for the derivative as an expression.  The parser reads and the
-printer writes from an explicit stack, so expressions of any depth pass
-through both; only the smart constructors recurse, along chains of
-negations and of literal factors.  Values agree bit for bit across all
-of them.  A table's source is written with Python's own precedence,
+``diff_expr`` for the derivative as an expression.  Values agree bit for
+bit across all of them.  The parser reads and the printer writes from an
+explicit stack, and the smart constructors walk chains of negations and of
+literal factors in loops, so expressions of any depth pass through every
+function here.  A table's source is written with Python's own precedence,
 parenthesized only where Python would bind the operands otherwise, so it
 parses to the same tree, and compiles to the same code, as if every node
 were parenthesized.
@@ -702,59 +702,63 @@ def eneg(a: TimeExpr) -> TimeExpr:
 
 
 def eadd(a: TimeExpr, b: TimeExpr) -> TimeExpr:
-    if isinstance(a, Lit) and isinstance(b, Lit):
-        return Lit(a.value + b.value)
-    if isinstance(a, Lit) and a.value == 0.0:
-        return b
-    if isinstance(b, Lit) and b.value == 0.0:
-        return a
-    if isinstance(b, Neg):
-        return esub(a, b.arg)
+    return _add(a, b, False)
+
+
+def esub(a: TimeExpr, b: TimeExpr) -> TimeExpr:
+    return _add(a, b, True)
+
+
+def _add(a: TimeExpr, b: TimeExpr, minus: bool) -> TimeExpr:
+    """a - b when `minus`, else a + b; a Neg right operand flips the sign."""
+    while True:
+        if isinstance(a, Lit) and isinstance(b, Lit):
+            return Lit(a.value - b.value if minus else a.value + b.value)
+        if isinstance(b, Lit) and b.value == 0.0:
+            return a
+        if isinstance(a, Lit) and a.value == 0.0:
+            return eneg(b) if minus else b
+        if not isinstance(b, Neg):
+            break
+        b, minus = b.arg, not minus
+    if minus:
+        return Sub(a, b)
     if isinstance(b, Lit) and b.value < 0:
         return Sub(a, Lit(-b.value))
     return Add(a, b)
 
 
-def esub(a: TimeExpr, b: TimeExpr) -> TimeExpr:
-    if isinstance(a, Lit) and isinstance(b, Lit):
-        return Lit(a.value - b.value)
-    if isinstance(b, Lit) and b.value == 0.0:
-        return a
-    if isinstance(a, Lit) and a.value == 0.0:
-        return eneg(b)
-    if isinstance(b, Neg):
-        return eadd(a, b.arg)
-    return Sub(a, b)
-
-
 def _linear_in_t(e: TimeExpr) -> float | None:
     """Coefficient c when e is c*t up to trivial shapes, else None."""
+    negated = False
+    while isinstance(e, Neg):
+        e, negated = e.arg, not negated
+    c = None
     if isinstance(e, TVar):
-        return 1.0
-    if isinstance(e, Neg):
-        c = _linear_in_t(e.arg)
-        return None if c is None else -c
-    if isinstance(e, Mul):
+        c = 1.0
+    elif isinstance(e, Mul):
         if isinstance(e.left, Lit) and isinstance(e.right, TVar):
-            return e.left.value
-        if isinstance(e.right, Lit) and isinstance(e.left, TVar):
-            return e.right.value
-    if isinstance(e, Lit) and e.value == 0.0:
-        return 0.0
-    return None
+            c = e.left.value
+        elif isinstance(e.right, Lit) and isinstance(e.left, TVar):
+            c = e.right.value
+    elif isinstance(e, Lit) and e.value == 0.0:
+        c = 0.0
+    return -c if negated and c is not None else c
 
 
 def _merge_exp(a: Fun, b: Fun) -> TimeExpr:
     ca, cb = _linear_in_t(a.arg), _linear_in_t(b.arg)
     if ca is not None and cb is not None:
-        return efun("exp", emul(Lit(ca + cb), T))
+        return efun("exp", _scale(Lit(ca + cb), T))
     return efun("exp", eadd(a.arg, b.arg))
 
 
-def emul(a: TimeExpr, b: TimeExpr) -> TimeExpr:
-    if isinstance(a, Lit) and isinstance(b, Lit):
-        return Lit(a.value * b.value)
-    if isinstance(a, Lit):
+def _scale(a: Lit, b: TimeExpr) -> TimeExpr:
+    """emul(a, b) for a literal `a`: literal factors of `b` and negations
+    fold into `a` until b is neither."""
+    while True:
+        if isinstance(b, Lit):
+            return Lit(a.value * b.value)
         if a.value == 0.0:
             return Lit(0.0)
         if a.value == 1.0:
@@ -762,26 +766,46 @@ def emul(a: TimeExpr, b: TimeExpr) -> TimeExpr:
         if a.value == -1.0:
             return eneg(b)
         if isinstance(b, Mul) and isinstance(b.left, Lit):
-            return emul(Lit(a.value * b.left.value), b.right)
-        if isinstance(b, Neg):
-            return emul(Lit(-a.value), b.arg)
-        return Mul(a, b)
-    if isinstance(b, Lit):
-        return emul(b, a)
-    if isinstance(a, Neg):
-        return eneg(emul(a.arg, b))
-    if isinstance(b, Neg):
-        return eneg(emul(a, b.arg))
-    if isinstance(a, Fun) and a.name == "exp" and isinstance(b, Fun) and b.name == "exp":
-        return _merge_exp(a, b)
-    if isinstance(a, Mul) and isinstance(a.left, Lit):
-        return emul(a.left, emul(a.right, b))
-    if isinstance(b, Mul) and isinstance(b.left, Lit):
-        return emul(b.left, emul(a, b.right))
-    if isinstance(a, Fun) and a.name == "exp" and isinstance(b, Mul) \
-            and isinstance(b.left, Fun) and b.left.name == "exp":
-        return emul(_merge_exp(a, b.left), b.right)
-    return Mul(a, b)
+            a, b = Lit(a.value * b.left.value), b.right
+        elif isinstance(b, Neg):
+            a, b = Lit(-a.value), b.arg
+        else:
+            return Mul(a, b)
+
+
+def emul(a: TimeExpr, b: TimeExpr) -> TimeExpr:
+    # what is left to apply to the product of a and b, innermost last:
+    # None negates it, a literal multiplies it from the left
+    pending: list = []
+    product = None
+    while product is None:
+        if isinstance(a, Lit):
+            product = _scale(a, b)
+        elif isinstance(b, Lit):
+            product = _scale(b, a)
+        elif isinstance(a, Neg):
+            pending.append(None)
+            a = a.arg
+        elif isinstance(b, Neg):
+            pending.append(None)
+            b = b.arg
+        elif isinstance(a, Fun) and a.name == "exp" and isinstance(b, Fun) and b.name == "exp":
+            product = _merge_exp(a, b)
+        elif isinstance(a, Mul) and isinstance(a.left, Lit):
+            pending.append(a.left)
+            a = a.right
+        elif isinstance(b, Mul) and isinstance(b.left, Lit):
+            pending.append(b.left)
+            b = b.right
+        elif isinstance(a, Fun) and a.name == "exp" and isinstance(b, Mul) \
+                and isinstance(b.left, Fun) and b.left.name == "exp":
+            a, b = _merge_exp(a, b.left), b.right
+        else:
+            product = Mul(a, b)
+    while pending:
+        factor = pending.pop()
+        product = eneg(product) if factor is None else _scale(factor, product)
+    return product
 
 
 def ediv(a: TimeExpr, b: TimeExpr) -> TimeExpr:

@@ -1,7 +1,9 @@
-"""Exact-rational reference computations used as independent test oracles.
+"""Reference computations used as independent test oracles.
 
-Everything here works over fractions.Fraction with hand-rolled loops: no
-package code is reused, so these results adjudicate the floating pipeline.
+The exact-rational ones work over fractions.Fraction with hand-rolled loops:
+no package code is reused, so these results adjudicate the floating
+pipeline.  The `ref_*` smart constructors at the end are the recursive
+definitions that timexpr's looping ones must reproduce node for node.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+
+from gaugekit.timexpr import T, Add, Fun, Lit, Mul, Neg, Sub, TVar, efun
 
 
 def frac_bracket(M, p_terms: dict, n: int) -> dict:
@@ -121,3 +125,98 @@ def satisfies(rows: list, rhs: list, m_flat: np.ndarray, tol: float = 1e-9) -> b
         if abs(val - float(b)) > tol * (1.0 + abs(float(b))):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Smart constructors, defined recursively: each recursive call is one link of
+# a chain of negations or of literal factors
+# ---------------------------------------------------------------------------
+
+def ref_eneg(a):
+    if isinstance(a, Lit):
+        return Lit(-a.value)
+    if isinstance(a, Neg):
+        return a.arg
+    return Neg(a)
+
+
+def ref_eadd(a, b):
+    if isinstance(a, Lit) and isinstance(b, Lit):
+        return Lit(a.value + b.value)
+    if isinstance(a, Lit) and a.value == 0.0:
+        return b
+    if isinstance(b, Lit) and b.value == 0.0:
+        return a
+    if isinstance(b, Neg):
+        return ref_esub(a, b.arg)
+    if isinstance(b, Lit) and b.value < 0:
+        return Sub(a, Lit(-b.value))
+    return Add(a, b)
+
+
+def ref_esub(a, b):
+    if isinstance(a, Lit) and isinstance(b, Lit):
+        return Lit(a.value - b.value)
+    if isinstance(b, Lit) and b.value == 0.0:
+        return a
+    if isinstance(a, Lit) and a.value == 0.0:
+        return ref_eneg(b)
+    if isinstance(b, Neg):
+        return ref_eadd(a, b.arg)
+    return Sub(a, b)
+
+
+def ref_linear_in_t(e):
+    if isinstance(e, TVar):
+        return 1.0
+    if isinstance(e, Neg):
+        c = ref_linear_in_t(e.arg)
+        return None if c is None else -c
+    if isinstance(e, Mul):
+        if isinstance(e.left, Lit) and isinstance(e.right, TVar):
+            return e.left.value
+        if isinstance(e.right, Lit) and isinstance(e.left, TVar):
+            return e.right.value
+    if isinstance(e, Lit) and e.value == 0.0:
+        return 0.0
+    return None
+
+
+def ref_merge_exp(a, b):
+    ca, cb = ref_linear_in_t(a.arg), ref_linear_in_t(b.arg)
+    if ca is not None and cb is not None:
+        return efun("exp", ref_emul(Lit(ca + cb), T))
+    return efun("exp", ref_eadd(a.arg, b.arg))
+
+
+def ref_emul(a, b):
+    if isinstance(a, Lit) and isinstance(b, Lit):
+        return Lit(a.value * b.value)
+    if isinstance(a, Lit):
+        if a.value == 0.0:
+            return Lit(0.0)
+        if a.value == 1.0:
+            return b
+        if a.value == -1.0:
+            return ref_eneg(b)
+        if isinstance(b, Mul) and isinstance(b.left, Lit):
+            return ref_emul(Lit(a.value * b.left.value), b.right)
+        if isinstance(b, Neg):
+            return ref_emul(Lit(-a.value), b.arg)
+        return Mul(a, b)
+    if isinstance(b, Lit):
+        return ref_emul(b, a)
+    if isinstance(a, Neg):
+        return ref_eneg(ref_emul(a.arg, b))
+    if isinstance(b, Neg):
+        return ref_eneg(ref_emul(a, b.arg))
+    if isinstance(a, Fun) and a.name == "exp" and isinstance(b, Fun) and b.name == "exp":
+        return ref_merge_exp(a, b)
+    if isinstance(a, Mul) and isinstance(a.left, Lit):
+        return ref_emul(a.left, ref_emul(a.right, b))
+    if isinstance(b, Mul) and isinstance(b.left, Lit):
+        return ref_emul(b.left, ref_emul(a, b.right))
+    if isinstance(a, Fun) and a.name == "exp" and isinstance(b, Mul) \
+            and isinstance(b.left, Fun) and b.left.name == "exp":
+        return ref_emul(ref_merge_exp(a, b.left), b.right)
+    return Mul(a, b)

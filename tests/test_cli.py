@@ -309,7 +309,8 @@ def test_huge_json_integers_exit_2_and_name_the_file(tmp_path, capsys, kind, mes
             "field": ["integrate", "--field", str(path), "--x0", "0.5"]}.get(
         kind, ["transform", "--field", fpath, "--curve", str(path)])
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    where = "entries[0][0]: " if kind == "closed_form" else ""  # the curve entry
+    assert capsys.readouterr().err == f"error: {path}: {where}{message}\n"
 
 
 @pytest.mark.parametrize("generator", ['[["nan"]]', "[[1e999]]"])
@@ -358,7 +359,7 @@ def test_identify_long_coefficient(tmp_path, capsys):
     assert "not_gauge" in capsys.readouterr().out
 
 
-def test_any_nesting_depth_loads_and_deep_chains_exit_2_names_file(files, tmp_path, capsys):
+def test_any_nesting_depth_loads_and_transforms(files, tmp_path, capsys):
     # the parser keeps its own stack: t in 400 or 100,000 parentheses is t
     outputs = {}
     for depth in (0, 400, 100_000):
@@ -387,13 +388,31 @@ def test_any_nesting_depth_loads_and_deep_chains_exit_2_names_file(files, tmp_pa
     # y' = 2999/(1 + 2999 t) y + y^2/(1 + 2999 t)
     assert q.linear_at(0.5)[0, 0] == pytest.approx(2999.0 / 1500.5, rel=1e-12)
     assert q.degree_part_at(0.5, 2).terms == {(0, (2,)): pytest.approx(1.0 / 1500.5, rel=1e-12)}
-    # the smart constructors recurse along a chain of negations, which a
-    # curve's entry reaches when the transform multiplies it
-    chain = tmp_path / "chain-curve.json"
-    chain.write_text(json.dumps({"dim": 1, "kind": "closed_form",
-                                 "entries": [["-" * 3000 + "(1+t)"]]}))
-    assert main(["transform", "--field", str(fpath), "--curve", str(chain)]) == 2
-    assert capsys.readouterr().err == f"error: {chain}: expression nested too deeply\n"
+    # the smart constructors walk chains of negations and of literal factors
+    # in loops, so a curve entry with a 3,000-link chain transforms to the
+    # values of its shallow spelling: the transform multiplies the 1 x 1
+    # entries (emul), and adds the off-diagonal entry of the 2 x 2 curve to
+    # its own products when it expands (y1 - e y2)^2 (eadd and esub)
+    f2 = tmp_path / "f2.json"
+    f2.write_text(json.dumps({"dim": 2, "terms": [
+        {"component": 0, "exponents": [2, 0], "coeff": 1.0},
+        {"component": 1, "exponents": [0, 2], "coeff": 1.0}]}))
+    for field, deep, shallow in (
+            (fpath, [["-" * 3000 + "(1+t)"]], [["1+t"]]),
+            (fpath, [["1*(" * 3000 + "1+t" + ")" * 3000]], [["1+t"]]),
+            (fpath, [["t - " + "-(" * 3001 + "1+t" + ")" * 3001]], [["t - -(1+t)"]]),
+            (f2, [["1", "-(" * 3000 + "t" + ")" * 3000], ["0", "1"]], [["1", "t"], ["0", "1"]])):
+        tables = []
+        for entries in (deep, shallow):
+            curve = tmp_path / "chain-curve.json"
+            curve.write_text(json.dumps({"dim": len(entries), "kind": "closed_form",
+                                         "entries": entries}))
+            assert main(["transform", "--field", str(field), "--curve", str(curve),
+                         "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            q = NonAutoSystem.from_dict(json.loads(out.read_text()))
+            tables.append([q._table(t) for t in (-0.75, -0.25, 0.0, 0.3, 0.5, 1.0)])
+        assert repr(tables[0]) == repr(tables[1])  # -0.0 stays apart from 0.0
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     assert main(["integrate", "--field", str(deep), "--x0", "0"]) == 2

@@ -1,8 +1,10 @@
 """gaugekit depends on numpy alone, and its tests add only pytest and
 hypothesis: every import of the package and of the tests must name the
 standard library, one of those, or a module of the package or the tests.
-And the package runs the source it generates through one function,
-`timexpr._define`: no other code calls exec, eval or compile."""
+The package runs the source it generates through one function,
+`timexpr._define`: no other code calls exec, eval or compile.  And no
+function of `timexpr` recurses, so that an expression of any depth passes
+through all of them."""
 
 import ast
 import sys
@@ -68,3 +70,42 @@ def test_the_exec_guard_sees_bare_calls_alone(tmp_path):
                      "def f(s):\n    def g():\n        return eval(s)\n"
                      "    return compile(s, '<s>', 'eval'), g\n")
     assert _source_runs(probe) == {("", "exec"), ("g", "eval"), ("f", "compile")}
+
+
+def _self_reaching(path: Path) -> set:
+    """Module-level functions of `path` that reach themselves in its call
+    graph, directly or through other module-level functions.  A function's
+    edges go to every module-level function whose name its body uses, in
+    nested functions too, whether it calls it or passes it on."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    uses = {name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in funcs}
+            for name, node in funcs.items()}
+    found = set()
+    for start in funcs:
+        seen, stack = set(), list(uses[start])
+        while stack:
+            name = stack.pop()
+            if name == start:
+                found.add(start)
+                break
+            if name not in seen:
+                seen.add(name)
+                stack += uses[name]
+    return found
+
+
+def test_no_timexpr_function_recurses():
+    assert _self_reaching(ROOT / "src" / "gaugekit" / "timexpr.py") == set()
+
+
+def test_the_recursion_guard_sees_cycles_through_other_functions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def even(n):\n    return n == 0 or odd(n - 1)\n"
+                     "def odd(n):\n    def step():\n        return even(n - 1)\n"
+                     "    return n != 0 and step()\n"
+                     "def fact(n):\n    return 1 if n < 2 else n * fact(n - 1)\n"
+                     "def parity(n):\n    return even(n)\n"
+                     "def loop(n):\n    while n:\n        n -= 1\n    return n\n")
+    assert _self_reaching(probe) == {"even", "odd", "fact"}

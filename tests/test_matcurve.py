@@ -484,8 +484,11 @@ def test_curve_json_validation():
         curve_from_dict({"dim": 2, "kind": "spline"})
     with pytest.raises(ValueError):
         curve_from_dict({"dim": 2, "kind": "exp"})
-    with pytest.raises(tx.ParseError):
+    with pytest.raises(ValueError, match=r"entries\[0\]\[0\]: "):
         curve_from_dict({"dim": 1, "kind": "closed_form", "entries": [["exp(t"]]})
+    with pytest.raises(ValueError, match=r"inverse\[0\]\[1\]: unknown function 'foo'"):
+        curve_from_dict({"dim": 2, "kind": "closed_form", "entries": [["1", "0"], ["0", "1"]],
+                         "inverse": [["1", "foo(t)"], ["0", "1"]]})
     with pytest.raises(ValueError, match="'dim' is 2, but the curve is 1 x 1"):
         curve_from_dict({"dim": 2, "kind": "exp", "generator": [[1.0]]})
 

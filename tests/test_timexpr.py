@@ -13,6 +13,7 @@ from gaugekit.timexpr import (
     EvalError, ParseError, diff_expr, eval_expr, format_expr, parse_expr,
 )
 
+import oracles
 from conftest import expr_corpus, random_time_expr
 
 import numpy as np
@@ -326,6 +327,84 @@ def test_smart_constructors_fold_and_clean():
     assert format_expr(merged) == "exp(3*t)"
     with pytest.raises(ZeroDivisionError):
         tx.ediv(T, Lit(0.0))
+
+
+# literals that take every branch of the constructors: 0, +-1, -0.0, and
+# factors whose products overflow to inf or underflow to 0
+_FACTORS = [0.0, -0.0, 1.0, -1.0, 2.0, -0.5, 1e300, -1e300, 1e-300, -5e-324]
+_EXPS = [Fun("exp", T), Fun("exp", Neg(T)), Fun("exp", Mul(Lit(2.0), T)),
+         Fun("exp", Mul(T, Lit(-0.5))), Fun("exp", Lit(0.0)), Fun("exp", Mul(T, T))]
+
+
+def _chained(base):
+    """`base` under a chain of up to 40 links, each a Neg, a literal factor
+    on the left or an exp(c*t) factor on the left."""
+    link = st.one_of(st.just(Neg),
+                     st.sampled_from(_FACTORS).map(lambda v: lambda e: Mul(Lit(v), e)),
+                     st.sampled_from(_EXPS).map(lambda x: lambda e: Mul(x, e)))
+
+    def wrap(args):
+        e, links = args
+        for f in links:
+            e = f(e)
+        return e
+
+    return st.tuples(base, st.lists(link, max_size=40)).map(wrap)
+
+
+_CHAIN_LEAF = st.one_of(st.just(T), st.sampled_from(_FACTORS).map(Lit), st.sampled_from(_EXPS))
+# deferred: _grow is defined with the compile_table tests below
+_CHAINED = st.deferred(lambda: _chained(st.recursive(_CHAIN_LEAF, _grow, max_leaves=8)))
+
+
+def _same_tree(a, b) -> bool:
+    """Structural equality with literals compared by repr, so that -0.0 is
+    not 0.0, and without recursion."""
+    _, roots = tx._number_nodes([a, b])
+    return roots[0] == roots[1]
+
+
+def _same_outcome(f, g, *args) -> bool:
+    """f(*args) and g(*args) build the same tree, or raise the same error
+    (exp of a literal beyond 709 overflows)."""
+    try:
+        got = f(*args)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            g(*args)
+        return True
+    return _same_tree(got, g(*args))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_CHAINED, _CHAINED)
+def test_smart_constructors_build_the_trees_of_their_recursive_definitions(a, b):
+    assert _same_outcome(tx.emul, oracles.ref_emul, a, b)
+    assert _same_outcome(tx.eadd, oracles.ref_eadd, a, b)
+    assert _same_outcome(tx.esub, oracles.ref_esub, a, b)
+    assert repr(tx._linear_in_t(a)) == repr(oracles.ref_linear_in_t(a))
+    assert _same_outcome(tx._merge_exp, oracles.ref_merge_exp, Fun("exp", a), Fun("exp", b))
+
+
+def test_smart_constructors_take_chains_deeper_than_the_recursion_limit():
+    n = 5000
+    negs, factors = T, Mul(T, T)
+    for k in range(n):
+        negs = Neg(negs)
+        factors = Mul(Lit(2.0 if k % 2 else 0.5), factors)
+    chain = Mul(Fun("exp", T), factors)
+    for _ in range(n):
+        chain = Mul(Fun("exp", T), chain)
+    assert _same_tree(tx.emul(negs, Neg(negs)), Neg(Mul(T, T)))
+    assert _same_tree(tx.emul(factors, negs), Mul(Mul(T, T), T))
+    assert _same_tree(tx.emul(T, factors), Mul(T, Mul(T, T)))
+    assert _same_tree(tx.emul(Fun("exp", T), chain),
+                      Mul(Fun("exp", Mul(Lit(n + 2.0), T)), Mul(T, T)))
+    assert _same_tree(tx.eadd(T, negs), Add(T, T))
+    assert _same_tree(tx.esub(T, Neg(negs)), Add(T, T))
+    assert tx.esub(Lit(0.0), negs) is negs.arg
+    assert tx._linear_in_t(Neg(Neg(negs))) == 1.0
+    assert tx._linear_in_t(Neg(negs)) == -1.0
 
 
 def test_operators_are_the_smart_constructors():
