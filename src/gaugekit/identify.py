@@ -178,12 +178,8 @@ class NonAutoSystem:
         if not isinstance(constant_src, list):
             raise ValueError("'constant' must be a list")
         constant = [parse_at(e, f"constant[{i}]") for i, e in enumerate(constant_src)]
-        linear_src = d.get("linear", [["0"] * dim for _ in range(dim)])
-        if not isinstance(linear_src, list) or not all(
-                isinstance(row, list) for row in linear_src):
-            raise ValueError("'linear' must be a table (list of lists)")
-        linear = [[parse_at(e, f"linear[{i}][{j}]") for j, e in enumerate(row)]
-                  for i, row in enumerate(linear_src)]
+        linear = polyfield.read_table(d.get("linear", [["0"] * dim for _ in range(dim)]),
+                                      "linear", parse_at)
         terms = polyfield.terms_from_list(d.get("terms", []), "system", parse_at)
         return cls(dim, constant, linear, terms)
 

@@ -1,12 +1,15 @@
 """Invertible matrix curves A(t): closed-form, one-parameter exponential, and ODE flows.
 
 Also provides the matrix exponential and the linear matrix ODE
-A' = C(t) A - A B that underpins gauge identification.
+A' = C(t) A - A B that underpins gauge identification.  A closed-form
+curve of n <= 3 inverts by one cofactor rule: A^{-1}[i][j] = cof[j][i] / det,
+each cofactor the signed determinant of a minor of at most 2 x 2.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -14,6 +17,7 @@ from . import timexpr as tx
 from ._rk import TOL, IntegrationError, check_in_span, integrate_dense
 from .polyfield import (
     NearSingularMatrixError, as_index, check_invertible, check_keys, invert_checked, parse_at,
+    read_number, read_table,
 )
 
 __all__ = [
@@ -139,66 +143,66 @@ def _table_of(entries):
     return lambda t: np.array(table(t)).reshape(n, n)
 
 
+def _small_det(m):
+    """The determinant of a matrix of at most 2 x 2: 1 for the empty one."""
+    if not m:
+        return tx.lit(1.0)
+    if len(m) == 1:
+        return m[0][0]
+    (a, b), (c, d) = m
+    return a * d - b * c
+
+
 def _adjugate_inverse(entries):
-    """Symbolic inverse via adjugate/determinant; only for n <= 3."""
+    """Symbolic inverse cof^T / det, only for n <= 3; det is _small_det of
+    the entries for n <= 2 and their first-row expansion for n = 3."""
     n = len(entries)
-    if n == 1:
-        return [[tx.ediv(tx.lit(1.0), entries[0][0])]]
+    if n > 3:
+        raise ValueError("symbolic inverse is only built for n <= 3")
 
-    def det2(a, b, c, d):
-        return a * d - b * c
+    def cofactor(i, j):
+        minor = [[e for c, e in enumerate(row) if c != j]
+                 for r, row in enumerate(entries) if r != i]
+        return _small_det(minor) if (i + j) % 2 == 0 else -_small_det(minor)
 
-    if n == 2:
-        (a, b), (c, d) = entries
-        det = det2(a, b, c, d)
-        return [[tx.ediv(d, det), tx.ediv(-b, det)],
-                [tx.ediv(-c, det), tx.ediv(a, det)]]
-    if n == 3:
-        def minor(i, j):
-            rows = [r for r in range(3) if r != i]
-            cols = [c for c in range(3) if c != j]
-            return det2(entries[rows[0]][cols[0]], entries[rows[0]][cols[1]],
-                        entries[rows[1]][cols[0]], entries[rows[1]][cols[1]])
-
-        cof = [[minor(i, j) if (i + j) % 2 == 0 else -minor(i, j)
-                for j in range(3)] for i in range(3)]
-        det = sum(entries[0][k] * cof[0][k] for k in range(3))
-        return [[tx.ediv(cof[j][i], det) for j in range(3)] for i in range(3)]
-    raise ValueError("symbolic inverse is only built for n <= 3")
+    cof = [[cofactor(i, j) for j in range(n)] for i in range(n)]
+    det = sum(entries[0][k] * cof[0][k] for k in range(n)) if n == 3 else _small_det(entries)
+    return [[tx.ediv(cof[j][i], det) for j in range(n)] for i in range(n)]
 
 
 class ClosedFormCurve(MatrixCurve):
     """Curve with TimeExpr entries; derivative is exact.
 
-    If no inverse table is supplied, one is built symbolically by
-    adjugate/determinant for n <= 3; larger curves invert numerically per t.
+    If no inverse table is supplied, one is built symbolically for n <= 3:
+    entry [i][j] is cofactor [j][i] over the determinant, each cofactor
+    (-1)^(i+j) times the determinant of a minor of at most 2 x 2.  Larger
+    curves invert numerically per t, and so does a curve whose determinant
+    folds to the literal 0 although A(0) passes the singular-value check:
+    its products underflowed, as for a diagonal of 1e-162.
     """
 
     def __init__(self, entries, inverse_entries=None):
         self.entries = [[tx.as_expr(e) for e in row] for row in entries]
         self.dim = len(self.entries)
-        if any(len(row) != self.dim for row in self.entries):
+        if not self.dim or any(len(row) != self.dim for row in self.entries):
             raise ValueError("entries must form a square table")
         self._dentries = _diff_entries(self.entries)
         self._value = _table_of(self.entries)
         self._derivative = _table_of(self._dentries)
-        self._second_derivative = None  # compiled on first use
         self._inverse_supplied = inverse_entries is not None
         if inverse_entries is not None:
             self.inverse_entries = [[tx.as_expr(e) for e in row] for row in inverse_entries]
             if len(self.inverse_entries) != self.dim or any(
                     len(r) != self.dim for r in self.inverse_entries):
                 raise ValueError("inverse table must match the curve dimension")
-        elif self.dim <= 3:
+        check_invertible(self.value(0.0))
+        if inverse_entries is None:
             try:
-                self.inverse_entries = _adjugate_inverse(self.entries)
-            except ZeroDivisionError:
+                self.inverse_entries = _adjugate_inverse(self.entries) if self.dim <= 3 else None
+            except ZeroDivisionError:  # the determinant underflowed to the literal 0
                 self.inverse_entries = None
-        else:
-            self.inverse_entries = None
         self._inverse = (_table_of(self.inverse_entries)
                          if self.inverse_entries is not None else None)
-        check_invertible(self.value(0.0))
         if inverse_entries is not None:
             # a first check of a supplied inverse table; gauge_transform
             # checks it again over the span it is asked for
@@ -226,9 +230,11 @@ class ClosedFormCurve(MatrixCurve):
     def derivative(self, t: float) -> np.ndarray:
         return self._derivative(t)
 
+    @cached_property
+    def _second_derivative(self):
+        return _table_of(_diff_entries(self._dentries))
+
     def second_derivative(self, t: float) -> np.ndarray:
-        if self._second_derivative is None:
-            self._second_derivative = _table_of(_diff_entries(self._dentries))
         return self._second_derivative(t)
 
     def inverse(self, t: float) -> np.ndarray:
@@ -293,7 +299,6 @@ class FlowCurve(MatrixCurve):
         self.tol = float(tol)
         self._C = (_table_of(self.C_entries) if self.C_entries is not None
                    else C or (lambda t: None))
-        self._dC = None  # compiled on first use by second_derivative
         self.span = (float(min(*t_span, 0.0)), float(max(*t_span, 0.0)))
         self.legs = tuple(integrate_dense(self._rhs, 0.0, end, self.A0.ravel(), tol=self.tol)
                           for end in self.span[::-1] if end != 0.0)
@@ -334,25 +339,13 @@ class FlowCurve(MatrixCurve):
         if C is not None:
             if self.C_entries is None:
                 raise ValueError("a flow's second derivative needs C(t) as an expression table")
-            if self._dC is None:
-                self._dC = _table_of(_diff_entries(self.C_entries))
             out = out + C @ dA
             out = out + self._dC(t) @ A
         return out
 
-    def residual_max(self) -> float:
-        """max of ||A'_interp - (C A - A B)|| / (1 + ||A||) over the step
-        starts and the end of each leg."""
-        worst = 0.0
-        for leg in self.legs:
-            for t in [*leg.t_starts.tolist(), leg.t_end]:
-                a = leg(t)
-                lhs = leg.derivative(t)
-                rhs = self._rhs(t, a)
-                A = a.reshape(self.dim, self.dim)
-                worst = max(worst, np.linalg.norm((lhs - rhs).reshape(self.dim, self.dim))
-                            / (1.0 + np.linalg.norm(A)))
-        return worst
+    @cached_property
+    def _dC(self):
+        return _table_of(_diff_entries(self.C_entries))
 
     def assert_invertible_on_span(self):
         """Determinant must keep its sign at every step start and end of each leg."""
@@ -372,32 +365,19 @@ class LiftedCurve(MatrixCurve):
         self.dim = 2 * base.dim
 
     def value(self, t: float) -> np.ndarray:
-        n = self.base.dim
-        out = np.zeros((2 * n, 2 * n))
-        A = self.base.value(t)
-        out[:n, :n] = A
-        out[n:, n:] = A
-        out[n:, :n] = self.base.derivative(t)
-        return out
+        return _lift(self.base.value(t), self.base.derivative(t))
 
     def derivative(self, t: float) -> np.ndarray:
-        n = self.base.dim
-        out = np.zeros((2 * n, 2 * n))
-        dA = self.base.derivative(t)
-        out[:n, :n] = dA
-        out[n:, n:] = dA
-        out[n:, :n] = self.base.second_derivative(t)
-        return out
+        return _lift(self.base.derivative(t), self.base.second_derivative(t))
 
     def inverse(self, t: float) -> np.ndarray:
-        n = self.base.dim
         Ainv = self.base.inverse(t)
-        dA = self.base.derivative(t)
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = Ainv
-        out[n:, n:] = Ainv
-        out[n:, :n] = -Ainv @ dA @ Ainv
-        return out
+        return _lift(Ainv, -Ainv @ self.base.derivative(t) @ Ainv)
+
+
+def _lift(X, Y) -> np.ndarray:
+    """The block matrix [[X, 0], [Y, X]]."""
+    return np.block([[X, np.zeros_like(X)], [Y, X]])
 
 
 def second_order_lift(A: MatrixCurve) -> LiftedCurve:
@@ -434,22 +414,12 @@ def curve_to_dict(curve: MatrixCurve) -> dict:
     raise ValueError(f"cannot serialize curve of type {type(curve).__name__}")
 
 
-def _expr_table(obj, what: str) -> list:
-    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
-        raise ValueError(f"{what} must be a table (list of lists)")
-    for row in obj:
-        for e in row:
-            if not isinstance(e, (str, int, float)) or isinstance(e, bool):
-                raise ValueError(f"{what} entries must be expression strings "
-                                 f"or numbers, got {e!r}")
-    return obj
-
-
-def _read_exprs(obj, what: str) -> list:
-    """The expressions of a JSON table, entry [i][j] read by
-    parse_at(entry, "what[i][j]")."""
-    return [[parse_at(e, f"{what}[{i}][{j}]") for j, e in enumerate(row)]
-            for i, row in enumerate(_expr_table(obj, f"'{what}'"))]
+def _generator_entry(src, where: str) -> float:
+    """read_number, its error under the prefix of every generator error."""
+    try:
+        return read_number(src, where)
+    except ValueError as exc:
+        raise ValueError(f"bad generator matrix: {exc}") from None
 
 
 def curve_from_dict(d: dict) -> MatrixCurve:
@@ -463,19 +433,19 @@ def curve_from_dict(d: dict) -> MatrixCurve:
             raise ValueError("closed_form curve needs an 'entries' table")
         inverse = d.get("inverse")
         curve = ClosedFormCurve(
-            _read_exprs(entries, "entries"),
-            _read_exprs(inverse, "inverse") if inverse is not None else None)
+            read_table(entries, "entries", parse_at),
+            read_table(inverse, "inverse", parse_at) if inverse is not None else None)
     elif kind == "exp":
         check_keys(d, ("dim", "kind", "generator", "sign"), "exp curve")
         if "generator" not in d:
             raise ValueError("exp curve needs a 'generator' matrix")
-        gen = _expr_table(d["generator"], "'generator'")
+        gen = read_table(d["generator"], "generator", _generator_entry)
         sign = d.get("sign", 1)
         if sign not in (1, -1):
             raise ValueError("'sign' must be 1 or -1")
         try:
-            curve = ExponentialCurve(np.asarray(gen, dtype=float), int(sign))
-        except (TypeError, ValueError, OverflowError) as exc:
+            curve = ExponentialCurve(gen, int(sign))
+        except ValueError as exc:
             raise ValueError(f"bad generator matrix: {exc}") from exc
     else:
         raise ValueError(f"unknown curve kind {kind!r}")

@@ -433,6 +433,31 @@ def parse_at(src, where: str) -> tx.TimeExpr:
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def read_number(src, where: str) -> float:
+    """The finite float of a JSON number or numeric string, an error naming
+    `where` (as "generator[0][1]") otherwise; booleans are refused."""
+    if isinstance(src, bool) or not isinstance(src, (str, int, float)):
+        raise ValueError(f"{where}: expected a number")
+    try:
+        value = float(src)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{where}: numeric constant out of range") from None
+    except ValueError as exc:  # a string that is not a number
+        raise ValueError(f"{where}: {exc}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"{where}: non-finite coefficient")
+    return value
+
+
+def read_table(obj, what: str, read_entry) -> list:
+    """The entries of a JSON table (a list of lists), entry [i][j] read by
+    read_entry(value, "what[i][j]"): parse_at or read_number."""
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise ValueError(f"'{what}' must be a table (list of lists)")
+    return [[read_entry(e, f"{what}[{i}][{j}]") for j, e in enumerate(row)]
+            for i, row in enumerate(obj)]
+
+
 def terms_from_list(entries, what: str, parse_coeff) -> dict:
     """The {(component, exponents): coefficient} table of a JSON term list,
     each coefficient read by parse_coeff(value, "terms[k].coeff").  A term
@@ -460,22 +485,12 @@ def terms_from_list(entries, what: str, parse_coeff) -> dict:
     return terms
 
 
-def _float_coeff(src, where: str) -> float:
-    try:
-        coeff = float(src)
-    except OverflowError:  # an int beyond the float range
-        raise ValueError(f"{where}: numeric constant out of range") from None
-    if not np.isfinite(coeff):
-        raise ValueError(f"{where}: non-finite coefficient")
-    return coeff
-
-
 def field_from_dict(d: dict) -> PolyField:
     if not isinstance(d, dict) or "dim" not in d:
         raise ValueError("field object must have a 'dim' entry")
     check_keys(d, ("dim", "terms"), "field object")
     dim = as_index(d["dim"], "dim")
-    return PolyField(dim, terms_from_list(d.get("terms", []), "field", _float_coeff))
+    return PolyField(dim, terms_from_list(d.get("terms", []), "field", read_number))
 
 
 def format_monomial(exps: tuple) -> str:

@@ -3,7 +3,9 @@
 The exact-rational ones work over fractions.Fraction with hand-rolled loops:
 no package code is reused, so these results adjudicate the floating
 pipeline.  The `ref_*` smart constructors at the end are the recursive
-definitions that timexpr's looping ones must reproduce node for node.
+definitions that timexpr's looping ones must reproduce node for node, and
+`ref_adjugate_inverse` is the symbolic inverse written case by case for
+n = 1, 2 and 3, which matcurve's one cofactor rule must reproduce.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gaugekit.timexpr import T, Add, Fun, Lit, Mul, Neg, Sub, TVar, efun
+from gaugekit.timexpr import T, Add, Fun, Lit, Mul, Neg, Sub, TVar, ediv, efun, lit
 
 
 def frac_bracket(M, p_terms: dict, n: int) -> dict:
@@ -220,3 +222,35 @@ def ref_emul(a, b):
             and isinstance(b.left, Fun) and b.left.name == "exp":
         return ref_emul(ref_merge_exp(a, b.left), b.right)
     return Mul(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Symbolic inverse, one branch per dimension
+# ---------------------------------------------------------------------------
+
+def ref_adjugate_inverse(entries):
+    """Symbolic inverse via adjugate/determinant; only for n <= 3."""
+    n = len(entries)
+    if n == 1:
+        return [[ediv(lit(1.0), entries[0][0])]]
+
+    def det2(a, b, c, d):
+        return a * d - b * c
+
+    if n == 2:
+        (a, b), (c, d) = entries
+        det = det2(a, b, c, d)
+        return [[ediv(d, det), ediv(-b, det)],
+                [ediv(-c, det), ediv(a, det)]]
+    if n == 3:
+        def minor(i, j):
+            rows = [r for r in range(3) if r != i]
+            cols = [c for c in range(3) if c != j]
+            return det2(entries[rows[0]][cols[0]], entries[rows[0]][cols[1]],
+                        entries[rows[1]][cols[0]], entries[rows[1]][cols[1]])
+
+        cof = [[minor(i, j) if (i + j) % 2 == 0 else -minor(i, j)
+                for j in range(3)] for i in range(3)]
+        det = sum(entries[0][k] * cof[0][k] for k in range(3))
+        return [[ediv(cof[j][i], det) for j in range(3)] for i in range(3)]
+    raise ValueError("symbolic inverse is only built for n <= 3")

@@ -296,7 +296,7 @@ HUGE = "1" + "0" * 400  # an integer beyond the float range
     ("system", "bad system term #0: terms[0].coeff: numeric constant out of range"),
     ("field", "bad field term #0: terms[0].coeff: numeric constant out of range"),
     ("closed_form", "numeric constant out of range"),
-    ("exp", "bad generator matrix: int too large to convert to float")])
+    ("exp", "bad generator matrix: generator[0][0]: numeric constant out of range")])
 def test_huge_json_integers_exit_2_and_name_the_file(tmp_path, capsys, kind, message):
     term = '{"dim": 1, "terms": [{"component": 0, "exponents": [2], "coeff": %s}]}'
     path = tmp_path / f"huge-{kind}.json"
@@ -311,6 +311,22 @@ def test_huge_json_integers_exit_2_and_name_the_file(tmp_path, capsys, kind, mes
     assert main(argv) == 2
     where = "entries[0][0]: " if kind == "closed_form" else ""  # the curve entry
     assert capsys.readouterr().err == f"error: {path}: {where}{message}\n"
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("field", "bad field term #0: terms[0].coeff: expected a number"),
+    ("exp", "bad generator matrix: generator[0][0]: expected a number")])
+def test_json_booleans_are_not_numbers_exit_2_and_name_the_entry(tmp_path, capsys, kind,
+                                                                  message):
+    path = _write(tmp_path / f"true-{kind}.json", {
+        "field": {"dim": 1, "terms": [{"component": 0, "exponents": [2], "coeff": True}]},
+        "exp": {"dim": 1, "kind": "exp", "generator": [[True]]}}[kind])
+    fpath = _write(tmp_path / "f1.json", {"dim": 1, "terms": [
+        {"component": 0, "exponents": [2], "coeff": 1.0}]})
+    argv = {"field": ["integrate", "--field", path, "--x0", "0.5"],
+            "exp": ["transform", "--field", fpath, "--curve", path]}[kind]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("generator", ['[["nan"]]', "[[1e999]]"])

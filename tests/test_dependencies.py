@@ -3,8 +3,13 @@ hypothesis: every import of the package and of the tests must name the
 standard library, one of those, or a module of the package or the tests.
 The package runs the source it generates through one function,
 `timexpr._define`: no other code calls exec, eval or compile.  And no
-function of `timexpr` recurses, so that an expression of any depth passes
-through all of them."""
+function, method, class or module-level table of the package reaches itself
+through the names its code uses (a bare name, `module.name` for a module of
+the package, `self.name` in a method), so that an expression or a matrix of
+any depth passes through all of them; the one exception is `cli.dumps`,
+whose depth is the nesting of the JSON it writes.  Calls through another
+object's attribute (`self.base.value`) and through operators are not
+followed."""
 
 import ast
 import sys
@@ -72,19 +77,92 @@ def test_the_exec_guard_sees_bare_calls_alone(tmp_path):
     assert _source_runs(probe) == {("", "exec"), ("g", "eval"), ("f", "compile")}
 
 
-def _self_reaching(path: Path) -> set:
-    """Module-level functions of `path` that reach themselves in its call
-    graph, directly or through other module-level functions.  A function's
-    edges go to every module-level function whose name its body uses, in
-    nested functions too, whether it calls it or passes it on."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    funcs = {node.name: node for node in tree.body
-             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    uses = {name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in funcs}
-            for name, node in funcs.items()}
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _bindings(tree: ast.Module, mod: str) -> dict:
+    """Module-level names of `tree` -> the qualified name each stands for:
+    "mod.name" for its own functions, classes and assignments and for a
+    name imported from a module of the package, "mod." for such a module."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                names[alias.asname or alias.name] = (
+                    f"{alias.name}." if node.module is None else f"{node.module}.{alias.name}")
+        elif isinstance(node, (*_FUNCS, ast.ClassDef)):
+            names[node.name] = f"{mod}.{node.name}"
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((t.id, f"{mod}.{t.id}") for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _call_graph(paths) -> dict:
+    """The call graph of the modules `paths`, one package: qualified name ->
+    the names its definition uses, in nested functions too, whether it calls
+    them or passes them on.  Nodes are module-level functions and
+    assignments ("mod.f"), methods ("mod.Class.m") and classes, which reach
+    their __init__ and __post_init__.  A body reaches a name by a bare name
+    bound at module level, by `module.name` for a module of the package, and
+    by `self.name` or `cls.name` in a method: every method of that name in
+    the class's descendants and their ancestors, any of which may answer."""
+    graph, bases, uses = {}, {}, {}
+    for path in paths:
+        mod = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = _bindings(tree, mod)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                uses.update((f"{mod}.{t.id}", (node.value, names, None))
+                            for t in targets if isinstance(t, ast.Name))
+            elif isinstance(node, _FUNCS):
+                uses[f"{mod}.{node.name}"] = (node, names, None)
+            elif isinstance(node, ast.ClassDef):
+                cls = f"{mod}.{node.name}"
+                bases[cls] = {names[b.id] for b in node.bases
+                              if isinstance(b, ast.Name) and b.id in names}
+                graph[cls] = {f"{cls}.__init__", f"{cls}.__post_init__"}
+                for item in node.body:
+                    if isinstance(item, _FUNCS):
+                        uses[f"{cls}.{item.name}"] = (item, names, cls)
+    children = {cls: {c for c, bs in bases.items() if cls in bs} for cls in bases}
+
+    def lineage(cls, step):
+        """cls and every class reached from it by `step` repeatedly."""
+        found, stack = set(), [cls]
+        while stack:
+            c = stack.pop()
+            if c not in found:
+                found.add(c)
+                stack += step.get(c, ())
+        return found
+
+    for name, (node, names, cls) in uses.items():
+        family = ({a for d in lineage(cls, children) for a in lineage(d, bases)}
+                  if cls else set())
+        edges = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and n.id in names:
+                edges.add(names[n.id])
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                owner = n.value.id
+                if names.get(owner, "").endswith("."):
+                    edges.add(names[owner] + n.attr)
+                elif owner in ("self", "cls"):
+                    edges.update(f"{c}.{n.attr}" for c in family)
+        graph[name] = edges
+    return {name: edges & graph.keys() for name, edges in graph.items()}
+
+
+def _self_reaching(paths) -> set:
+    """The nodes of `_call_graph(paths)` that reach themselves, directly or
+    through other nodes."""
+    graph = _call_graph(paths)
     found = set()
-    for start in funcs:
-        seen, stack = set(), list(uses[start])
+    for start in graph:
+        seen, stack = set(), list(graph[start])
         while stack:
             name = stack.pop()
             if name == start:
@@ -92,12 +170,12 @@ def _self_reaching(path: Path) -> set:
                 break
             if name not in seen:
                 seen.add(name)
-                stack += uses[name]
+                stack += graph[name]
     return found
 
 
-def test_no_timexpr_function_recurses():
-    assert _self_reaching(ROOT / "src" / "gaugekit" / "timexpr.py") == set()
+def test_only_cli_dumps_recurses():
+    assert _self_reaching(SOURCES) == {"cli.dumps"}
 
 
 def test_the_recursion_guard_sees_cycles_through_other_functions(tmp_path):
@@ -108,4 +186,30 @@ def test_the_recursion_guard_sees_cycles_through_other_functions(tmp_path):
                      "def fact(n):\n    return 1 if n < 2 else n * fact(n - 1)\n"
                      "def parity(n):\n    return even(n)\n"
                      "def loop(n):\n    while n:\n        n -= 1\n    return n\n")
-    assert _self_reaching(probe) == {"even", "odd", "fact"}
+    assert _self_reaching([probe]) == {"probe.even", "probe.odd", "probe.fact"}
+
+
+def test_the_recursion_guard_sees_methods_classes_tables_and_other_modules(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from . import b as bee\n"
+        "from .b import walk\n"
+        "class Node:\n"
+        "    def size(self):\n        return self.total()\n"
+        "    def total(self):\n        return 1\n"
+        "    def depth(self):\n        return self.child.depth() + 1\n"
+        "class Tree(Node):\n"
+        "    def __init__(self, n):\n        self.kids = [Tree(n - 1)] if n else []\n"
+        "    def total(self):\n        return self.size() + bee.count(self)\n"
+        "def start(x):\n    return walk(x)\n"
+        "RULES = {'start': start}\n")
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "def walk(x):\n    return a.RULES['start'](x)\n"
+        "def count(node):\n    return len(node.kids)\n")
+    # Node.depth recurses through another object's attribute, which the
+    # guard does not follow
+    assert _self_reaching([tmp_path / "a.py", tmp_path / "b.py"]) == {
+        "a.Node.size", "a.Tree.total",  # through self, answered by a subclass
+        "a.Tree", "a.Tree.__init__",  # through the class it constructs
+        "a.start", "a.RULES", "b.walk",  # through another module and a table
+    }

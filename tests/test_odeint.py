@@ -75,6 +75,30 @@ def test_dense_output_accuracy_between_steps():
     assert worst <= 1e-10
 
 
+def test_dense_derivative_is_the_rhs_at_nodes_and_the_slope_inside_steps():
+    # the gauge flow A' = C(t) A - A B, C = [[sin t, t], [0, cos t]], both
+    # ways from 0: at a step start or a leg end the interpolant's slope is
+    # the RHS by construction; inside a step, where it is not, it is still
+    # the slope of the interpolant that `sample` reads
+    B = np.array([[0.2, 0.0], [0.1, -0.4]])
+
+    def rhs(t, a):
+        A = np.reshape(a, (2, 2))
+        return (np.array([[math.sin(t), t], [0.0, math.cos(t)]]) @ A - A @ B).ravel()
+
+    for end in (1.0, -1.0):
+        sol = integrate_dense(rhs, 0.0, end, np.eye(2).ravel())
+        for t in [*sol.t_starts.tolist(), sol.t_end]:
+            f = rhs(t, sol(t))
+            assert np.linalg.norm(sol.derivative(t) - f) <= 1e-11 * np.linalg.norm(f)
+        for t0, h in zip(sol.t_starts.tolist(), sol.hs.tolist()):
+            for x in (0.25, 0.5, 0.75):
+                t, dt = t0 + x * h, 1e-5 * h
+                slope = (sol.sample([t + dt])[0] - sol.sample([t - dt])[0]) / (2 * dt)
+                d = sol.derivative(t)
+                assert np.linalg.norm(d - slope) <= 1e-6 * np.linalg.norm(d)
+
+
 def test_integrate_nonautonomous_callable():
     traj = integrate(lambda t, x: np.array([math.cos(t)]), [0.0], (0.0, 1.5))
     for t, x in zip(traj.times, traj.states):
