@@ -2,14 +2,17 @@
 
 Each subcommand takes only the options it reads.  `transform` writes the
 closed-form system, which `identify` and `integrate` load back, or exits 3
-when the transform has none.
+when the transform has none.  It writes JSON in system format 2, each
+shared subexpression once (`NonAutoSystem.to_dict`), and text with every
+coefficient in full.
 
 Exit codes: 0 success (identify: gauge or linear_family), 1 negative verdict
 (identify: not_gauge; verify: deviation above tolerance), 2 parse/validation
 error (also a non-finite --t0, --t1 or --x0 entry, a --tol that is not
 finite and > 0, a --starts below 1 or a --seed below 0, an unknown key in
-an input file, or a JSON integer beyond the float range), 3 numeric failure
-(transform: also no closed form), 4 undetermined.
+an input file, a system format other than 1 and 2, or a JSON integer
+beyond the float range), 3 numeric failure (transform: also no closed
+form), 4 undetermined.
 """
 
 from __future__ import annotations
@@ -126,9 +129,15 @@ def _parse_x0(text: str, dim: int) -> np.ndarray:
     return np.array(vals)
 
 
+def _writes_json(args) -> bool:
+    return (args.format or ("json" if args.out else "text")) == "json"
+
+
 def _emit(data: dict, render_text, args) -> None:
-    fmt = args.format or ("json" if args.out else "text")
-    payload = dumps(data) + "\n" if fmt == "json" else render_text(data)
+    _write(dumps(data) + "\n" if _writes_json(args) else render_text(data), args)
+
+
+def _write(payload: str, args) -> None:
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
     else:
@@ -152,18 +161,20 @@ def _run_transform(args) -> int:
         raise _NoClosedForm(f"{args.curve}: no closed form for the {kind} curve "
                             f"on [{args.t0:g}, {args.t1:g}]: {ev.reason}")
 
-    def render(d: dict) -> str:
-        lines = ["gauge transform (closed form)",
-                 "constant: [" + ", ".join(d["constant"]) + "]", "linear:"]
-        for row in d["linear"]:
-            lines.append("  [" + ", ".join(row) + "]")
-        lines.append("terms:")
-        for term in d["terms"]:
-            lines.append(f"  component {term['component'] + 1}: "
-                         f"({term['coeff']}) * {format_monomial(term['exponents'])}")
-        return "\n".join(lines) + "\n"
-
-    _emit(system.to_dict(), render, args)
+    if _writes_json(args):
+        _write(dumps(system.to_dict()) + "\n", args)
+        return 0
+    # the text prints every coefficient in full, without the file's defs
+    lines = ["gauge transform (closed form)",
+             "constant: [" + ", ".join(map(tx.format_expr, system.constant)) + "]",
+             "linear:"]
+    for row in system.linear:
+        lines.append("  [" + ", ".join(map(tx.format_expr, row)) + "]")
+    lines.append("terms:")
+    for (comp, exps), e in sorted(system.terms.items()):
+        lines.append(f"  component {comp + 1}: "
+                     f"({tx.format_expr(e)}) * {format_monomial(exps)}")
+    _write("\n".join(lines) + "\n", args)
     return 0
 
 

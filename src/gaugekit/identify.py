@@ -11,7 +11,7 @@ B for generic nonlinearities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 
 import numpy as np
@@ -111,10 +111,16 @@ class NonAutoSystem:
     # coefficient values in table order.
 
     @cached_property
+    def _numbering(self):
+        """_coefficients() numbered by timexpr._number_nodes: the table is
+        compiled from it and to_dict prints it, so the trees are walked once."""
+        return tx._number_nodes(self._coefficients())
+
+    @cached_property
     def _table(self):
         """t -> all coefficient values, in the order of _coefficients():
         one table, compiled on first use."""
-        return tx.compile_table(self._coefficients())
+        return tx.compile_table(self._coefficients(), self._numbering)
 
     def _constant_of(self, vals: tuple) -> np.ndarray:
         out = np.zeros(self.dim)
@@ -159,28 +165,53 @@ class NonAutoSystem:
     # -- JSON ---------------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The system in format 2: each subexpression that the coefficients
+        share is written once, in `defs`, and named e0, e1, ... wherever it
+        occurs (timexpr.format_shared over _numbering)."""
+        defs, texts = tx.format_shared(*self._numbering)
+        n = self.dim
+        term_text = dict(zip(self.terms, texts[n + n * n:]))
         return {
-            "dim": self.dim,
-            "constant": [tx.format_expr(e) for e in self.constant],
-            "linear": [[tx.format_expr(e) for e in row] for row in self.linear],
+            "format": 2,
+            "dim": n,
+            "defs": defs,
+            "constant": texts[:n],
+            "linear": [texts[n + i * n:n + (i + 1) * n] for i in range(n)],
             "terms": [{"component": comp, "exponents": list(exps),
-                       "coeff": tx.format_expr(e)}
-                      for (comp, exps), e in sorted(self.terms.items())],
+                       "coeff": term_text[(comp, exps)]}
+                      for comp, exps in sorted(self.terms)],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "NonAutoSystem":
+        """Read a system in format 1 (no "format" key, no defs) or format 2.
+        Format 2 reads defs[j] as an expression that may name e0..e<j-1>,
+        and each coefficient as one that may name any def; a name stands for
+        the one object of its def."""
         if not isinstance(d, dict) or "dim" not in d:
             raise ValueError("system object must have a 'dim' entry")
-        check_keys(d, ("dim", "constant", "linear", "terms"), "system object")
+        check_keys(d, ("format", "dim", "defs", "constant", "linear", "terms"),
+                   "system object")
+        version = as_index(d.get("format", 1), "format")
+        if version not in (1, 2):
+            raise ValueError(f"'format' is {version}; systems have formats 1 and 2")
+        if "defs" in d and version != 2:
+            raise ValueError("'defs' needs \"format\": 2")
         dim = as_index(d["dim"], "dim")
+        defs_src = d.get("defs", [])
+        if not isinstance(defs_src, list):
+            raise ValueError("'defs' must be a list")
+        defs = [] if version == 2 else None
+        for j, src in enumerate(defs_src):
+            defs.append(parse_at(src, f"defs[{j}]", defs))
+        parse = partial(parse_at, defs=defs)
         constant_src = d.get("constant", ["0"] * dim)
         if not isinstance(constant_src, list):
             raise ValueError("'constant' must be a list")
-        constant = [parse_at(e, f"constant[{i}]") for i, e in enumerate(constant_src)]
+        constant = [parse(e, f"constant[{i}]") for i, e in enumerate(constant_src)]
         linear = polyfield.read_table(d.get("linear", [["0"] * dim for _ in range(dim)]),
-                                      "linear", parse_at)
-        terms = polyfield.terms_from_list(d.get("terms", []), "system", parse_at)
+                                      "linear", parse)
+        terms = polyfield.terms_from_list(d.get("terms", []), "system", parse)
         return cls(dim, constant, linear, terms)
 
 

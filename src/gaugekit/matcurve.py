@@ -440,11 +440,11 @@ def curve_from_dict(d: dict) -> MatrixCurve:
         if "generator" not in d:
             raise ValueError("exp curve needs a 'generator' matrix")
         gen = read_table(d["generator"], "generator", _generator_entry)
-        sign = d.get("sign", 1)
+        sign = as_index(d.get("sign", 1), "sign")
         if sign not in (1, -1):
             raise ValueError("'sign' must be 1 or -1")
         try:
-            curve = ExponentialCurve(gen, int(sign))
+            curve = ExponentialCurve(gen, sign)
         except ValueError as exc:
             raise ValueError(f"bad generator matrix: {exc}") from exc
     else:

@@ -422,13 +422,14 @@ def check_keys(d: dict, known: tuple, what: str) -> None:
                              f"(expected {', '.join(map(repr, known))})")
 
 
-def parse_at(src, where: str) -> tx.TimeExpr:
+def parse_at(src, where: str, defs=None) -> tx.TimeExpr:
     """The expression of a JSON expression string or number, an error
-    naming `where` (as "linear[0][1]") otherwise."""
+    naming `where` (as "linear[0][1]") otherwise.  A string may name the
+    expressions of `defs` as e0, e1, ... (see timexpr.parse_expr)."""
     if isinstance(src, bool) or not isinstance(src, (str, int, float)):
         raise ValueError(f"{where}: expected an expression string or number")
     try:
-        return tx.as_expr(src)
+        return tx.parse_expr(src, defs) if isinstance(src, str) else tx.as_expr(src)
     except ValueError as exc:  # tx.ParseError among them
         raise ValueError(f"{where}: {exc}") from exc
 

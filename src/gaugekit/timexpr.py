@@ -5,8 +5,14 @@ The expression language is deliberately small.  Grammar (whitespace insignifican
     expr   := term (("+" | "-") term)*
     term   := factor (("*" | "/") factor)*
     factor := base ("^" INTEGER)?
-    base   := NUMBER | "t" | "(" expr ")" | FUNC "(" expr ")" | "-" base
+    base   := NUMBER | "t" | DEF | "(" expr ")" | FUNC "(" expr ")" | "-" base
     FUNC   := "exp" | "sin" | "cos"
+    DEF    := "e0" | "e1" | ...
+
+A DEF names an expression that was read before this one (a shared
+subexpression of a written system, see ``format_shared``); it is read only
+when the parser is given those expressions, and stands for the one object
+it names, as "(" expr ")" would stand for its expr.
 
 Expressions are immutable trees; all functions here are pure.  Equality of two
 expressions is structural (dataclass equality); semantic equality is checked by
@@ -22,10 +28,11 @@ expressions (children first, structurally equal subtrees once):
 one-entry form), ``_taylor`` loops over it for the Taylor coefficients of any
 order at t (the table's ``taylor`` reader; ``eval_expr`` reads order 0), and
 ``diff_expr`` for the derivative as an expression.  Values agree bit for
-bit across all of them.  The parser reads and the printer writes from an
-explicit stack, and the smart constructors walk chains of negations and of
-literal factors in loops, so expressions of any depth pass through every
-function here.  A table's source is written with Python's own precedence,
+bit across all of them.  The printer walks the numbering too, so that it
+can write a shared subtree once, by name.  The parser reads and the
+printer writes from an explicit stack, and the smart constructors walk
+chains of negations and of literal factors in loops, so expressions of any
+depth pass through every function here.  A table's source is written with Python's own precedence,
 parenthesized only where Python would bind the operands otherwise, so it
 parses to the same tree, and compiles to the same code, as if every node
 were parenthesized.
@@ -42,7 +49,7 @@ from typing import Union
 
 __all__ = [
     "TimeExpr", "Lit", "TVar", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Fun",
-    "T", "ParseError", "EvalError", "parse_expr", "format_expr", "eval_expr",
+    "T", "ParseError", "EvalError", "parse_expr", "format_expr", "format_shared", "eval_expr",
     "compile_expr", "compile_table", "compile_rhs", "diff_expr", "lit", "eadd", "esub", "emul",
     "ediv", "eneg", "epow", "efun", "as_expr",
 ]
@@ -155,12 +162,26 @@ class ParseError(ValueError):
 
 
 class EvalError(ArithmeticError):
-    """Evaluation failure; carries the offending subexpression."""
+    """Evaluation failure; carries the offending subexpression.
+
+    The message is written when it is read, so an error that is caught and
+    dropped prints nothing, and it shows at most _MESSAGE_CHARS characters
+    of the subexpression: a system read with defs can name a tree far
+    larger than its file.
+    """
 
     def __init__(self, message: str, subexpr: TimeExpr, t: float):
+        super().__init__(message)
+        self.message = message
         self.subexpr = subexpr
         self.t = t
-        super().__init__(f"{message} at t={t!r}: {format_expr(subexpr)}")
+
+    def __str__(self) -> str:
+        return (f"{self.message} at t={self.t!r}: "
+                f"{format_expr(self.subexpr, _MESSAGE_CHARS)}")
+
+
+_MESSAGE_CHARS = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +196,10 @@ _NUMBER, _NAME, _OTHER = 1, 2, 4
 _OPERATOR = {"+": Add, "-": Sub, "*": Mul, "/": Div}
 _APPLY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 _OPERAND = ("number", "'t'", "'('", "function", "'-'")
+_DEF_NAME = re.compile(r"e(?:0|[1-9][0-9]*)")
 
 
-def parse_expr(source: str) -> TimeExpr:
+def parse_expr(source: str, defs=None) -> TimeExpr:
     """Parse `source` into an expression tree.
 
     Literal-only subtrees are folded to a single literal at construction;
@@ -185,6 +207,8 @@ def parse_expr(source: str) -> TimeExpr:
     source under standard precedence.  One loop reads the tokens with an
     explicit stack of pending operators and open parentheses, calls and
     unary minuses (Dijkstra's shunting-yard), so any nesting depth parses.
+    With a sequence `defs`, the name e<k> reads as the object defs[k], one
+    more operand, and a name e<k> with k >= len(defs) is an error.
     """
     tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex))
               for m in _TOKEN.finditer(source)]
@@ -208,6 +232,11 @@ def parse_expr(source: str) -> TimeExpr:
         elif tok == "-" or tok == "(":
             stack.append(Neg if tok == "-" else tok)
             continue
+        elif defs is not None and kind == _NAME and _DEF_NAME.fullmatch(tok):
+            k = int(tok[1:])
+            if k >= len(defs):
+                raise ParseError(f"no def {tok!r} before this expression", at)
+            node = defs[k]
         elif kind == _NAME:
             if tok not in _FUNCTIONS:
                 raise ParseError(f"unknown function {tok!r}", at,
@@ -301,26 +330,71 @@ def _fmt_number(v: float) -> str:
     return repr(v)
 
 
-def format_expr(e: TimeExpr) -> str:
-    """Render `e` so that parse_expr(format_expr(e)) is structurally equal to e.
+def format_expr(e: TimeExpr, limit: int | None = None) -> str:
+    """Render `e` so that parse_expr(format_expr(e)) is structurally equal to e:
+    format_shared's walk with no names, every subtree written in full.
+
+    With a `limit`, a text longer than `limit` characters is cut to its
+    first `limit` and ends in "..."; the walk stops there, so a tree that
+    shares its subtrees costs about `limit` steps plus its depth, whatever
+    its full text would be.
+    """
+    nodes, roots = _number_nodes([e])
+    return _format(nodes, roots[0], {}, limit)
+
+
+def format_shared(nodes: list, roots: list) -> tuple[list, list]:
+    """Render a _number_nodes numbering with each shared subtree written once.
+
+    Every node used more than once, as a child or as a root, that is not a
+    literal or t is a def, named e0, e1, ... in numbering order, so that a
+    def names only earlier ones.  Returns (defs, texts): defs[j] renders def
+    j and texts[i] renders roots[i] (the name alone when it is a def), each
+    with the defs below it written by name.  Reading defs[j] by
+    parse_expr(defs[j], first_j_read) in order, then each text with all of
+    them, gives trees structurally equal to the numbered ones, each def one
+    object.
+    """
+    uses = _uses(nodes, roots)
+    names: dict = {}
+    for k, (node, _) in enumerate(nodes):
+        if uses[k] > 1 and type(node) is not Lit and type(node) is not TVar:
+            names[k] = f"e{len(names)}"
+    return ([_format(nodes, k, names) for k in names],
+            [names.get(k) or _format(nodes, k, names) for k in roots])
+
+
+def _format(nodes: list, root: int, names: dict, limit: int | None = None) -> str:
+    """The text of node `root` of a numbering, a node below it with a name
+    in `names` written as that name, cut as format_expr cuts it at `limit`.
 
     The text is written left to right from an explicit stack of literal
-    pieces and of nodes, each with the grammar level its context requires
-    (0 expr, 1 term, 2 factor, 3 base-with-power, 4 atom); a node is wrapped
-    in parentheses when it binds more loosely than that.  A leading "-"
-    is a grammar `base`, legal anywhere except as the bare right operand of
-    ^, which is never a node (exponents are ints).
+    pieces and of node numbers, each with the grammar level its context
+    requires (0 expr, 1 term, 2 factor, 3 base-with-power, 4 atom); a node
+    is wrapped in parentheses when it binds more loosely than that, and a
+    name is an atom.  A leading "-" is a grammar `base`, legal anywhere
+    except as the bare right operand of ^, which is never a node (exponents
+    are ints).
     """
     out: list = []
-    stack: list = [(e, 0)]
+    written = size = 0
+    stack: list = [(root, 0)]
     while stack:
+        if limit is not None:
+            size += sum(map(len, out[written:]))
+            written = len(out)
+            if size > limit:
+                break
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        node, level = item
+        k, level = item
+        node, kids = nodes[k]
         cls = type(node)
-        if cls is Lit:
+        if k in names and k != root:
+            out.append(names[k])
+        elif cls is Lit:
             v = node.value
             negative = v < 0 or (v == 0 and math.copysign(1.0, v) < 0)
             out.append("-" + _fmt_number(-v) if negative else _fmt_number(v))
@@ -328,22 +402,21 @@ def format_expr(e: TimeExpr) -> str:
             out.append("t")
         elif cls is Fun:
             out.append(node.name + "(")
-            stack += [")", (node.arg, 0)]
+            stack += [")", (kids[0], 0)]
         elif cls is Neg:
             out.append("-")
-            stack.append((node.arg, 4))
+            stack.append((kids[0], 4))
         else:
             if cls is Pow:
-                prec, parts = 3, [(node.base, 4), f"^{node.exponent}"]
-            elif cls in _BINARY:
+                prec, parts = 3, [(kids[0], 4), f"^{node.exponent}"]
+            else:  # one of _BINARY: the numbering refuses any other node
                 prec = 1 if cls is Mul or cls is Div else 0
-                parts = [(node.left, prec), _BINARY[cls], (node.right, prec + 1)]
-            else:
-                raise TypeError(f"not a TimeExpr node: {node!r}")
+                parts = [(kids[0], prec), _BINARY[cls], (kids[1], prec + 1)]
             if prec < level:
                 parts = ["("] + parts + [")"]
             stack += reversed(parts)
-    return "".join(out)
+    text = "".join(out)
+    return text if limit is None or len(text) <= limit else text[:limit] + "..."
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +585,18 @@ def _number_nodes(exprs: list) -> tuple[list, list]:
     return nodes, [num_of[id(e)] for e in exprs]
 
 
-def compile_table(exprs):
+def _uses(nodes: list, roots: list) -> list:
+    """How often each node of a numbering is used: as a child, or as a root."""
+    uses = [0] * len(nodes)
+    for _, kid_nums in nodes:
+        for k in kid_nums:
+            uses[k] += 1
+    for k in roots:
+        uses[k] += 1
+    return uses
+
+
+def compile_table(exprs, numbering=None):
     """Compile expressions into one callable t -> tuple of floats.
 
     Each distinct subtree is evaluated once per call, also when equal
@@ -521,16 +605,11 @@ def compile_table(exprs):
     magnitude raises EvalError naming the denominator.  The callable's
     `taylor(t, order)` reads the Taylor coefficients over the same
     numbering: a list of order + 1 columns, column k holding the k-th
-    coefficient of every expression and column 0 the table's values.
+    coefficient of every expression and column 0 the table's values.  A
+    caller that holds _number_nodes(exprs) already passes it as `numbering`.
     """
-    exprs = list(exprs)
-    nodes, roots = _number_nodes(exprs)
-    uses = [0] * len(nodes)
-    for _, kid_nums in nodes:
-        for k in kid_nums:
-            uses[k] += 1
-    for k in roots:
-        uses[k] += 1
+    nodes, roots = _number_nodes(list(exprs)) if numbering is None else numbering
+    uses = _uses(nodes, roots)
     dens = {kid_nums[1] for node, kid_nums in nodes if type(node) is Div}
     consts: dict = {}
     refs: list = [None] * len(nodes)

@@ -6,6 +6,7 @@ pipeline.  The `ref_*` smart constructors at the end are the recursive
 definitions that timexpr's looping ones must reproduce node for node, and
 `ref_adjugate_inverse` is the symbolic inverse written case by case for
 n = 1, 2 and 3, which matcurve's one cofactor rule must reproduce.
+`v1_layout` is a system as format 1 wrote it, every coefficient in full.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gaugekit.timexpr import T, Add, Fun, Lit, Mul, Neg, Sub, TVar, ediv, efun, lit
+from gaugekit.timexpr import T, Add, Fun, Lit, Mul, Neg, Sub, TVar, ediv, efun, format_expr, lit
 
 
 def frac_bracket(M, p_terms: dict, n: int) -> dict:
@@ -254,3 +255,15 @@ def ref_adjugate_inverse(entries):
         det = sum(entries[0][k] * cof[0][k] for k in range(3))
         return [[ediv(cof[j][i], det) for j in range(3)] for i in range(3)]
     raise ValueError("symbolic inverse is only built for n <= 3")
+
+
+def v1_layout(q) -> dict:
+    """The dict of NonAutoSystem `q` in format 1: no "format" key and no
+    defs, every coefficient printed in full, the terms sorted by key."""
+    return {
+        "dim": q.dim,
+        "constant": [format_expr(e) for e in q.constant],
+        "linear": [[format_expr(e) for e in row] for row in q.linear],
+        "terms": [{"component": comp, "exponents": list(exps), "coeff": format_expr(e)}
+                  for (comp, exps), e in sorted(q.terms.items())],
+    }

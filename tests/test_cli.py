@@ -10,6 +10,7 @@ from gaugekit.cli import dumps, main
 from gaugekit.identify import NonAutoSystem
 from gaugekit.matcurve import curve_from_dict, curve_to_dict
 from gaugekit.polyfield import PolyField, field_from_dict, field_to_dict
+from gaugekit.timexpr import format_expr
 
 from conftest import random_field
 
@@ -64,11 +65,11 @@ def test_transform_exponential_fixture(files):
     out = files["tmp"] / "q.json"
     assert main(["transform", "--field", files["p2"], "--curve", files["expB"],
                  "--out", str(out)]) == 0
-    q = json.loads(out.read_text())
-    coeffs = {(t["component"], tuple(t["exponents"])): t["coeff"] for t in q["terms"]}
-    assert coeffs == {(0, (2, 0)): "exp(t)", (0, (0, 2)): "-exp(3*t)",
-                      (1, (1, 1)): "2*exp(t)"}
-    assert q["linear"] == [["-1", "0"], ["0", "-2"]]
+    # exp(t) is shared, so the file names it; the loader reads it back
+    q = NonAutoSystem.from_dict(json.loads(out.read_text()))
+    assert {key: format_expr(e) for key, e in q.terms.items()} == {
+        (0, (2, 0)): "exp(t)", (0, (0, 2)): "-exp(3*t)", (1, (1, 1)): "2*exp(t)"}
+    assert [[format_expr(e) for e in row] for row in q.linear] == [["-1", "0"], ["0", "-2"]]
 
 
 SHEAR4_CURVE = {"dim": 4, "kind": "closed_form",
@@ -329,6 +330,20 @@ def test_json_booleans_are_not_numbers_exit_2_and_name_the_entry(tmp_path, capsy
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("sign,message", [
+    (True, "sign must be an integer, got True"),
+    (-1.0, "sign must be an integer, got -1.0")])
+def test_exp_curve_sign_must_be_an_integer_exit_2_and_name_it(tmp_path, capsys, sign,
+                                                              message):
+    # a boolean or a float would pass a membership test in (1, -1)
+    path = _write(tmp_path / "sign.json",
+                  {"dim": 1, "kind": "exp", "generator": [[1.0]], "sign": sign})
+    fpath = _write(tmp_path / "f1.json", {"dim": 1, "terms": [
+        {"component": 0, "exponents": [2], "coeff": 1.0}]})
+    assert main(["transform", "--field", fpath, "--curve", path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("generator", ['[["nan"]]', "[[1e999]]"])
 def test_transform_nonfinite_generator_exit_2_names_file(files, tmp_path, capsys,
                                                          generator):
@@ -342,6 +357,61 @@ def test_transform_nonfinite_generator_exit_2_names_file(files, tmp_path, capsys
         assert main(["transform", "--field", str(f1), "--curve", str(cpath)]) == 2
     err = capsys.readouterr().err
     assert "bad-generator.json" in err and "bad generator matrix" in err
+
+
+# format 2 systems: one shared exp(t) and one product of it
+_V2 = {"format": 2, "dim": 1, "defs": ["exp(t)", "2*e0"],
+       "terms": [{"component": 0, "exponents": [2], "coeff": "e1-e0"}]}
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"defs": ["exp(t)", "2*e1"]}, "defs[1]: no def 'e1' before this expression at offset 2"),
+    ({"defs": ["e1", "exp(t)"]}, "defs[0]: no def 'e1' before this expression at offset 0"),
+    ({"terms": [{"component": 0, "exponents": [2], "coeff": "e2"}]},
+     "bad system term #0: terms[0].coeff: no def 'e2' before this expression at offset 0"),
+    ({"format": None}, "'defs' needs \"format\": 2"),
+    ({"format": 1}, "'defs' needs \"format\": 2"),
+    ({"format": 3}, "'format' is 3; systems have formats 1 and 2"),
+    ({"format": "2"}, "format must be an integer, got '2'"),
+    ({"format": True}, "format must be an integer, got True"),
+    ({"defs": {"e0": "exp(t)"}}, "'defs' must be a list"),
+])
+def test_system_format_and_defs_errors_exit_2_and_name_them(tmp_path, capsys, change,
+                                                            message):
+    # a def names only earlier defs; defs need format 2; no other version reads
+    data = {**_V2, **change}
+    if data["format"] is None:
+        del data["format"]
+    path = _write(tmp_path / "v.json", data)
+    assert main(["integrate", "--system", path, "--x0", "0.1"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_format_2_and_format_1_files_integrate_alike(tmp_path):
+    # the format 1 file writes every coefficient out in full
+    v1 = {"dim": 1, "terms": [{"component": 0, "exponents": [2],
+                               "coeff": "2*exp(t)-exp(t)"}]}
+    outs = []
+    for name, data in (("v2", _V2), ("v1", v1)):
+        out = tmp_path / f"{name}.traj.json"
+        assert main(["integrate", "--system", _write(tmp_path / f"{name}.json", data),
+                     "--x0", "0.1", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", [["integrate", "--x0", "0.1"], ["identify"]])
+def test_defs_that_double_a_tree_fail_with_a_bounded_message(tmp_path, capsys, command):
+    # 61 defs of about 1 KB name a tree of 2^62 nodes; e60 is 0, so the
+    # table's denominator guard fires, and its message shows a cut prefix
+    data = {"format": 2, "dim": 1,
+            "defs": ["t-t"] + [f"e{k}+e{k}" for k in range(60)],
+            "terms": [{"component": 0, "exponents": [2], "coeff": "1/e60"}]}
+    path = _write(tmp_path / "doubling.json", data)
+    assert main([command[0], "--system", path, *command[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: near-zero denominator at t=")
+    assert err.endswith("...\n") and len(err) < 2100
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from gaugekit.gauge import (
     FlowMap, conjugate_map, frozen_transform_field, gauge_transform,
     hat_transform, mixed_bracket_residual, transform_solution,
 )
+from gaugekit.identify import NonAutoSystem
 from gaugekit.matcurve import ClosedFormCurve, ExponentialCurve, mat_exp, solve_gauge_ode
 from gaugekit.odeint import Trajectory, integrate
 from gaugekit.polyfield import PolyField, lie_bracket, linear_pushforward
@@ -218,10 +219,10 @@ def _recording_compiles(monkeypatch) -> list:
     compiled = []
     real = tx.compile_table
 
-    def recording(exprs):
+    def recording(exprs, numbering=None):
         exprs = list(exprs)
         compiled.append(exprs)
-        return real(exprs)
+        return real(exprs, numbering)
 
     monkeypatch.setattr(tx, "compile_table", recording)
     return compiled
@@ -386,8 +387,8 @@ def test_symbolic_exponential_entries_are_validated_on_the_span(monkeypatch):
     times = []
     real = tx.compile_table
 
-    def recording(exprs):
-        table = real(exprs)
+    def recording(exprs, numbering=None):
+        table = real(exprs, numbering)
 
         def timed(t):
             times.append(t)
@@ -660,7 +661,7 @@ def test_exponential_closed_forms_equal_the_direct_rhs():
 
 
 # sha256 of the printed closed form of _exponential_input(default_rng(seed),
-# n, spectrum, sign, cancel) over span
+# n, spectrum, sign, cancel) over span, in the format 1 layout
 _EXPONENTIAL_GOLDEN = [
     (0, 1, "real", -1, False, (-1.0, 1.0), "ce2b3320a2741920a251ad92a240caf92eb870a0affbe569330f9ebbded0fea6"),
     (1, 1, "real", 1, True, (0.0, 1.0), "56d42218aae24c046c40f2093666239e0cff113f363ba342b0007e679946c457"),
@@ -685,16 +686,48 @@ _EXPONENTIAL_GOLDEN = [
 ]
 
 
+# the second column, by seed: sha256 of the same closed form as
+# NonAutoSystem.to_dict writes it, in format 2
+_EXPONENTIAL_GOLDEN_V2 = {
+    0: "e7812732754b27e8a8e23b542c02bd9a16e4b55c12f2bd5de38abbc74d41b67e",
+    1: "926c537ab1c0d0dae52d9dd11f2cd9a5c8dd1b79c2b41eb97d6af0a853c212df",
+    2: "26080add8a0f325ea718bed6b985209d51f8c697804a79dc15acdd33ea119121",
+    3: "0754f230908ac2141a5f61d0288703151c8fec892f5c2890f63d194154e3a5df",
+    4: "c107e21cf8b243918336c0a93176b5f37b9494aa5c1f86e171f6901cd3368afa",
+    5: "a7a368f1e9d882bcef9cf259a067fc5a08d7ee0e05a378c162fba6453c9f1e26",
+    6: "b50c5803a139c52c1e1a0dd417acff32d16bd829e573bc92c33d2b1a62326725",
+    7: "d74b33aba90d3938c651d9893b7b898250690c0044599b031b2b6e8ffc568d3d",
+    8: "d53c995642aecc3d526187fc8736217cd95f43891f356bcddfaee175505cba4b",
+    9: "2090cef41e948b9f7314ba8482cefc1071a9a87d2899d485ff7c6fc7e5181564",
+    10: "36bbdf066d2ab79d0b9409cc2e0d4dc3addf8b26b0cc88637ae8b01aafb84e7d",
+    11: "ed8e7136172d4fc33797cc1c984151cb0f608e0513530d759d2861e5967ff1c4",
+    12: "0c77b72f14279c64c554f315e20e306efeb9cd9ceed2263b4211ebf2d28540d6",
+    13: "b67699ebe13c4655d40577b774675b342f3520b25757f8846f9f57ee673637b9",
+    14: "b175c94c68c5c78d93aabbcfe5e3589234f5195d41083f9d23316dcefc35f653",
+    15: "eb35710ef086807d511f33b6ca0387e999be0ce33bd8b5838b62e30962f05b3f",
+    16: "0cf48711377f8f2a9993100e030756edbd2c9d4519354a7f495d9a5e8d5f801e",
+    17: "d3b09b09e03b4b47ca904232873dcdd9085c30765d0d0d95ca1f51c7e7e6bf0c",
+    18: "4e632e14a0e905de70cabe8ff59fe046abf9517238ccb70eb8665a1f0a957ae4",
+    19: "aa649b169d26b091795f294df2c5ecd3c3ed3d37b556850bf1c3675e2ede8f55",
+}
+
+
 @pytest.mark.parametrize("seed,n,spectrum,sign,cancel,span,digest", _EXPONENTIAL_GOLDEN)
 def test_exponential_closed_forms_print_their_recorded_bytes(seed, n, spectrum, sign,
                                                              cancel, span, digest):
     # the printed system is pinned byte for byte, so a change to how the
-    # exponential sums are accumulated or validated cannot move a digit
+    # exponential sums are accumulated or validated cannot move a digit; the
+    # format 1 layout is printed from the system read back from format 2
     import hashlib
+    import json
     from gaugekit.cli import dumps
+    from oracles import v1_layout
     f, A = _exponential_input(np.random.default_rng(seed), n, spectrum, sign, cancel)
     q = gauge_transform(f, A, span).closed_form
-    assert hashlib.sha256(dumps(q.to_dict()).encode()).hexdigest() == digest
+    written = dumps(q.to_dict())
+    assert hashlib.sha256(written.encode()).hexdigest() == _EXPONENTIAL_GOLDEN_V2[seed]
+    loaded = NonAutoSystem.from_dict(json.loads(written))
+    assert hashlib.sha256(dumps(v1_layout(loaded)).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

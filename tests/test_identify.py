@@ -485,9 +485,9 @@ def test_identify_compiles_the_systems_table_alone(monkeypatch):
     compiled = []
     compile_table = tx.compile_table
 
-    def recording(exprs):
+    def recording(exprs, numbering=None):
         compiled.append(list(exprs))
-        return compile_table(compiled[-1])
+        return compile_table(compiled[-1], numbering)
 
     monkeypatch.setattr(tx, "compile_table", recording)
     q = NonAutoSystem.from_dict(src.closed_form.to_dict())
@@ -1081,3 +1081,90 @@ def test_system_json_errors_name_location():
             {"component": 0, "exponents": [2, 0], "coeff": "foo(t)"}]})
     with pytest.raises(ValueError, match="degree"):
         NonAutoSystem(2, terms={(0, (1, 0)): "1"})
+
+
+def _table_source(exprs: list) -> str:
+    """The source that compile_table generates for `exprs`."""
+    sources = []
+    real = tx._define
+
+    def recording(src, name, namespace):
+        sources.append(src)
+        return real(src, name, namespace)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tx, "_define", recording)
+        tx.compile_table(exprs)
+    return sources[0]
+
+
+def _in_file_order(q: NonAutoSystem) -> list:
+    return q.constant + [e for row in q.linear for e in row] \
+        + [q.terms[key] for key in sorted(q.terms)]
+
+
+def test_written_systems_read_back_to_their_trees():
+    # systems of n = 1-3 whose coefficients share subtrees by identity, some
+    # of them chains thousands deep: format 2 writes each shared subtree
+    # once, and reading it back gives the printed coefficients, the table
+    # source and the bytes that were written; format 1 still reads them
+    import json
+    from hypothesis import given, settings, strategies as st
+    from gaugekit.cli import dumps
+    from oracles import v1_layout
+
+    chains = [lambda e: tx.Add(e, tx.T), lambda e: tx.Fun("cos", e),
+              lambda e: tx.Mul(tx.Lit(0.5), e), lambda e: tx.Neg(e)]
+    combine = [tx.eadd, tx.esub, tx.emul, tx.ediv,
+               lambda a, b: tx.efun("sin", a), lambda a, b: tx.epow(a, 2)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.sampled_from([0, 1500, 4000]),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 99), st.integers(0, 99)),
+                    max_size=8))
+    def run(n, seed, depth, steps):
+        rng = np.random.default_rng(seed)
+        pool = [tx.T] + [random_time_expr(rng, 3) for _ in range(4)]
+        for op, i, j in steps:
+            try:
+                pool.append(combine[op](pool[i % len(pool)], pool[j % len(pool)]))
+            except (ZeroDivisionError, OverflowError):  # a literal 0 or a huge exp
+                pass
+        # a link over a literal would not survive the text, which folds it
+        chain = tx.eadd(pool[-1], tx.T)
+        for k in rng.integers(0, len(chains), size=depth):
+            chain = chains[k](chain)
+        pool += [chain, tx.emul(chain, pool[1])]
+
+        def pick():
+            return pool[int(rng.integers(0, len(pool)))]
+
+        # x_i^2 in component i, and a cubic in the first
+        terms = {(i, tuple(2 * int(v == i) for v in range(n))): pick() for i in range(n)}
+        terms[(0, (3,) if n == 1 else (1,) + (0,) * (n - 2) + (2,))] = pick()
+        q = NonAutoSystem(n, [pick() for _ in range(n)],
+                          [[pick() for _ in range(n)] for _ in range(n)], terms)
+        written = dumps(q.to_dict())
+        back = NonAutoSystem.from_dict(json.loads(written))
+        want = _in_file_order(q)
+        got = _in_file_order(back)
+        assert [tx.format_expr(e) for e in got] == [tx.format_expr(e) for e in want]
+        assert _table_source(got) == _table_source(want)
+        assert dumps(back.to_dict()) == written
+        v1 = NonAutoSystem.from_dict(json.loads(dumps(v1_layout(q))))
+        assert _table_source(_in_file_order(v1)) == _table_source(want)
+
+    run()
+
+
+def test_defs_read_back_as_one_object_each():
+    q = NonAutoSystem.from_dict({"format": 2, "dim": 2, "defs": ["exp(t)", "e0*e0+t"],
+                                 "constant": ["e1", "-e1"],
+                                 "linear": [["e0", "0"], ["0", "e1^2"]]})
+    (a, b), row0, row1 = q.constant, q.linear[0], q.linear[1]
+    assert a is b.arg is row1[1].base
+    assert a.left.left is a.left.right is row0[0]
+    assert tx.format_expr(row1[1]) == "(exp(t)*exp(t)+t)^2"
+    # a file without "format" reads as format 1, where e0 is no name
+    with pytest.raises(ValueError, match=r"constant\[0\]: unknown function 'e0'"):
+        NonAutoSystem.from_dict({"dim": 1, "constant": ["e0"]})

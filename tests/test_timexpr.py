@@ -98,6 +98,55 @@ def test_parse_errors():
         parse_expr("t @ 1")
 
 
+def test_parse_reads_def_names_as_their_objects():
+    a, b = parse_expr("exp(t)"), parse_expr("t+1")
+    e = parse_expr("-e0^2*e1 + e1", [a, b])
+    assert e == Add(Mul(Pow(Neg(a), 2), b), b)
+    assert e.left.left.base.arg is a and e.left.right is b and e.right is b
+    # a name stands where "(" expr ")" would: a literal def folds as one
+    assert parse_expr("2*e0-e0", [Lit(3.0)]) == Lit(3.0)
+    with pytest.raises(ParseError, match="no def 'e2' before this expression") as err:
+        parse_expr("e0+e2", [a, b])
+    assert err.value.offset == 3
+    # names without defs, and names that are not e<k>, are unknown functions
+    for source, defs in (("e0", None), ("e01", [a, b]), ("e", [a]), ("ee0", [a])):
+        with pytest.raises(ParseError, match="unknown function"):
+            parse_expr(source, defs)
+
+
+def test_format_shared_writes_each_shared_subtree_once():
+    x = _doubled(3)  # sin(t), then three sums of one node with itself
+    nodes, roots = tx._number_nodes([x, x.left, Neg(x)])
+    defs, texts = tx.format_shared(nodes, roots)
+    assert defs == ["sin(t)", "e0+e0", "e1+e1", "e2+e2"]
+    assert texts == ["e3", "e2", "-e3"]
+    # a node used once, a literal and t are written in place
+    nodes, roots = tx._number_nodes([Add(Mul(Lit(2.0), T), Mul(Lit(2.0), T))])
+    assert tx.format_shared(nodes, roots) == (["2*t"], ["e0+e0"])
+    nodes, roots = tx._number_nodes([Fun("exp", T), T, Lit(-0.5), T])
+    assert tx.format_shared(nodes, roots) == ([], ["exp(t)", "t", "-0.5", "t"])
+
+
+def test_format_expr_cuts_its_text_at_a_limit():
+    full = format_expr(_doubled(3))  # 61 characters
+    assert format_expr(_doubled(3), 61) == full
+    assert format_expr(_doubled(3), 60) == full[:60] + "..."
+    # 2^200 leaves: the cut walk stops after its prefix
+    assert format_expr(_doubled(200), 50) == full[:50] + "..."
+
+
+def test_eval_error_writes_a_cut_message_when_read(monkeypatch):
+    calls = []
+    real = tx._format
+    monkeypatch.setattr(tx, "_format", lambda *a: calls.append(a) or real(*a))
+    x = _doubled(200)
+    err = EvalError("near-zero denominator", x, 0.5)
+    assert calls == [] and err.subexpr is x and err.t == 0.5
+    head = "near-zero denominator at t=0.5: "
+    assert str(err) == head + format_expr(x, tx._MESSAGE_CHARS)
+    assert len(str(err)) == len(head) + tx._MESSAGE_CHARS + len("...")
+
+
 def test_parse_nests_deeper_than_the_recursion_limit():
     n = 100_000
     assert parse_expr("(" * n + "t" + ")" * n) is T
