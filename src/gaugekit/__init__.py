@@ -8,8 +8,8 @@ and the matrix curve, and certify the verdict with residuals.
 
 from .identify import (
     GaugeCertificate, IdempotentSet, JetData, NonAutoSystem,
-    extract_jet, find_idempotents, identify, remove_linear_part,
-    solve_candidate_B, verify_candidate,
+    extract_jet, find_idempotents, identify, solve_candidate_B,
+    verify_candidate,
 )
 from .gauge import (
     FlowMap, NonAutoEvaluator, conjugate_map, gauge_transform, hat_transform,
@@ -34,7 +34,7 @@ __all__ = [
     "conjugate_map", "hat_transform", "mixed_bracket_residual",
     "NonAutoSystem", "JetData", "GaugeCertificate", "IdempotentSet",
     "extract_jet", "solve_candidate_B", "verify_candidate", "identify",
-    "remove_linear_part", "find_idempotents",
+    "find_idempotents",
     "Trajectory", "integrate", "verify_correspondence",
     "__version__",
 ]

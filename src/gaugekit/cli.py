@@ -171,7 +171,7 @@ def _run_transform(args) -> int:
     for row in system.linear:
         lines.append("  [" + ", ".join(map(tx.format_expr, row)) + "]")
     lines.append("terms:")
-    for (comp, exps), e in sorted(system.terms.items()):
+    for (comp, exps), e in system.terms.items():
         lines.append(f"  component {comp + 1}: "
                      f"({tx.format_expr(e)}) * {format_monomial(exps)}")
     _write("\n".join(lines) + "\n", args)

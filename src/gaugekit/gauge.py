@@ -26,7 +26,9 @@ coefficient is zero when it is zero at all of them.
 The table is kept only if its system matches the numeric transform, the
 direct formula of transform_rhs, within 1e-9 relative at ten points of the
 span; an exponential curve reads A(t) and A(t)^{-1} at all ten from one
-stacked mat_exp.
+stacked mat_exp.  A closed-form curve's inverse table is checked against
+the curve at the same ten times first: a supplied table that fails is an
+input error, and a built one that fails leaves no closed form.
 """
 
 from __future__ import annotations
@@ -373,7 +375,12 @@ def gauge_transform(f: PolyField, A: MatrixCurve,
     rhs = transform_rhs(f, A)
     points = _validation_points(f.dim, t_span)
     if isinstance(A, ClosedFormCurve):
-        A.check_inverse([t for t, _ in points])
+        try:
+            A.check_inverse([t for t, _ in points])
+        except (ValueError, tx.EvalError) as exc:
+            if A._inverse_supplied:
+                raise  # the caller's table is wrong or cannot be evaluated
+            return NonAutoEvaluator(f.dim, rhs, reason=str(exc))
     try:
         if isinstance(A, ExponentialCurve):
             table, direct = _exponential_table(f, A), _exponential_direct(f, A, points)

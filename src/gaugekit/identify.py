@@ -19,17 +19,17 @@ import numpy as np
 from . import polyfield
 from . import timexpr as tx
 from ._rk import IntegrationError
-from .matcurve import FlowCurve, mat_exp, solve_gauge_ode
+from .matcurve import mat_exp, solve_gauge_ode
 from .polyfield import (
     NearSingularMatrixError, PolyField, as_index, check_invertible, check_keys, field_to_dict,
-    invert_checked, lie_bracket, linear_pushforward, parse_at,
+    lie_bracket, linear_pushforward, parse_at,
 )
 
 __all__ = [
     "NonAutoSystem", "JetData", "CandidateFamily", "VerificationReport",
-    "GaugeCertificate", "IdempotentSet", "ReducedSystem",
+    "GaugeCertificate", "IdempotentSet",
     "extract_jet", "solve_candidate_B", "verify_candidate", "identify",
-    "remove_linear_part", "find_idempotents", "default_grid",
+    "find_idempotents", "default_grid",
 ]
 
 DEFAULT_GRID_POINTS = 33
@@ -83,18 +83,18 @@ class NonAutoSystem:
                 raise ValueError(
                     f"term {exps} exceeds the degree cap {polyfield.MAX_DEGREE}")
             self.terms[(int(comp), exps)] = tx.as_expr(e)
+        # sorted, as to_dict writes them, so that a system read back from its
+        # file sums its terms in the same order
+        self.terms = dict(sorted(self.terms.items()))
         # one table holds every coefficient: constants, the linear table row
-        # by row, then the terms; structural zeros are skipped when reading it
-        n2 = dim + dim * dim
-        self._const_idx = [i for i, e in enumerate(self.constant) if e != zero]
-        self._lin_idx = [(i, j, dim + i * dim + j) for i, row in enumerate(self.linear)
-                         for j, e in enumerate(row) if e != zero]
-        self._term_idx = [(comp, exps, n2 + m, tuple((k, p) for k, p in enumerate(exps) if p))
-                          for m, (comp, exps) in enumerate(self.terms)]
-        # the monomials (component, column, powers) in table order
-        self._monomials = [(i, i, ()) for i in self._const_idx] \
-            + [(i, k, ((j, 1),)) for i, j, k in self._lin_idx] \
-            + [(comp, k, powers) for comp, _, k, powers in self._term_idx]
+        # by row, then the terms; each column is keyed like a term, and the
+        # monomials (component, column, powers) skip its structural zeros
+        units = [tuple(int(v == j) for v in range(dim)) for j in range(dim)]
+        columns = [(i, (0,) * dim) for i in range(dim)] \
+            + [(i, units[j]) for i in range(dim) for j in range(dim)] + list(self.terms)
+        self._monomials = [(i, k, tuple((v, p) for v, p in enumerate(exps) if p))
+                           for k, ((i, exps), e) in enumerate(zip(columns, self._coefficients()))
+                           if e != zero]
 
     def _coefficients(self) -> list:
         """Every coefficient in table order: constants, linear rows, terms."""
@@ -107,8 +107,7 @@ class NonAutoSystem:
         return sorted({sum(exps) for (_, exps) in self.terms})
 
     # -- evaluation --------------------------------------------------------
-    # Each reader makes one table call per t; the _of helpers read a tuple of
-    # coefficient values in table order.
+    # Each reader makes one table call per t and splits its row by _split.
 
     @cached_property
     def _numbering(self):
@@ -122,35 +121,33 @@ class NonAutoSystem:
         one table, compiled on first use."""
         return tx.compile_table(self._coefficients(), self._numbering)
 
-    def _constant_of(self, vals: tuple) -> np.ndarray:
-        out = np.zeros(self.dim)
-        for i in self._const_idx:
-            out[i] = vals[i]
-        return out
-
-    def _linear_of(self, vals: tuple) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        for i, j, k in self._lin_idx:
-            out[i, j] = vals[k]
-        return out
-
-    def _terms_of(self, vals: tuple, degree: int) -> PolyField:
-        terms = {}
-        for comp, exps, k, _ in self._term_idx:
-            if sum(exps) == degree:
-                v = vals[k]
-                if v != 0.0:
-                    terms[(comp, exps)] = v
-        return PolyField(self.dim, terms)
+    def _split(self, rows) -> tuple:
+        """m rows of the table, its values at m times or m Taylor columns, as
+        (c, C, q): the (m, n) constants, the (m, n, n) linear part and, per
+        degree j in increasing order, q[j] = (keys, values), the degree-j
+        term keys in term order and their (m, len(keys)) values.  A -0 reads
+        as 0.0."""
+        n = self.dim
+        vals = np.array(rows, dtype=float) + 0.0
+        degrees: dict = {}
+        for k, key in enumerate(self.terms, n + n * n):
+            keys, cols = degrees.setdefault(sum(key[1]), ([], []))
+            keys.append(key)
+            cols.append(k)
+        return (vals[:, :n], vals[:, n:n + n * n].reshape(-1, n, n),
+                {j: (keys, vals[:, cols]) for j, (keys, cols) in sorted(degrees.items())})
 
     def constant_at(self, t: float) -> np.ndarray:
-        return self._constant_of(self._table(t))
+        return self._split([self._table(t)])[0][0]
 
     def linear_at(self, t: float) -> np.ndarray:
-        return self._linear_of(self._table(t))
+        """C(t): the flow's right-hand side reads it, so a direct slice."""
+        n = self.dim
+        return np.array(self._table(t)[n:n + n * n]).reshape(n, n)
 
     def degree_part_at(self, t: float, j: int) -> PolyField:
-        return self._terms_of(self._table(t), j)
+        keys, vals = self._split([self._table(t)])[2].get(j, ([], [[]]))
+        return PolyField(self.dim, dict(zip(keys, vals[0])))
 
     @cached_property
     def _rhs(self):
@@ -170,16 +167,14 @@ class NonAutoSystem:
         occurs (timexpr.format_shared over _numbering)."""
         defs, texts = tx.format_shared(*self._numbering)
         n = self.dim
-        term_text = dict(zip(self.terms, texts[n + n * n:]))
         return {
             "format": 2,
             "dim": n,
             "defs": defs,
             "constant": texts[:n],
             "linear": [texts[n + i * n:n + (i + 1) * n] for i in range(n)],
-            "terms": [{"component": comp, "exponents": list(exps),
-                       "coeff": term_text[(comp, exps)]}
-                      for comp, exps in sorted(self.terms)],
+            "terms": [{"component": comp, "exponents": list(exps), "coeff": text}
+                      for (comp, exps), text in zip(self.terms, texts[n + n * n:])],
         }
 
     @classmethod
@@ -236,12 +231,12 @@ class JetData:
 
 def extract_jet(q: NonAutoSystem, order: int = 1) -> JetData:
     """Exact jet at t=0: every Taylor column read from q's own compiled
-    table (column 0 is its values) and split by the readers that split
-    values; the linear part's column `order` is not part of the jet."""
-    cols = q._table.taylor(0.0, order)
-    return JetData(q.dim, [q._constant_of(col) for col in cols],
-                   [q._linear_of(col) for col in cols[:max(order, 1)]],
-                   {j: [q._terms_of(col, j) for col in cols] for j in q.degrees()})
+    table (column 0 is its values) and split by q._split, each field in q's
+    term order; the linear part's column `order` is not part of the jet."""
+    c, C, terms = q._split(q._table.taylor(0.0, order))
+    return JetData(q.dim, list(c), list(C[:max(order, 1)]),
+                   {j: [PolyField(q.dim, dict(zip(keys, row))) for row in vals.tolist()]
+                    for j, (keys, vals) in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +354,13 @@ class _GridTables:
     def __init__(self, q: NonAutoSystem, ts: np.ndarray):
         self.ts = np.asarray(ts, dtype=float)
         self._linear_at, self._T = q.linear_at, None
-        n = q.dim
-        # one row of q's table per grid time; + 0.0 reads a -0 literal as 0.0
-        vals = np.array([q._table(t) for t in self.ts]) + 0.0
-        self.c = vals[:, :n]
-        self.C = vals[:, n:n + n * n].reshape(-1, n, n)
-        self.keys = {j: _degree_keys(n, j) for j in q.degrees()}
-        column = {key: vals[:, n + n * n + m] for m, key in enumerate(q.terms)}
+        self.c, self.C, terms = q._split([q._table(t) for t in self.ts])
+        self.keys = {j: _degree_keys(q.dim, j) for j in terms}
         zero = np.zeros(len(self.ts))
-        self.q = {j: np.column_stack([column.get(key, zero) for key in keys])
-                  for j, keys in self.keys.items()}
+        self.q = {}
+        for j, (keys, vals) in terms.items():
+            column = dict(zip(keys, vals.T))
+            self.q[j] = np.column_stack([column.get(key, zero) for key in self.keys[j]])
 
     @property
     def linear_max(self) -> float:
@@ -572,49 +564,6 @@ def identify(q: NonAutoSystem, grid=None, tol: float = 1e-6) -> GaugeCertificate
                            _reconstructed_field(jet, cand.B), report)
     diagnostics.append("grid verification failed at the stated tolerance")
     return certificate("not_gauge", cand.B, cand.kernel, report=report)
-
-
-# ---------------------------------------------------------------------------
-# Linear-part removal (diagnostic reduction)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ReducedSystem:
-    """Sampled data of T^{-1} q(t, T y) with T' = C T, T(0) = I, plus the
-    exact t=0 jet of the reduced system."""
-    grid: np.ndarray
-    constant_samples: np.ndarray
-    field_samples: dict
-    jet: JetData
-    T: FlowCurve
-
-
-def remove_linear_part(q: NonAutoSystem, grid=None) -> ReducedSystem:
-    """Strip the linear part using the fundamental matrix T.
-
-    The sampled tables are numeric; the returned jet is exact:
-    reduced r_j = r_j + [C(0), p_j] and the reduced linear part is zero.
-    """
-    ts = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    jet = extract_jet(q)
-    T = solve_gauge_ode(q.linear_at, np.zeros((q.dim, q.dim)), np.eye(q.dim),
-                        t_span=(float(ts.min()), float(ts.max())))
-    const_samples = np.empty((len(ts), q.dim))
-    field_samples: dict = {j: [] for j in q.degrees()}
-    for k, (t, Tinv) in enumerate(zip(ts.tolist(), invert_checked(T.sample(ts)))):
-        vals = q._table(t)
-        const_samples[k] = Tinv @ q._constant_of(vals)
-        for j in q.degrees():
-            field_samples[j].append(linear_pushforward(Tinv, q._terms_of(vals, j)))
-    (c0, c1), C0 = jet.c, jet.C[0]
-    C0_field = PolyField.from_linear(C0)
-    reduced_jet = JetData(
-        dim=q.dim,
-        c=[c0.copy(), c1 - C0 @ c0],
-        C=[np.zeros((q.dim, q.dim))],
-        q={j: [p, r + lie_bracket(C0_field, p)] for j, (p, r) in jet.q.items()},
-    )
-    return ReducedSystem(ts, const_samples, field_samples, reduced_jet, T)
 
 
 # ---------------------------------------------------------------------------

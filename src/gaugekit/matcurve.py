@@ -213,16 +213,18 @@ class ClosedFormCurve(MatrixCurve):
                     pass  # a pole here may lie outside the span of any use
 
     def check_inverse(self, ts) -> None:
-        """Raise ValueError at the first t in ts where a supplied inverse
-        table fails A(t) A^{-1}(t) = I by more than 1e-8 (EvalError where it
-        cannot be evaluated)."""
-        if not self._inverse_supplied:
+        """Raise ValueError at the first t in ts where the inverse table,
+        supplied or built, fails A(t) A^{-1}(t) = I by more than 1e-8, a
+        non-finite product failing too (EvalError where it cannot be
+        evaluated).  The message says which kind of table failed."""
+        if self._inverse is None:
             return
         for t in ts:
-            prod = self.value(t) @ self._inverse(t)
-            if np.max(np.abs(prod - np.eye(self.dim))) > 1e-8:
-                raise ValueError(
-                    f"supplied inverse table does not invert the curve at t={t}")
+            with np.errstate(all="ignore"):
+                gap = np.max(np.abs(self.value(t) @ self._inverse(t) - np.eye(self.dim)))
+            if not gap <= 1e-8:
+                kind = "supplied" if self._inverse_supplied else "built"
+                raise ValueError(f"{kind} inverse table does not invert the curve at t={t}")
 
     def value(self, t: float) -> np.ndarray:
         return self._value(t)

@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -94,6 +95,26 @@ def test_transform_without_inverse_exits_3_and_writes_no_file(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err == f"numeric failure: {cpath}: {NO_CLOSED_FORM_4}\n"
+
+
+def test_transform_whose_built_inverse_fails_exits_3(tmp_path, capsys):
+    # the determinant of diag(1e200, 1e200) folds to inf, so every entry of
+    # the built inverse folds to 0: no closed form, where a supplied table
+    # that fails is an input error
+    fpath = _write(tmp_path / "f.json", {"dim": 2, "terms": [
+        {"component": 0, "exponents": [2, 0], "coeff": 1.0}]})
+    entries = [["1e200", "0"], ["0", "1e200"]]
+    built = _write(tmp_path / "A.json", {"dim": 2, "kind": "closed_form", "entries": entries})
+    out = tmp_path / "q.json"
+    assert main(["transform", "--field", fpath, "--curve", built, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert re.fullmatch(rf"numeric failure: {re.escape(built)}: no closed form for the "
+                        r"closed_form curve on \[0, 1\]: built inverse table does not "
+                        r"invert the curve at t=0\.\d+\n", capsys.readouterr().err)
+    supplied = _write(tmp_path / "B.json", {"dim": 2, "kind": "closed_form",
+                                            "entries": entries, "inverse": entries})
+    assert main(["transform", "--field", fpath, "--curve", supplied]) == 2
+    assert "supplied inverse table does not invert" in capsys.readouterr().err
 
 
 def test_transform_malformed_expression_exit_2(files, tmp_path, capsys):

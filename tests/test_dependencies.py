@@ -9,9 +9,11 @@ the package, `self.name` in a method), so that an expression or a matrix of
 any depth passes through all of them; the one exception is `cli.dumps`,
 whose depth is the nesting of the JSON it writes.  Calls through another
 object's attribute (`self.base.value`) and through operators are not
-followed."""
+followed.  Every name that a module of the package exports in `__all__`
+resolves, so that a deletion leaves no stale export behind."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -213,3 +215,11 @@ def test_the_recursion_guard_sees_methods_classes_tables_and_other_modules(tmp_p
         "a.Tree", "a.Tree.__init__",  # through the class it constructs
         "a.start", "a.RULES", "b.walk",  # through another module and a table
     }
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    module = importlib.import_module(
+        "gaugekit" if path.stem == "__init__" else f"gaugekit.{path.stem}")
+    assert module.__all__
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

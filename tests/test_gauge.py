@@ -69,6 +69,18 @@ def test_closed_form_keeps_terms_that_grow_inside_the_span():
     assert np.max(np.abs(ev.closed_form.eval(10.0, y) - want)) <= 1e-9 * np.max(np.abs(want))
 
 
+def test_a_built_inverse_that_fails_leaves_no_closed_form():
+    f = PolyField(2, {(0, (2, 0)): 1.0, (1, (1, 1)): 1.0})
+    # the determinant folds to inf, so every built entry folds to 0
+    ev = gauge_transform(f, ClosedFormCurve([["1e200", "0"], ["0", "1e200"]]))
+    assert ev.closed_form is None
+    assert re.fullmatch(r"built inverse table does not invert the curve at t=0\.\d+", ev.reason)
+    # the determinant evaluates to 0, so the built table cannot be evaluated
+    ev = gauge_transform(f, ClosedFormCurve([["1e-162 + 1e-170*t", "0"], ["0", "1e-162"]]))
+    assert ev.closed_form is None
+    assert ev.reason.startswith("near-zero denominator at t=0.")
+
+
 def test_closed_form_refused_where_the_direct_rhs_is_not_finite():
     # exp(1000 t) overflows from t ~ 0.71, where the direct RHS is NaN; the
     # candidate y' = 1000 y + exp(-1000 t) y^2 is NaN there too, and a NaN

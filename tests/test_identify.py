@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from fractions import Fraction
@@ -9,8 +10,8 @@ from gaugekit import timexpr as tx
 from gaugekit.gauge import gauge_transform
 from gaugekit.identify import (
     JetData, NonAutoSystem, _grid_residuals, _GridTables, default_grid,
-    extract_jet, find_idempotents, identify, remove_linear_part,
-    solve_candidate_B, verify_candidate,
+    extract_jet, find_idempotents, identify, solve_candidate_B,
+    verify_candidate,
 )
 from gaugekit.matcurve import ClosedFormCurve, ExponentialCurve, mat_exp, solve_gauge_ode
 from gaugekit.odeint import integrate
@@ -369,20 +370,43 @@ def test_grid_residuals_equal_the_per_time_reference():
     assert solve_candidate_B(extract_jet(refining.closed_form)).kernel_dim > 0
 
 
-def test_grid_tables_equal_the_per_time_readers():
-    # c, C and q[j] are column slices of q's table rows; a -0 literal, a
-    # value -0.0 and a key q lacks all read as 0.0
+def test_split_reads_grid_rows_and_jet_columns():
+    # one reader for values at grid times and for Taylor columns at t = 0;
+    # the table's columns are the constants, the linear rows, then the terms
+    # in q's order.  A -0 literal, a value -0.0 and a key q lacks all read
+    # +0.0, and the jet's fields keep q's term order.
+    terms = {(1, (0, 2)): "exp(t)", (0, (2, 0)): "1 + t", (1, (1, 1)): "-0",
+             (0, (1, 2)): "-t", (0, (0, 2)): "t^2"}
     q = NonAutoSystem(2, constant=["-0", "-t"], linear=[["sin(t)", "-0.0"], ["0", "t^2"]],
-                      terms={(0, (2, 0)): "1 + t", (1, (1, 1)): "-0", (0, (1, 2)): "-t"})
+                      terms=terms)
+    column = {key: 6 + m for m, key in enumerate(q.terms)}
     ts = np.linspace(0.0, 1.0, 5)
+    for rows in ([q._table(t) for t in ts], q._table.taylor(0.0, 3)):
+        c, C, split = q._split(rows)
+        assert np.array_equal(c, [row[:2] for row in rows])
+        assert np.array_equal(C, [np.reshape(row[2:6], (2, 2)) for row in rows])
+        assert list(split) == [2, 3]
+        for j, (keys, vals) in split.items():
+            assert keys == [key for key in q.terms if sum(key[1]) == j]
+            assert np.array_equal(vals, [[row[column[key]] for key in keys] for row in rows])
+        for table in (c, C, *(vals for _, vals in split.values())):
+            assert not np.signbit(table[table == 0.0]).any()
+
+    cols = q._table.taylor(0.0, 3)
+    jet = extract_jet(q, 3)
+    assert np.array_equal(jet.c, [col[:2] for col in cols])
+    assert not np.signbit(jet.c[0]).any()  # -0 and -t at t = 0
+    for j, fields in jet.q.items():
+        for col, f in zip(cols, fields):
+            want = [key for key in q.terms if sum(key[1]) == j and col[column[key]] != 0.0]
+            assert list(f.terms) == want
+            assert all(f.terms[key] == col[column[key]] for key in want)
+
     tables = _GridTables(q, ts)
-    vals = [q._table(t) for t in ts]
-    assert np.array_equal(tables.c, [q._constant_of(v) for v in vals])
-    assert np.array_equal(tables.C, [q._linear_of(v) for v in vals])
-    assert tables.keys.keys() == tables.q.keys() == {2, 3}
-    for j, keys in tables.keys.items():
-        want = [[q._terms_of(v, j).terms.get(key, 0.0) for key in keys] for v in vals]
-        assert np.array_equal(tables.q[j], want)
+    assert tables.keys[2] == [(0, (0, 2)), (0, (1, 1)), (0, (2, 0)),
+                              (1, (0, 2)), (1, (1, 1)), (1, (2, 0))]
+    assert np.array_equal(tables.q[2][:, 1], np.zeros(5))   # a key q lacks
+    assert np.array_equal(tables.q[2][:, 4], np.zeros(5))   # the -0 literal
     for table in (tables.c, tables.C, *tables.q.values()):
         assert not np.signbit(table[table == 0.0]).any()
 
@@ -971,60 +995,6 @@ def test_spanning_idempotents_imply_unique_candidate():
 
 
 # ---------------------------------------------------------------------------
-# remove_linear_part
-# ---------------------------------------------------------------------------
-
-def test_remove_linear_part_trivial():
-    q = exp_quadratic_system()  # C = 0
-    red = remove_linear_part(q)
-    for k, t in enumerate(red.grid):
-        assert np.allclose(red.constant_samples[k], 0.0)
-        assert red.field_samples[2][k].coeff_distance(
-            q.degree_part_at(float(t), 2)) <= 1e-9
-
-
-def test_reduced_jet_formula_exact():
-    C0 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    q = NonAutoSystem(2, linear=[["0", "-1"], ["1", "0"]],
-                      terms={(0, (2, 0)): "1+t", (0, (0, 2)): "-1",
-                             (1, (1, 1)): "2*exp(t)"})
-    red = remove_linear_part(q, grid=np.linspace(0, 0.5, 9))
-    jet = extract_jet(q)
-    want = jet.q[2][1] + lie_bracket(PolyField.from_linear(C0), jet.q[2][0])
-    assert red.jet.q[2][1].coeff_distance(want) == 0.0
-    assert np.all(red.jet.C[0] == 0.0)
-    assert red.jet.q[2][0].coeff_distance(jet.q[2][0]) == 0.0
-
-
-def test_reduced_solve_agrees_with_direct_pipeline():
-    # identification through the reduced jet recovers the same B
-    rng = np.random.default_rng(7)
-    f = PolyField.from_linear(rng.uniform(-1, 1, size=(2, 2))) \
-        + random_field(rng, 2, [2], scale=1.0, density=1.0)
-    ev = gauge_transform(f, rotation_curve("t + 0.2*t^2"))
-    q = ev.closed_form
-    direct = solve_candidate_B(extract_jet(q))
-    red = remove_linear_part(q)
-    reduced = solve_candidate_B(red.jet)
-    assert direct is not None and reduced is not None
-    assert np.max(np.abs(direct.B - reduced.B)) <= 1e-7
-
-
-def test_reduced_samples_match_pushforward_for_rotation():
-    # with a known fundamental matrix the samples are checkable directly:
-    # C constant = J has T(t) = exp(tJ)
-    q = NonAutoSystem(2, linear=[["0", "-1"], ["1", "0"]],
-                      terms={(0, (2, 0)): "1"})
-    red = remove_linear_part(q, grid=np.linspace(0, 1, 5))
-    from gaugekit.polyfield import linear_pushforward
-    J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    for k, t in enumerate(red.grid):
-        Tinv = mat_exp(-float(t) * J)
-        want = linear_pushforward(Tinv, q.degree_part_at(float(t), 2))
-        assert red.field_samples[2][k].coeff_distance(want) <= 1e-8
-
-
-# ---------------------------------------------------------------------------
 # find_idempotents
 # ---------------------------------------------------------------------------
 
@@ -1098,17 +1068,11 @@ def _table_source(exprs: list) -> str:
     return sources[0]
 
 
-def _in_file_order(q: NonAutoSystem) -> list:
-    return q.constant + [e for row in q.linear for e in row] \
-        + [q.terms[key] for key in sorted(q.terms)]
-
-
 def test_written_systems_read_back_to_their_trees():
     # systems of n = 1-3 whose coefficients share subtrees by identity, some
     # of them chains thousands deep: format 2 writes each shared subtree
     # once, and reading it back gives the printed coefficients, the table
     # source and the bytes that were written; format 1 still reads them
-    import json
     from hypothesis import given, settings, strategies as st
     from gaugekit.cli import dumps
     from oracles import v1_layout
@@ -1146,15 +1110,31 @@ def test_written_systems_read_back_to_their_trees():
                           [[pick() for _ in range(n)] for _ in range(n)], terms)
         written = dumps(q.to_dict())
         back = NonAutoSystem.from_dict(json.loads(written))
-        want = _in_file_order(q)
-        got = _in_file_order(back)
+        want = q._coefficients()
+        got = back._coefficients()
         assert [tx.format_expr(e) for e in got] == [tx.format_expr(e) for e in want]
         assert _table_source(got) == _table_source(want)
         assert dumps(back.to_dict()) == written
         v1 = NonAutoSystem.from_dict(json.loads(dumps(v1_layout(q))))
-        assert _table_source(_in_file_order(v1)) == _table_source(want)
+        assert _table_source(v1._coefficients()) == _table_source(want)
 
     run()
+
+
+def test_a_system_read_back_from_its_file_integrates_bit_for_bit():
+    # a rotation frame's pushforward makes the terms in its own order; the
+    # system keeps them sorted, as its file lists them, so both sum alike
+    from gaugekit.cli import dumps
+    rng = np.random.default_rng(5)
+    f = PolyField.from_linear(rng.uniform(-1, 1, size=(2, 2))) \
+        + random_field(rng, 2, [2, 3], scale=0.8, density=1.0)
+    q = gauge_transform(f, rotation_curve("t + 0.5*t^2")).closed_form
+    back = NonAutoSystem.from_dict(json.loads(dumps(q.to_dict())))
+    assert list(q.terms) == list(back.terms) == sorted(q.terms)
+    for x0 in ([0.2, -0.1], [-0.25, 0.15]):
+        got = integrate(back, x0, (0.0, 0.5), tol=1e-11, samples=40)
+        want = integrate(q, x0, (0.0, 0.5), tol=1e-11, samples=40)
+        assert np.array_equal(got.states, want.states)
 
 
 def test_defs_read_back_as_one_object_each():

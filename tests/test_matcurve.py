@@ -298,7 +298,7 @@ def test_closed_form_inverse_checked_only_where_asked():
     A.check_inverse([0.0, 0.5, 1.0])
     with pytest.raises(ValueError, match="does not invert the curve at t=0.25"):
         A.check_inverse([0.0, 0.25])
-    # built inverses are exact and never checked
+    # a built inverse passes the same check where it inverts
     ClosedFormCurve([["exp(t)", "0"], ["0", "1"]]).check_inverse([0.25])
 
 
