@@ -23,10 +23,12 @@ Exponential sums expand |V^{-1}|, |V| and |f| once; closed-form curves
 expand |S|, |S^{-1}|, |S'| and |f| at 20 sample times in the span, and a
 coefficient is zero when it is zero at all of them.
 
-The table is kept only if its system matches the numeric transform, the
-direct formula of transform_rhs, within 1e-9 relative at ten points of the
-span; an exponential curve reads A(t) and A(t)^{-1} at all ten from one
-stacked mat_exp.  A closed-form curve's inverse table is checked against
+The table is kept only if its system matches the numeric transform within
+1e-9 relative at ten points of the span.  The numeric transform,
+transform_rhs and validation alike, is one reader, _direct_at: A(t)^{-1}
+is the exact group inverse of an exponential curve, one stacked mat_exp
+over all ten points, and invert_checked(A(t)) for any other curve, never
+the inverse table.  A closed-form curve's inverse table is checked against
 the curve at the same ten times first: a supplied table that fails is an
 input error, and a built one that fails leaves no closed form.
 """
@@ -44,7 +46,10 @@ from . import timexpr as tx
 from ._rk import BLOWUP_NORM, IntegrationError, integrate_dense
 from .identify import NonAutoSystem
 from .matcurve import ClosedFormCurve, ExponentialCurve, MatrixCurve, mat_exp
-from .polyfield import PolyField, lie_bracket, linear_pushforward, pushforward_terms
+from .polyfield import (
+    NearSingularMatrixError, PolyField, invert_checked, lie_bracket, linear_pushforward,
+    pushforward_terms,
+)
 
 __all__ = [
     "NonAutoEvaluator", "FlowMap", "gauge_transform", "transform_rhs",
@@ -124,7 +129,8 @@ def _closed_form_table(f: PolyField, A: ClosedFormCurve, t_span: tuple) -> dict:
     table = symbolic_pushforward(f, A.entries, A.inverse_entries, A._dentries)
     ts = _sample_times(t_span).tolist()
     try:
-        samples = [np.array([fn(t) for t in ts]) for fn in (A.value, A._inverse, A.derivative)]
+        At, Adot = np.array([A.value_and_derivative(t) for t in ts]).transpose(1, 0, 2, 3)
+        samples = (At, np.array([A._inverse(t) for t in ts]), Adot)
     except (tx.EvalError, OverflowError):
         return table
     absf = PolyField(f.dim, {key: abs(c) for key, c in f.terms.items()})
@@ -279,9 +285,9 @@ def _exponential_table(f: PolyField, A: ExponentialCurve) -> dict:
     return {key: e for key, e in coeff.items() if e != zero}
 
 
-def _emit_closed_form(n: int, table: dict, points: list, direct) -> NonAutoSystem:
+def _emit_closed_form(n: int, table: dict, points: list, direct: list) -> NonAutoSystem:
     """The system of a coefficient table, refused unless it matches the
-    direct RHS, direct(k) at points[k], within 1e-9 relative at every
+    direct RHS, direct[k] at points[k], within 1e-9 relative at every
     validation point.  It is read through its table, one row per point, so
     no right-hand side is generated for it here."""
     zero = tx.Lit(0.0)
@@ -294,12 +300,10 @@ def _emit_closed_form(n: int, table: dict, points: list, direct) -> NonAutoSyste
         else:
             const[i] = e
     system = NonAutoSystem(n, const, linear, terms)
-    for k, (t, x) in enumerate(points):
-        # an overflow on either side means no closed form, and non-finite
-        # values are refused below
+    for (t, x), want in zip(points, direct):
+        # an overflow means no closed form, and non-finite values are
+        # refused below
         try:
-            with np.errstate(all="ignore"):
-                want = direct(k)
             vals = system._table(t)
         except OverflowError:
             raise _Refused(f"validation refused at t = {t:g}: overflow") from None
@@ -323,42 +327,35 @@ def _emit_closed_form(n: int, table: dict, points: list, direct) -> NonAutoSyste
 # The transform and its companions
 # ---------------------------------------------------------------------------
 
-def _direct_rhs(f: PolyField, y: np.ndarray, At: np.ndarray, Ainv: np.ndarray,
-                M: np.ndarray | None, Adot: np.ndarray | None) -> np.ndarray:
-    """A'A^{-1} y + A f(A^{-1} y) at one time, from A(t), A(t)^{-1}, and
-    either the generator M = A'A^{-1} of a one-parameter group or A'(t)."""
-    u = Ainv @ y
-    lin = M @ y if M is not None else Adot @ u
-    return lin + At @ f.eval(u)
+def _direct_at(f: PolyField, A: MatrixCurve, points: list) -> list:
+    """A'A^{-1} y + A f(A^{-1} y) at every (t, y) of points, each value the
+    same bit for bit whatever points come with it.  An exponential curve
+    reads A(t) and its exact inverse from one stacked mat_exp over sign t G
+    and -sign t G, A'A^{-1} being sign G; any other curve reads A(t) and
+    A'(t), one table call per time for a closed form, and inverts the stack
+    by one invert_checked, never through an inverse table."""
+    ts = np.array([t for t, _ in points], dtype=float)
+    M = None
+    if isinstance(A, ExponentialCurve):
+        M = A.sign * A.generator
+        At, Ainv = np.split(mat_exp(np.multiply.outer(np.concatenate([ts, -ts]), M)), 2)
+    else:
+        At, Adot = np.array([A.value_and_derivative(t) for t in ts.tolist()]).transpose(1, 0, 2, 3)
+        Ainv = invert_checked(At)
+    out = []
+    for k, (_, y) in enumerate(points):
+        u = Ainv[k] @ y
+        out.append((M @ y if M is not None else Adot[k] @ u) + At[k] @ f.eval(u))
+    return out
 
 
 def transform_rhs(f: PolyField, A: MatrixCurve) -> Callable[[float, np.ndarray], np.ndarray]:
     """The right-hand side y' = A'A^{-1} y + A f(A^{-1} y), evaluated
-    numerically through the curve."""
+    numerically through the curve, with A(t)^{-1} the exact group inverse
+    or invert_checked(A(t))."""
     if f.dim != A.dim:
         raise ValueError(f"field dim {f.dim} does not match curve dim {A.dim}")
-
-    # A'A^{-1} of a one-parameter group is its generator
-    M = A.sign * A.generator if isinstance(A, ExponentialCurve) else None
-
-    def rhs(t: float, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        Ainv = A.inverse(t)
-        Adot = A.derivative(t) if M is None else None
-        return _direct_rhs(f, y, A.value(t), Ainv, M, Adot)
-
-    return rhs
-
-
-def _exponential_direct(f: PolyField, A: ExponentialCurve, points: list):
-    """k -> transform_rhs(f, A) at points[k], with A(t) and A(t)^{-1} at
-    every point read from one stacked mat_exp over sign t G and -sign t G;
-    its slices equal the lone calls bit for bit."""
-    s = A.sign * np.array([t for t, _ in points])
-    with np.errstate(all="ignore"):
-        E = mat_exp(np.multiply.outer(np.concatenate([s, -s]), A.generator))
-    M = A.sign * A.generator
-    return lambda k: _direct_rhs(f, points[k][1], E[k], E[len(points) + k], M, None)
+    return lambda t, y: _direct_at(f, A, [(t, np.asarray(y, dtype=float))])[0]
 
 
 def gauge_transform(f: PolyField, A: MatrixCurve,
@@ -381,17 +378,21 @@ def gauge_transform(f: PolyField, A: MatrixCurve,
             if A._inverse_supplied:
                 raise  # the caller's table is wrong or cannot be evaluated
             return NonAutoEvaluator(f.dim, rhs, reason=str(exc))
+        except OverflowError as exc:  # math.exp in A or A'
+            return NonAutoEvaluator(f.dim, rhs, reason=f"overflow reading the curve: {exc}")
     try:
         if isinstance(A, ExponentialCurve):
-            table, direct = _exponential_table(f, A), _exponential_direct(f, A, points)
+            table = _exponential_table(f, A)
         elif isinstance(A, ClosedFormCurve) and A.inverse_entries is not None:
-            table, direct = _closed_form_table(f, A, t_span), lambda k: rhs(*points[k])
+            table = _closed_form_table(f, A, t_span)
         elif isinstance(A, ClosedFormCurve):
             raise _Refused(f"no inverse table for the {A.dim} x {A.dim} curve")
         else:
             raise _Refused(f"no symbolic entries in a {type(A).__name__}")
+        with np.errstate(all="ignore"):
+            direct = _direct_at(f, A, points)
         return NonAutoEvaluator(f.dim, rhs, _emit_closed_form(f.dim, table, points, direct))
-    except _Refused as exc:
+    except (_Refused, NearSingularMatrixError) as exc:
         return NonAutoEvaluator(f.dim, rhs, reason=str(exc))
 
 

@@ -2,14 +2,17 @@
 
 Also provides the matrix exponential and the linear matrix ODE
 A' = C(t) A - A B that underpins gauge identification.  A closed-form
-curve of n <= 3 inverts by one cofactor rule: A^{-1}[i][j] = cof[j][i] / det,
-each cofactor the signed determinant of a minor of at most 2 x 2.
+curve reads A and A' from one compiled table and A'' from its Taylor
+column 1, as a flow reads C and C'.  A(t)^{-1} is exp(-sign t G) for an
+exponential curve and invert_checked(A(t)) for every other.  A closed-form
+curve of n <= 3 also has an inverse table, for emission alone, by one
+cofactor rule: A^{-1}[i][j] = cof[j][i] / det, each cofactor the signed
+determinant of a minor of at most 2 x 2.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -113,8 +116,9 @@ def mat_exp(M) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class MatrixCurve:
-    """A(t) in GL(n, R).  Subclasses implement value/derivative; inverse and
-    second derivative have generic fallbacks."""
+    """A(t) in GL(n, R).  Subclasses implement value, derivative and, where
+    they can, second_derivative; the inverse is invert_checked of the value
+    unless a subclass knows it exactly."""
 
     dim: int
 
@@ -124,23 +128,25 @@ class MatrixCurve:
     def derivative(self, t: float) -> np.ndarray:
         raise NotImplementedError
 
+    def value_and_derivative(self, t: float) -> np.ndarray:
+        """A(t) and A'(t) as one (2, n, n) stack."""
+        return np.stack((self.value(t), self.derivative(t)))
+
     def second_derivative(self, t: float) -> np.ndarray:
-        h = 1e-6
-        return (self.derivative(t + h) - self.derivative(t - h)) / (2 * h)
+        raise NotImplementedError(f"no second derivative for a {type(self).__name__}")
 
     def inverse(self, t: float) -> np.ndarray:
         return invert_checked(self.value(t))
 
 
-def _diff_entries(entries):
-    return [[tx.diff_expr(e) for e in row] for row in entries]
+def _matrices(values, n: int) -> np.ndarray:
+    """A compiled table's values as a stack of n x n matrices."""
+    return np.array(values).reshape(-1, n, n)
 
 
-def _table_of(entries):
-    """The entries compiled as one table: t -> n x n array."""
-    n = len(entries)
-    table = tx.compile_table([e for row in entries for e in row])
-    return lambda t: np.array(table(t)).reshape(n, n)
+def _compiled(*tables):
+    """One compile_table over the entries of n x n tables, row by row."""
+    return tx.compile_table([e for table in tables for row in table for e in row])
 
 
 def _small_det(m):
@@ -171,14 +177,17 @@ def _adjugate_inverse(entries):
 
 
 class ClosedFormCurve(MatrixCurve):
-    """Curve with TimeExpr entries; derivative is exact.
+    """Curve with TimeExpr entries; derivatives are exact.
 
-    If no inverse table is supplied, one is built symbolically for n <= 3:
+    The entries and their derivatives compile as one table, read for A(t)
+    and A'(t), and for A''(t) through its Taylor column 1.  The inverse
+    table, supplied or built, serves closed-form emission alone; inverse(t)
+    is invert_checked(A(t)).  If none is supplied, one is built for n <= 3:
     entry [i][j] is cofactor [j][i] over the determinant, each cofactor
     (-1)^(i+j) times the determinant of a minor of at most 2 x 2.  Larger
-    curves invert numerically per t, and so does a curve whose determinant
-    folds to the literal 0 although A(0) passes the singular-value check:
-    its products underflowed, as for a diagonal of 1e-162.
+    curves have none, and neither has a curve whose determinant folds to the
+    literal 0 although A(0) passes the singular-value check: its products
+    underflowed, as for a diagonal of 1e-162.
     """
 
     def __init__(self, entries, inverse_entries=None):
@@ -186,9 +195,8 @@ class ClosedFormCurve(MatrixCurve):
         self.dim = len(self.entries)
         if not self.dim or any(len(row) != self.dim for row in self.entries):
             raise ValueError("entries must form a square table")
-        self._dentries = _diff_entries(self.entries)
-        self._value = _table_of(self.entries)
-        self._derivative = _table_of(self._dentries)
+        self._dentries = [[tx.diff_expr(e) for e in row] for row in self.entries]
+        self._table = _compiled(self.entries, self._dentries)
         self._inverse_supplied = inverse_entries is not None
         if inverse_entries is not None:
             self.inverse_entries = [[tx.as_expr(e) for e in row] for row in inverse_entries]
@@ -201,22 +209,25 @@ class ClosedFormCurve(MatrixCurve):
                 self.inverse_entries = _adjugate_inverse(self.entries) if self.dim <= 3 else None
             except ZeroDivisionError:  # the determinant underflowed to the literal 0
                 self.inverse_entries = None
-        self._inverse = (_table_of(self.inverse_entries)
-                         if self.inverse_entries is not None else None)
+        self._inverse = None
+        if self.inverse_entries is not None:
+            table = _compiled(self.inverse_entries)
+            self._inverse = lambda t: _matrices(table(t), self.dim)[0]
         if inverse_entries is not None:
             # a first check of a supplied inverse table; gauge_transform
             # checks it again over the span it is asked for
             for t in (0.0, 0.5, 1.0):
                 try:
                     self.check_inverse([t])
-                except tx.EvalError:
-                    pass  # a pole here may lie outside the span of any use
+                except (tx.EvalError, OverflowError):
+                    pass  # a pole or overflow here may lie outside the span of any use
 
     def check_inverse(self, ts) -> None:
         """Raise ValueError at the first t in ts where the inverse table,
         supplied or built, fails A(t) A^{-1}(t) = I by more than 1e-8, a
         non-finite product failing too (EvalError where it cannot be
-        evaluated).  The message says which kind of table failed."""
+        evaluated, OverflowError where exp overflows).  The message says
+        which kind of table failed."""
         if self._inverse is None:
             return
         for t in ts:
@@ -226,26 +237,18 @@ class ClosedFormCurve(MatrixCurve):
                 kind = "supplied" if self._inverse_supplied else "built"
                 raise ValueError(f"{kind} inverse table does not invert the curve at t={t}")
 
+    def value_and_derivative(self, t: float) -> np.ndarray:
+        return _matrices(self._table(t), self.dim)
+
     def value(self, t: float) -> np.ndarray:
-        return self._value(t)
+        return _matrices(self._table(t), self.dim)[0]
 
     def derivative(self, t: float) -> np.ndarray:
-        return self._derivative(t)
-
-    @cached_property
-    def _second_derivative(self):
-        return _table_of(_diff_entries(self._dentries))
+        return _matrices(self._table(t), self.dim)[1]
 
     def second_derivative(self, t: float) -> np.ndarray:
-        return self._second_derivative(t)
-
-    def inverse(self, t: float) -> np.ndarray:
-        if self._inverse is not None:
-            try:
-                return self._inverse(t)
-            except tx.EvalError as exc:
-                raise NearSingularMatrixError(str(exc)) from exc
-        return invert_checked(self.value(t))
+        # column 1 holds the first Taylor coefficients, A' then A''
+        return _matrices(self._table.taylor(t, 1)[1], self.dim)[1]
 
 
 class ExponentialCurve(MatrixCurve):
@@ -286,21 +289,22 @@ class FlowCurve(MatrixCurve):
     """
 
     def __init__(self, C, B, A0, t_span=(0.0, 1.0), tol: float = TOL):
-        self.C_entries = ([[tx.as_expr(e) for e in row] for row in C]
-                          if C is not None and not callable(C) else None)
         self.B = np.asarray(B, dtype=float)
         self.A0 = np.asarray(A0, dtype=float)
         self.dim = self.A0.shape[0]
         if self.B.shape != (self.dim, self.dim) or self.A0.shape != (self.dim, self.dim):
             raise ValueError("B and A0 must be square matrices of the same dimension")
-        if self.C_entries is not None and (
-                len(self.C_entries) != self.dim
-                or any(len(r) != self.dim for r in self.C_entries)):
-            raise ValueError("C table must match the curve dimension")
+        # an expression table compiles once; its Taylor column 1 is C'
+        self._table = None
+        self._C = C or (lambda t: None)
+        if C is not None and not callable(C):
+            C = [[tx.as_expr(e) for e in row] for row in C]
+            if len(C) != self.dim or any(len(r) != self.dim for r in C):
+                raise ValueError("C table must match the curve dimension")
+            table = self._table = _compiled(C)
+            self._C = lambda t: _matrices(table(t), len(C))[0]
         check_invertible(self.A0)
         self.tol = float(tol)
-        self._C = (_table_of(self.C_entries) if self.C_entries is not None
-                   else C or (lambda t: None))
         self.span = (float(min(*t_span, 0.0)), float(max(*t_span, 0.0)))
         self.legs = tuple(integrate_dense(self._rhs, 0.0, end, self.A0.ravel(), tol=self.tol)
                           for end in self.span[::-1] if end != 0.0)
@@ -337,17 +341,13 @@ class FlowCurve(MatrixCurve):
         A = self.value(t)
         dA = self.derivative(t)
         out = -dA @ self.B
-        C = self._C(t)
-        if C is not None:
-            if self.C_entries is None:
-                raise ValueError("a flow's second derivative needs C(t) as an expression table")
+        if self._table is not None:
+            C, dC = _matrices(self._table.taylor(t, 1), self.dim)
             out = out + C @ dA
-            out = out + self._dC(t) @ A
+            out = out + dC @ A
+        elif self._C(t) is not None:
+            raise ValueError("a flow's second derivative needs C(t) as an expression table")
         return out
-
-    @cached_property
-    def _dC(self):
-        return _table_of(_diff_entries(self.C_entries))
 
     def assert_invertible_on_span(self):
         """Determinant must keep its sign at every step start and end of each leg."""
@@ -371,10 +371,6 @@ class LiftedCurve(MatrixCurve):
 
     def derivative(self, t: float) -> np.ndarray:
         return _lift(self.base.derivative(t), self.base.second_derivative(t))
-
-    def inverse(self, t: float) -> np.ndarray:
-        Ainv = self.base.inverse(t)
-        return _lift(Ainv, -Ainv @ self.base.derivative(t) @ Ainv)
 
 
 def _lift(X, Y) -> np.ndarray:

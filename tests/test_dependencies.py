@@ -10,7 +10,10 @@ any depth passes through all of them; the one exception is `cli.dumps`,
 whose depth is the nesting of the JSON it writes.  Calls through another
 object's attribute (`self.base.value`) and through operators are not
 followed.  Every name that a module of the package exports in `__all__`
-resolves, so that a deletion leaves no stale export behind."""
+resolves, so that a deletion leaves no stale export behind.  A closed-form
+curve's inverse table, `_inverse`, is used only by `ClosedFormCurve` and by
+closed-form emission, `gauge._closed_form_table`: no numeric inverse, and no
+direct right-hand side that validation compares against, reads it."""
 
 import ast
 import importlib
@@ -223,3 +226,28 @@ def test_every_exported_name_resolves(path):
         "gaugekit" if path.stem == "__init__" else f"gaugekit.{path.stem}")
     assert module.__all__
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def _inverse_table_uses(path: Path) -> set:
+    """The module-level class or function ("mod.name", "mod." for other
+    module-level code) around every `._inverse` attribute in `path`."""
+    found = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        name = top.name if isinstance(top, (*_FUNCS, ast.ClassDef)) else ""
+        if any(isinstance(n, ast.Attribute) and n.attr == "_inverse" for n in ast.walk(top)):
+            found.add(f"{path.stem}.{name}")
+    return found
+
+
+def test_only_closed_form_emission_reads_the_inverse_table():
+    uses = set().union(*(_inverse_table_uses(path) for path in SOURCES))
+    assert uses == {"matcurve.ClosedFormCurve", "gauge._closed_form_table"}
+
+
+def test_the_guard_sees_a_direct_rhs_read_the_inverse_table(tmp_path):
+    source = (ROOT / "src" / "gaugekit" / "gauge.py").read_text(encoding="utf-8")
+    anchor = "    return lambda t, y: _direct_at("
+    assert source.count(anchor) == 1
+    probe = tmp_path / "gauge.py"
+    probe.write_text(source.replace(anchor, "    A._inverse(0.0)\n" + anchor))
+    assert _inverse_table_uses(probe) == {"gauge._closed_form_table", "gauge.transform_rhs"}

@@ -81,6 +81,18 @@ def test_a_built_inverse_that_fails_leaves_no_closed_form():
     assert ev.reason.startswith("near-zero denominator at t=0.")
 
 
+@pytest.mark.parametrize("entry, want", [("1e160*exp(t)", [2.0, -2.0]), ("1e160", [1.0, -2.0])])
+def test_the_direct_rhs_inverts_the_curve_not_a_refused_table(entry, want):
+    # the determinant folds to inf and every built inverse entry to 0, so
+    # the table is refused; the direct RHS inverts A(t) itself and still
+    # gives A'A^{-1} y + A f(A^{-1} y) = diag(1 + e', -1) y
+    f = PolyField(2, {(0, (1, 0)): 1.0, (1, (0, 1)): -1.0})
+    ev = gauge_transform(f, ClosedFormCurve([[entry, "0"], ["0", "1e160"]]))
+    assert ev.closed_form is None
+    assert re.fullmatch(r"built inverse table does not invert the curve at t=0\.\d+", ev.reason)
+    assert np.max(np.abs(ev.rhs(0.5, [1.0, 2.0]) - want)) <= 1e-14
+
+
 def test_closed_form_refused_where_the_direct_rhs_is_not_finite():
     # exp(1000 t) overflows from t ~ 0.71, where the direct RHS is NaN; the
     # candidate y' = 1000 y + exp(-1000 t) y^2 is NaN there too, and a NaN
@@ -206,7 +218,7 @@ def test_validation_names_a_mismatch():
     with pytest.raises(gauge._Refused, match=r"^validation refused at t = 0\.623266: "
                                              r"mismatch \S+ relative to the direct RHS$"):
         gauge._emit_closed_form(1, {(0, (2,)): tx.Lit(1.0)}, points,
-                                lambda k: 1.001 * points[k][1] ** 2)
+                                [1.001 * y ** 2 for _, y in points])
 
 
 def test_flow_curve_has_no_closed_form():
@@ -526,23 +538,23 @@ def test_a_transform_generates_no_right_hand_side(monkeypatch):
 
 
 def test_transform_rhs_evaluates_two_exponentials(monkeypatch):
-    # A'A^{-1} of exp(sign t G) is sign G: one call reads exp(-sign t G)
-    # and exp(sign t G) only
-    from gaugekit import matcurve
+    # A'A^{-1} of exp(sign t G) is sign G: one call reads exp(sign t G) and
+    # exp(-sign t G) only, as one stack of two
+    from gaugekit import gauge
     from gaugekit.gauge import transform_rhs
-    real = matcurve.mat_exp
-    calls = []
+    real = gauge.mat_exp
+    shapes = []
 
     def counting(M):
-        calls.append(M)
+        shapes.append(np.shape(M))
         return real(M)
 
-    monkeypatch.setattr(matcurve, "mat_exp", counting)
+    monkeypatch.setattr(gauge, "mat_exp", counting)
     G = np.array([[0.5, -0.4], [0.4, 0.1]])
     rhs = transform_rhs(p2_field(), ExponentialCurve(G, -1))
     y = np.array([0.3, -0.6])
     got = rhs(0.7, y)
-    assert len(calls) == 2
+    assert shapes == [(2, 2, 2)]
     A, Ainv = real(-0.7 * G), real(0.7 * G)
     want = -G @ y + A @ p2_field().eval(Ainv @ y)
     assert np.max(np.abs(got - want)) <= 1e-14
@@ -550,36 +562,41 @@ def test_transform_rhs_evaluates_two_exponentials(monkeypatch):
 
 def test_validation_reads_one_stacked_exponential(monkeypatch):
     # the ten points' A(t) and A(t)^{-1} come from one mat_exp over a stack
-    # of 20 matrices, and the direct values it compares against are
-    # transform_rhs's at the same points, bit for bit
+    # of 20 matrices for an exponential curve, and from no mat_exp for a
+    # closed form; either way the direct values validation compares against
+    # are transform_rhs's at the same points, bit for bit
     from gaugekit import gauge, matcurve
     from gaugekit.gauge import transform_rhs
-    real_exp, real_direct = matcurve.mat_exp, gauge._direct_rhs
+    real_exp, real_direct = matcurve.mat_exp, gauge._direct_at
     shapes, direct = [], []
 
     def counting(M):
         shapes.append(np.shape(M))
         return real_exp(M)
 
-    def recording(*args):
-        direct.append(real_direct(*args))
+    def recording(f, A, points):
+        direct.append(real_direct(f, A, points))
         return direct[-1]
 
     for module in (gauge, matcurve):
         monkeypatch.setattr(module, "mat_exp", counting)
-    monkeypatch.setattr(gauge, "_direct_rhs", recording)
-    f = random_field(np.random.default_rng(6), 3, [0, 1, 2, 3])
-    for sign, span in ((-1, (0.0, 1.0)), (1, (-1.5, 0.5))):
-        A = ExponentialCurve(_random_generator(np.random.default_rng(7), 3, "complex"), sign)
+    monkeypatch.setattr(gauge, "_direct_at", recording)
+    f3 = random_field(np.random.default_rng(6), 3, [0, 1, 2, 3])
+    f2 = random_field(np.random.default_rng(6), 2, [0, 1, 2, 3])
+    G = _random_generator(np.random.default_rng(7), 3, "complex")
+    for f, A, span, stacks in (
+            (f3, ExponentialCurve(G, -1), (0.0, 1.0), [(20, 3, 3)]),
+            (f3, ExponentialCurve(G, 1), (-1.5, 0.5), [(20, 3, 3)]),
+            (f2, rotation_curve("t + 0.5*t^2"), (-1.0, 1.0), [])):
         shapes.clear()
         direct.clear()
         assert gauge_transform(f, A, span).closed_form is not None
-        assert shapes == [(20, 3, 3)]
-        validated = list(direct)
+        assert shapes == stacks
+        assert len(direct) == 1
         rhs = transform_rhs(f, A)
-        points = gauge._validation_points(3, span)
-        assert len(validated) == len(points) == 10
-        for got, (t, y) in zip(validated, points):
+        points = gauge._validation_points(f.dim, span)
+        assert len(direct[0]) == len(points) == 10
+        for got, (t, y) in zip(direct[0], points):
             assert got.tobytes() == rhs(t, y).tobytes()
 
 
@@ -604,11 +621,13 @@ def test_an_overflowing_closed_form_is_refused(tmp_path, capsys):
 
 
 def test_an_overflowing_direct_rhs_is_no_closed_form():
-    # the curve's derivative folds to exp(1000 t), so the direct RHS itself
-    # overflows math.exp from t ~ 0.71 during validation
+    # the curve's derivative folds to exp(1000 t), which overflows math.exp
+    # from t ~ 0.71: the curve's one table, and with it the direct RHS,
+    # cannot be read there during validation
     f = PolyField(1, {(0, (1,)): -1000.0, (0, (2,)): 1.0})
     ev = gauge_transform(f, ClosedFormCurve([["exp(700*t)*exp(300*t)"]]))
     assert ev.closed_form is None
+    assert ev.reason == "overflow reading the curve: math range error"
 
 
 def _random_generator(rng, n: int, spectrum: str) -> np.ndarray:

@@ -12,7 +12,7 @@ from gaugekit.matcurve import (
     _adjugate_inverse, _pade_order, curve_from_dict, curve_to_dict, mat_exp, second_order_lift,
     solve_gauge_ode,
 )
-from gaugekit.polyfield import NearSingularMatrixError
+from gaugekit.polyfield import NearSingularMatrixError, invert_checked
 
 import oracles
 from conftest import random_time_expr
@@ -174,6 +174,26 @@ def test_closed_form_derivative_of_a_quotient_near_its_pole():
     assert A.second_derivative(t)[1, 1] == pytest.approx(1.6e13, rel=1e-6)
 
 
+def _read(table, t: float) -> np.ndarray:
+    """An n x n table of TimeExprs read by eval_expr at t."""
+    return np.array([[tx.eval_expr(e, t) for e in row] for row in table])
+
+
+@pytest.mark.parametrize("entries, times", [
+    (rotation_entries("t + 0.5*t^2"), (-1.3, 0.0, 0.7)),
+    ([["2 + exp(0.3*t)*t^3*(1/(2 + sin(t)))", "t"], ["1", "exp(-t)"]], (-0.8, 0.4, 1.9)),
+    ([["1", "0"], ["0", "1 + 1e-9/(t - 0.5)"]], (0.50000005, -0.2)),
+], ids=["rotation", "exp-cube-quotient", "near-pole"])
+def test_closed_form_second_derivative_is_the_symbolic_one(entries, times):
+    # A'' is Taylor column 1 of the A' part of the curve's one table, within
+    # 1e-12 of two diff_expr passes read by eval_expr
+    A = ClosedFormCurve(entries)
+    second = [[tx.diff_expr(tx.diff_expr(e)) for e in row] for row in A.entries]
+    for t in times:
+        want = _read(second, t)
+        assert np.max(np.abs(A.second_derivative(t) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("make", [
     lambda: ExponentialCurve(np.array([[0.2, -1.1], [0.6, -0.3]]), -1),
     lambda: ClosedFormCurve(rotation_entries("t + 0.5*t^2")),
@@ -190,12 +210,42 @@ def test_inverse_derivative_identity(make):
         assert np.max(np.abs(fd - expected)) <= 1e-6
 
 
-def test_closed_form_explicit_inverse_used():
+def test_closed_form_with_a_supplied_inverse_inverts_numerically():
+    # the supplied table serves emission alone: inverse(t) inverts A(t)
     th = "t"
     inv = [["cos(t)", "sin(t)"], ["-sin(t)", "cos(t)"]]
     A = ClosedFormCurve(rotation_entries(th), inv)
     for t in np.linspace(0, 1, 7):
+        assert np.array_equal(A.inverse(t), invert_checked(A.value(t)))
         assert np.max(np.abs(A.value(t) @ A.inverse(t) - np.eye(2))) <= 1e-10
+
+
+def test_a_curve_compiles_one_table(monkeypatch):
+    # a closed form compiles its entries with their derivatives as one table
+    # and its inverse table as a second; a flow compiles its C once; A''
+    # and C' come from those tables' Taylor columns, compiling nothing
+    real, calls = tx.compile_table, []
+
+    def counting(exprs, numbering=None):
+        exprs = list(exprs)
+        calls.append(len(exprs))
+        return real(exprs, numbering)
+
+    monkeypatch.setattr(tx, "compile_table", counting)
+    A = ClosedFormCurve(rotation_entries("t"), [["cos(t)", "sin(t)"], ["-sin(t)", "cos(t)"]])
+    assert calls == [8, 4]
+    calls.clear()
+    assert ClosedFormCurve([["1+t", "t"], ["0", "2"]]).inverse_entries is not None
+    assert calls == [8, 4]
+    calls.clear()
+    A.second_derivative(0.3)
+    assert calls == []
+    F = solve_gauge_ode([["sin(t)", "t^2"], ["exp(-t)", "cos(2*t)"]],
+                        np.array([[0.2, 0.0], [0.1, -0.4]]), np.eye(2))
+    assert calls == [4]
+    calls.clear()
+    F.second_derivative(0.3)
+    assert calls == []
 
 
 def test_closed_form_adjugate_inverse_n2_n3():
@@ -417,6 +467,22 @@ def test_gauge_ode_second_derivative_matches_difference_of_derivative():
         assert np.max(np.abs(A.second_derivative(t) - fd)) <= 1e-6
 
 
+def test_gauge_ode_second_derivative_reads_the_symbolic_C_prime():
+    # C' is Taylor column 1 of the flow's C table: A'' = -A' B + C A' + C' A
+    # within 1e-12 of C' by one diff_expr pass read by eval_expr
+    C = [[tx.parse_expr(e) for e in row] for row in
+         [["exp(0.3*t)*t^3*(1/(2 + sin(t)))", "sin(t)"], ["t^2", "cos(2*t)"]]]
+    B = np.array([[0.2, 0.0], [0.1, -0.4]])
+    A = solve_gauge_ode(C, B, np.eye(2), t_span=(-1.0, 1.0))
+    dC = [[tx.diff_expr(e) for e in row] for row in C]
+    for t in (-0.9, -0.3, 0.6):
+        At, dA = A.value(t), A.derivative(t)
+        want = -dA @ B
+        want = want + _read(C, t) @ dA
+        want = want + _read(dC, t) @ At
+        assert np.max(np.abs(A.second_derivative(t) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_gauge_ode_with_C_as_a_callable():
     # C(t) read through a compiled system table gives the flow of its
     # expression table bit for bit; its second derivative needs the table
@@ -516,6 +582,14 @@ def test_lift_inverse_and_derivative():
         assert np.max(np.abs(L.value(t) @ L.inverse(t) - np.eye(4))) <= 1e-12
         fd = (L.value(t + h) - L.value(t - h)) / (2 * h)
         assert np.max(np.abs(fd - L.derivative(t))) <= 1e-6
+
+
+def test_a_lift_of_a_lift_has_no_derivative():
+    # a lift has no second derivative, so its own lift has no derivative
+    L = second_order_lift(second_order_lift(ClosedFormCurve(rotation_entries("t"))))
+    L.value(0.3)
+    with pytest.raises(NotImplementedError, match="no second derivative for a LiftedCurve"):
+        L.derivative(0.3)
 
 
 # ---------------------------------------------------------------------------
