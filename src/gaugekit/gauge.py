@@ -21,7 +21,9 @@ at most _ZERO_RTOL = 1e-12 times the same expansion run on absolute values,
 which bounds the terms summed into it (the running error bound of a sum).
 Exponential sums expand |V^{-1}|, |V| and |f| once; closed-form curves
 expand |S|, |S^{-1}|, |S'| and |f| at 20 sample times in the span, and a
-coefficient is zero when it is zero at all of them.
+coefficient is zero when it is zero at all of them.  If every coefficient
+of a nonzero degree-j part of f, j != 1, is dropped, there is no closed
+form: an invertible S never zeroes that part, so its products underflowed.
 
 The table is kept only if its system matches the numeric transform within
 1e-9 relative at ten points of the span.  The numeric transform,
@@ -389,6 +391,10 @@ def gauge_transform(f: PolyField, A: MatrixCurve,
             raise _Refused(f"no inverse table for the {A.dim} x {A.dim} curve")
         else:
             raise _Refused(f"no symbolic entries in a {type(A).__name__}")
+        for j in f.degrees():
+            if j != 1 and not any(sum(exps) == j for _, exps in table):
+                raise _Refused(f"underflow: every degree-{j} coefficient was dropped, "
+                               f"although f has a degree-{j} part")
         with np.errstate(all="ignore"):
             direct = _direct_at(f, A, points)
         return NonAutoEvaluator(f.dim, rhs, _emit_closed_form(f.dim, table, points, direct))

@@ -140,11 +140,6 @@ class NonAutoSystem:
     def constant_at(self, t: float) -> np.ndarray:
         return self._split([self._table(t)])[0][0]
 
-    def linear_at(self, t: float) -> np.ndarray:
-        """C(t): the flow's right-hand side reads it, so a direct slice."""
-        n = self.dim
-        return np.array(self._table(t)[n:n + n * n]).reshape(n, n)
-
     def degree_part_at(self, t: float, j: int) -> PolyField:
         keys, vals = self._split([self._table(t)])[2].get(j, ([], [[]]))
         return PolyField(self.dim, dict(zip(keys, vals[0])))
@@ -353,7 +348,7 @@ class _GridTables:
 
     def __init__(self, q: NonAutoSystem, ts: np.ndarray):
         self.ts = np.asarray(ts, dtype=float)
-        self._linear_at, self._T = q.linear_at, None
+        self._C_columns, self._T = (q._table, q.dim), None
         self.c, self.C, terms = q._split([q._table(t) for t in self.ts])
         self.keys = {j: _degree_keys(q.dim, j) for j in terms}
         zero = np.zeros(len(self.ts))
@@ -375,12 +370,12 @@ class _GridTables:
     def fundamental(self) -> np.ndarray | None:
         """T(t_k) for T' = C(t) T, T(0) = I, as a (K, n, n) stack; None when C
         vanishes on the grid.  One flow over the grid's span, integrated on
-        the first call, which reads C(t) through q's own compiled table.  Its
-        determinant keeps its sign there, and so does that of every
-        A = T exp(-tB), as det A = det T exp(-t tr B)."""
+        the first call, whose generated right-hand side reads C(t) from q's
+        own compiled table.  Its determinant keeps its sign there, and so
+        does that of every A = T exp(-tB), as det A = det T exp(-t tr B)."""
         if self._T is None and self.linear_max > 0.0:
             n = self.C.shape[-1]
-            curve = solve_gauge_ode(self._linear_at, np.zeros((n, n)), np.eye(n),
+            curve = solve_gauge_ode(self._C_columns, np.zeros((n, n)), np.eye(n),
                                     t_span=(float(self.ts.min()), float(self.ts.max())))
             curve.assert_invertible_on_span()
             self._T = curve.sample(self.ts)

@@ -1,13 +1,13 @@
 """Invertible matrix curves A(t): closed-form, one-parameter exponential, and ODE flows.
 
 Also provides the matrix exponential and the linear matrix ODE
-A' = C(t) A - A B that underpins gauge identification.  A closed-form
-curve reads A and A' from one compiled table and A'' from its Taylor
-column 1, as a flow reads C and C'.  A(t)^{-1} is exp(-sign t G) for an
-exponential curve and invert_checked(A(t)) for every other.  A closed-form
-curve of n <= 3 also has an inverse table, for emission alone, by one
-cofactor rule: A^{-1}[i][j] = cof[j][i] / det, each cofactor the signed
-determinant of a minor of at most 2 x 2.
+A' = C(t) A - A B, one generated right-hand side, that underpins gauge
+identification.  A closed-form curve reads A and A' from one compiled table
+and A'' from its Taylor column 1, as a flow reads C'.  A(t)^{-1} is
+exp(-sign t G) for an exponential curve and invert_checked(A(t)) for every
+other.  A closed-form curve of n <= 3 also has an inverse table, for
+emission alone, by one cofactor rule: A^{-1}[i][j] = cof[j][i] / det, each
+cofactor the signed determinant of a minor of at most 2 x 2.
 """
 
 from __future__ import annotations
@@ -282,40 +282,38 @@ class ExponentialCurve(MatrixCurve):
 class FlowCurve(MatrixCurve):
     """Solution of A' = C(t) A - A B, A(0) = A0, via dense-output integration.
 
-    C is as for solve_gauge_ode.  The flow integrates its span [min(t0, 0),
-    max(t1, 0)] once, on construction: one leg forward from 0 and one
-    backward, a leg of length zero skipped.  It never integrates again: a
-    read outside that span raises IntegrationError.
+    C is as for solve_gauge_ode, and A' one compile_rhs function: entry
+    (i, j) sums -B[k][j] A[i][k], then C[i][k] A[k][j], over k.  The flow
+    integrates its span [min(t0, 0), max(t1, 0)] once, on construction, one
+    leg each way from 0, a leg of length zero skipped.  A read outside that
+    span raises IntegrationError.
     """
 
     def __init__(self, C, B, A0, t_span=(0.0, 1.0), tol: float = TOL):
         self.B = np.asarray(B, dtype=float)
         self.A0 = np.asarray(A0, dtype=float)
-        self.dim = self.A0.shape[0]
-        if self.B.shape != (self.dim, self.dim) or self.A0.shape != (self.dim, self.dim):
+        n = self.dim = self.A0.shape[0]
+        if self.B.shape != (n, n) or self.A0.shape != (n, n):
             raise ValueError("B and A0 must be square matrices of the same dimension")
-        # an expression table compiles once; its Taylor column 1 is C'
-        self._table = None
-        self._C = C or (lambda t: None)
-        if C is not None and not callable(C):
+        if callable(C):
+            raise TypeError("C must be an n x n expression table, a (compile_table "
+                            "callable, column) pair, or None")
+        if C is not None and not (isinstance(C, tuple) and callable(C[0])):
             C = [[tx.as_expr(e) for e in row] for row in C]
-            if len(C) != self.dim or any(len(r) != self.dim for r in C):
+            if len(C) != n or any(len(r) != n for r in C):
                 raise ValueError("C table must match the curve dimension")
-            table = self._table = _compiled(C)
-            self._C = lambda t: _matrices(table(t), len(C))[0]
+            C = (_compiled(C), 0)
+        self._table, self._col = C or (None, 0)
+        ijk = list(np.ndindex(n, n, n))
+        terms = [(i * n + j, -float(self.B[k, j]), ((i * n + k, 1),)) for i, j, k in ijk]
+        if C is not None:
+            terms += [(i * n + j, self._col + i * n + k, ((k * n + j, 1),)) for i, j, k in ijk]
+        self._rhs = tx.compile_rhs(n * n, terms, self._table)
         check_invertible(self.A0)
         self.tol = float(tol)
         self.span = (float(min(*t_span, 0.0)), float(max(*t_span, 0.0)))
         self.legs = tuple(integrate_dense(self._rhs, 0.0, end, self.A0.ravel(), tol=self.tol)
                           for end in self.span[::-1] if end != 0.0)
-
-    def _rhs(self, t: float, a) -> list:
-        A = np.asarray(a).reshape(self.dim, self.dim)
-        C = self._C(t)
-        dA = -A @ self.B
-        if C is not None:
-            dA = dA + C @ A
-        return dA.ravel().tolist()
 
     def value(self, t: float) -> np.ndarray:
         return self.sample([t])[0]
@@ -334,19 +332,24 @@ class FlowCurve(MatrixCurve):
                 out[mask] = leg.sample(ts[mask]).reshape(-1, self.dim, self.dim)
         return out
 
+    def _dot(self, t: float, A: np.ndarray) -> np.ndarray:
+        """C(t) A - A B through the generated right-hand side."""
+        return np.reshape(self._rhs(t, A.ravel().tolist()), (self.dim, self.dim))
+
+    def value_and_derivative(self, t: float) -> np.ndarray:
+        A = self.value(t)
+        return np.stack((A, self._dot(t, A)))
+
     def derivative(self, t: float) -> np.ndarray:
-        return np.reshape(self._rhs(t, self.value(t).ravel()), (self.dim, self.dim))
+        return self._dot(t, self.value(t))
 
     def second_derivative(self, t: float) -> np.ndarray:
-        A = self.value(t)
-        dA = self.derivative(t)
-        out = -dA @ self.B
+        # A'' = C A' - A' B + C' A, C' from the table's Taylor column 1
+        A, dA = self.value_and_derivative(t)
+        out = self._dot(t, dA)
         if self._table is not None:
-            C, dC = _matrices(self._table.taylor(t, 1), self.dim)
-            out = out + C @ dA
-            out = out + dC @ A
-        elif self._C(t) is not None:
-            raise ValueError("a flow's second derivative needs C(t) as an expression table")
+            dC = self._table.taylor(t, 1)[1][self._col:self._col + self.dim ** 2]
+            out = out + np.reshape(dC, A.shape) @ A
         return out
 
     def assert_invertible_on_span(self):
@@ -387,8 +390,9 @@ def solve_gauge_ode(C, B, A0, t_span=(0.0, 1.0), tol: float = TOL) -> FlowCurve:
     """Solve A' = C(t) A - A B with A(0) = A0 over t_span.
 
     C is an n x n table of TimeExpr (or expression strings), compiled for
-    the flow; a callable t -> n x n array, such as a system's linear_at,
-    which reads its own compiled table; or None for C identically zero.
+    the flow; a pair (table, col) of a compile_table callable and the column
+    of C's n^2 entries, row by row, such as a system's (_table, dim); or
+    None for C identically zero.
     """
     return FlowCurve(C, B, A0, t_span=t_span, tol=tol)
 

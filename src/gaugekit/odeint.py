@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,20 +89,27 @@ def verify_correspondence(f: PolyField, A: MatrixCurve, x0, t_span=(0.0, 1.0)) -
     Integrates z' = f(z) from x0 and w' = f*(t, w) from A(0) x0 (the
     transform's numeric right-hand side; no closed form is emitted), both at
     tolerance TOL, then returns max_t ||w(t) - A(t) z(t)|| / (1 + ||A(t) z(t)||)
-    over _COMPARE_POINTS equispaced dense samples.  If either trajectory
-    blows up, the comparison interval is truncated to the span both
-    trajectories reached.  A NaN deviation (a non-finite x0 gives one) is
-    returned as NaN, so it fails every tolerance.
+    over _COMPARE_POINTS equispaced dense samples.  If both trajectories
+    blow up, the comparison interval is truncated to the span both reached;
+    if only one does, there is nothing to compare it with, and the deviation
+    is NaN.  It is NaN too where a norm is not finite (a non-finite x0, or
+    A(t) z(t) past the float range), so it fails every tolerance.
     """
     x0 = np.asarray(x0, dtype=float)
     t0, t1 = float(t_span[0]), float(t_span[1])
     fstar = transform_rhs(f, A)
     sol_z = integrate_dense(f.rhs(), t0, t1, x0, blowup_norm=BLOWUP_NORM)
     sol_w = integrate_dense(fstar, t0, t1, A.value(t0) @ x0, blowup_norm=BLOWUP_NORM)
+    if sol_z.status != sol_w.status:
+        return math.nan
     t_hi = min(sol_z.t_end, sol_w.t_end) if t1 > t0 else max(sol_z.t_end, sol_w.t_end)
     ts = np.linspace(t0, t_hi, _COMPARE_POINTS)
     devs = []
-    for t, z, w in zip(ts.tolist(), sol_z.sample(ts), sol_w.sample(ts)):
-        ref = A.value(t) @ z
-        devs.append(np.linalg.norm(w - ref) / (1.0 + np.linalg.norm(ref)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, z, w in zip(ts.tolist(), sol_z.sample(ts), sol_w.sample(ts)):
+            ref = A.value(t) @ z
+            gap, size = np.linalg.norm(w - ref), np.linalg.norm(ref)
+            if not (math.isfinite(gap) and math.isfinite(size)):
+                return math.nan
+            devs.append(gap / (1.0 + size))
     return float(np.max(devs))

@@ -11,7 +11,7 @@ from gaugekit.cli import dumps, main
 from gaugekit.identify import NonAutoSystem
 from gaugekit.matcurve import curve_from_dict, curve_to_dict
 from gaugekit.polyfield import PolyField, field_from_dict, field_to_dict
-from gaugekit.timexpr import format_expr
+from gaugekit.timexpr import eval_expr, format_expr
 
 from conftest import random_field
 
@@ -115,6 +115,25 @@ def test_transform_whose_built_inverse_fails_exits_3(tmp_path, capsys):
                                             "entries": entries, "inverse": entries})
     assert main(["transform", "--field", fpath, "--curve", supplied]) == 2
     assert "supplied inverse table does not invert" in capsys.readouterr().err
+
+
+def test_transform_whose_degree_part_underflows_exits_3(tmp_path, capsys):
+    # with the correct inverse supplied, the x1^2 coefficient 1e200 * 1e-400
+    # underflows to 0 in the expansion and in the direct RHS alike, so every
+    # degree-2 coefficient is dropped: an invertible S never zeroes a degree
+    fpath = _write(tmp_path / "f.json", {"dim": 2, "terms": [
+        {"component": 0, "exponents": [1, 0], "coeff": 1.0},
+        {"component": 1, "exponents": [0, 1], "coeff": -1.0},
+        {"component": 0, "exponents": [2, 0], "coeff": 1.0}]})
+    cpath = _write(tmp_path / "A.json", {
+        "dim": 2, "kind": "closed_form", "entries": [["1e200", "0"], ["0", "1e200"]],
+        "inverse": [["1e-200", "0"], ["0", "1e-200"]]})
+    assert main(["transform", "--field", fpath, "--curve", cpath]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"numeric failure: {cpath}: no closed form for the closed_form "
+                            "curve on [0, 1]: underflow: every degree-2 coefficient was "
+                            "dropped, although f has a degree-2 part\n")
 
 
 def test_transform_malformed_expression_exit_2(files, tmp_path, capsys):
@@ -493,7 +512,7 @@ def test_any_nesting_depth_loads_and_transforms(files, tmp_path, capsys):
     assert capsys.readouterr().err == ""
     q = NonAutoSystem.from_dict(json.loads(out.read_text()))
     # y' = 2999/(1 + 2999 t) y + y^2/(1 + 2999 t)
-    assert q.linear_at(0.5)[0, 0] == pytest.approx(2999.0 / 1500.5, rel=1e-12)
+    assert eval_expr(q.linear[0][0], 0.5) == pytest.approx(2999.0 / 1500.5, rel=1e-12)
     assert q.degree_part_at(0.5, 2).terms == {(0, (2,)): pytest.approx(1.0 / 1500.5, rel=1e-12)}
     # the smart constructors walk chains of negations and of literal factors
     # in loops, so a curve entry with a 3,000-link chain transforms to the
@@ -782,6 +801,23 @@ def test_verify_fails_above_tolerance(files):
     code = main(["verify", "--field", files["p2"], "--curve", files["expB"],
                  "--x0", "0.3,0.4", "--t1", "0.5", "--tol", "1e-18"])
     assert code == 1
+
+
+def test_verify_fails_a_truncated_comparison(tmp_path, capsys):
+    # w = 1e160 z starts past the blow-up norm and stops after its first
+    # step, while z runs to t = 1: nothing is compared past that step, so
+    # the deviation is NaN, not the 0 that overflowing norms once read, and
+    # no RuntimeWarning leaks
+    fpath = _write(tmp_path / "f.json", {"dim": 2, "terms": [
+        {"component": 0, "exponents": [1, 0], "coeff": 1.0},
+        {"component": 1, "exponents": [0, 1], "coeff": -1.0}]})
+    cpath = _write(tmp_path / "A.json", {"dim": 2, "kind": "closed_form",
+                                         "entries": [["1e160", "0"], ["0", "1e160"]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--field", fpath, "--curve", cpath, "--x0", "0.5,0.3"])
+    assert code == 1
+    assert capsys.readouterr().out == "max deviation nan (ABOVE tolerance 1e-06)\n"
 
 
 def test_idempotents_cli(files, capsys):

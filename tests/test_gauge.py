@@ -119,6 +119,11 @@ def test_supplied_inverse_is_checked_over_the_span():
     assert gauge_transform(f, good, t_span=(-2.0, 5.0)).closed_form is not None
 
 
+def _linear_values(q: NonAutoSystem, t: float) -> np.ndarray:
+    """C(t) of a system, each entry read by eval_expr."""
+    return np.array([[tx.eval_expr(e, t) for e in row] for row in q.linear])
+
+
 def test_rotating_frame_cubic_part_invariant():
     # only the linear part changes: the cubic -|x|^2 x is rotation-invariant
     rng = np.random.default_rng(2)
@@ -131,7 +136,7 @@ def test_rotating_frame_cubic_part_invariant():
     for t in np.linspace(0.0, 1.0, 10):
         cubic = ev.closed_form.degree_part_at(float(t), 3)
         assert cubic.coeff_distance(expected_cubic) <= 1e-12
-        L = ev.closed_form.linear_at(float(t))
+        L = _linear_values(ev.closed_form, float(t))
         want = A.derivative(t) @ A.inverse(t) + A.value(t) @ K @ A.inverse(t)
         assert np.max(np.abs(L - want)) <= 1e-10
 
@@ -144,7 +149,7 @@ def test_exponential_gauge_closed_form_coefficients():
     assert ns is not None
     for t in np.linspace(0.0, 1.0, 7):
         t = float(t)
-        assert np.allclose(ns.linear_at(t), -np.diag([lam, mu]), atol=1e-12)
+        assert np.allclose(_linear_values(ns, t), -np.diag([lam, mu]), atol=1e-12)
         quad = ns.degree_part_at(t, 2)
         expected = PolyField(2, {
             (0, (2, 0)): math.exp(lam * t),
@@ -558,6 +563,30 @@ def test_transform_rhs_evaluates_two_exponentials(monkeypatch):
     A, Ainv = real(-0.7 * G), real(0.7 * G)
     want = -G @ y + A @ p2_field().eval(Ainv @ y)
     assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_transform_rhs_on_a_flow_samples_it_once(monkeypatch):
+    # a flow reads A(t) from one dense sample and A'(t) from its generated
+    # right-hand side at that sample
+    from gaugekit import _rk
+    from gaugekit.gauge import transform_rhs
+    from gaugekit.polyfield import invert_checked
+    real, calls = _rk.DenseSolution.sample, []
+
+    def counting(self, ts):
+        calls.append(len(ts))
+        return real(self, ts)
+
+    A = solve_gauge_ode([["0", "sin(t)"], ["0.2", "0"]],
+                        np.array([[0.1, 0.0], [0.0, -0.2]]), np.eye(2))
+    monkeypatch.setattr(_rk.DenseSolution, "sample", counting)
+    y = np.array([0.3, -0.6])
+    got = transform_rhs(p2_field(), A)(0.7, y)
+    assert calls == [1]
+    At, dA = A.value(0.7), A.derivative(0.7)
+    u = invert_checked(At) @ y
+    want = dA @ u + At @ p2_field().eval(u)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_validation_reads_one_stacked_exponential(monkeypatch):

@@ -483,20 +483,24 @@ def test_gauge_ode_second_derivative_reads_the_symbolic_C_prime():
         assert np.max(np.abs(A.second_derivative(t) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_gauge_ode_with_C_as_a_callable():
-    # C(t) read through a compiled system table gives the flow of its
-    # expression table bit for bit; its second derivative needs the table
+def test_gauge_ode_reads_C_from_a_system_tables_columns():
+    # C(t) read from a system's table, columns dim to dim + dim^2, gives the
+    # flow of its expression table bit for bit: samples, A' and A''
     from gaugekit.identify import NonAutoSystem
-    q = NonAutoSystem(2, linear=[["sin(t)", "t^2"], ["exp(-t)", "cos(2*t)"]])
+    q = NonAutoSystem(2, ["cos(t)", "1"], [["sin(t)", "t^2"], ["exp(-t)", "cos(2*t)"]],
+                      {(0, (2, 0)): "t"})
     B = np.array([[0.2, 0.0], [0.1, -0.4]])
     ts = np.linspace(-0.5, 1.0, 13)
-    A = solve_gauge_ode(q.linear_at, B, np.eye(2), t_span=(-0.5, 1.0))
+    A = solve_gauge_ode((q._table, q.dim), B, np.eye(2), t_span=(-0.5, 1.0))
     ref = solve_gauge_ode(q.linear, B, np.eye(2), t_span=(-0.5, 1.0))
     assert np.array_equal(A.sample(ts), ref.sample(ts))
-    assert np.array_equal(A.derivative(0.3), ref.derivative(0.3))
-    with pytest.raises(ValueError, match="second derivative needs C.t. as an expression table"):
-        A.second_derivative(0.3)
-    ref.second_derivative(0.3)
+    for t in (-0.4, 0.0, 0.3, 0.9):
+        assert np.array_equal(A.derivative(t), ref.derivative(t))
+        assert np.array_equal(A.second_derivative(t), ref.second_derivative(t))
+    # a callable is none of the three forms of C
+    with pytest.raises(TypeError, match="expression table, a .compile_table callable, "
+                                        "column. pair, or None"):
+        solve_gauge_ode(lambda t: np.eye(2), B, np.eye(2))
 
 
 def test_gauge_ode_reads_outside_the_span_raise(monkeypatch):

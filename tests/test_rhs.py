@@ -10,8 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from gaugekit import timexpr as tx
 from gaugekit._rk import _stepper, integrate_dense
-from gaugekit.identify import NonAutoSystem
-from gaugekit.odeint import integrate
+from gaugekit.gauge import FlowMap, gauge_transform
+from gaugekit.identify import NonAutoSystem, identify
+from gaugekit.matcurve import ExponentialCurve, FlowCurve, solve_gauge_ode
+from gaugekit.odeint import integrate, verify_correspondence
 from gaugekit.polyfield import PolyField
 
 
@@ -113,6 +115,52 @@ def test_field_rhs_equals_the_summation_bit_for_bit(f, x):
     want = _bits(_field_reference(f, x))
     assert _bits(f.rhs()(0.0, x)) == want
     assert _bits(f.eval(np.array(x))) == want
+
+
+@st.composite
+def _flows(draw):
+    """(C, B, flows): an n x n C table, or None, and a B, both with 0.0 and
+    -0.0 entries among others, and the flows of C, of C as columns of a
+    system's table (None gives the system no linear part), and with no C."""
+    n = draw(st.integers(1, 3))
+    coeff = st.one_of(st.sampled_from(_SOURCES + [0.0, -0.0]),
+                      st.floats(-5.0, 5.0, allow_nan=False))
+    C = None if draw(st.booleans()) else [[draw(coeff) for _ in range(n)] for _ in range(n)]
+    number = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                       st.floats(-5.0, 5.0, allow_nan=False))
+    B = [[draw(number) for _ in range(n)] for _ in range(n)]
+    q = NonAutoSystem(n, ["sin(t)"] * n, C, {(0, (2,) + (0,) * (n - 1)): "t"})
+    # a span of length zero integrates nothing
+    flows = [FlowCurve(C, B, np.eye(n), t_span=(0.0, 0.0)),
+             FlowCurve((q._table, n), B, np.eye(n), t_span=(0.0, 0.0))]
+    return C, B, flows
+
+
+def _flow_reference(C, B: list, t: float, y: list) -> list:
+    """A' = C A - A B entry by entry: from 0.0, the terms -B[k][j] A[i][k]
+    whose B[k][j] is not 0.0, then C[i][k] A[k][j]."""
+    n = len(B)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            s = 0.0
+            for k in range(n):
+                if B[k][j] != 0.0:
+                    s += -B[k][j] * y[i * n + k]
+            for k in range(n if C is not None else 0):
+                s += tx.eval_expr(tx.as_expr(C[i][k]), t) * y[k * n + j]
+            out.append(s)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flows(), _TIMES, st.lists(_COORDS, min_size=9, max_size=9))
+def test_flow_rhs_equals_the_summation_bit_for_bit(flow, t, y):
+    C, B, flows = flow
+    y = y[:len(B) ** 2]
+    want = _bits(_flow_reference(C, B, t, y))
+    for A in flows:
+        assert _bits(A._rhs(t, y)) == want
 
 
 def test_rhs_raises_the_tables_eval_error():
@@ -231,3 +279,50 @@ def test_integrate_hands_a_plain_callable_an_array():
     traj = integrate(rhs, [1.0, 2.0], (0.0, 1.0))
     assert seen and set(seen) == {np.ndarray}
     assert np.allclose(traj.states[-1], np.exp(-1.0) * np.array([1.0, 2.0]), atol=1e-9)
+
+
+def _is_generated(fun) -> bool:
+    return fun.__code__.co_filename.startswith("<gaugekit _rhs ")
+
+
+def test_every_integration_in_the_package_runs_a_generated_rhs(monkeypatch):
+    # flows of all three forms of C, FlowMap, and trajectories of a field or
+    # a system integrate a compile_rhs function; verify_correspondence's w,
+    # the numeric reference, and a user's callable are the exceptions
+    import gaugekit
+    from gaugekit import _rk
+    funs = []
+
+    def recording(fun, *args, **kwargs):
+        funs.append(fun)
+        return integrate_dense(fun, *args, **kwargs)
+
+    holders = [m for m in vars(gaugekit).values()
+               if getattr(m, "integrate_dense", None) is _rk.integrate_dense]
+    assert {m.__name__ for m in holders} >= {"gaugekit.gauge", "gaugekit.matcurve",
+                                             "gaugekit.odeint"}
+    for m in holders:
+        monkeypatch.setattr(m, "integrate_dense", recording)
+    f = PolyField(2, {(0, (2, 0)): 1.0, (0, (0, 2)): -1.0, (1, (1, 1)): 2.0})
+    A = ExponentialCurve(np.array([[0.3, -0.8], [0.5, 0.1]]), -1)
+    q = gauge_transform(f, A).closed_form
+    B, x0 = np.array([[0.2, 0.0], [0.1, -0.4]]), np.array([0.3, 0.4])
+    runs = [
+        lambda: solve_gauge_ode(q.linear, B, np.eye(2), t_span=(-0.5, 0.5)),
+        lambda: solve_gauge_ode((q._table, q.dim), B, np.eye(2)),
+        lambda: solve_gauge_ode(None, B, np.eye(2)),
+        lambda: identify(q),  # the T flow
+        lambda: FlowMap(f, 0.3)(x0),
+        lambda: integrate(f, x0, (0.0, 0.5)),
+        lambda: integrate(q, x0, (0.0, 0.5)),
+    ]
+    for run in runs:
+        funs.clear()
+        run()
+        assert funs and all(map(_is_generated, funs)), funs
+    funs.clear()
+    verify_correspondence(f, A, x0, (0.0, 0.5))
+    assert [_is_generated(fun) for fun in funs] == [True, False]
+    funs.clear()
+    integrate(lambda t, x: -x, x0, (0.0, 0.5))
+    assert [_is_generated(fun) for fun in funs] == [False]
