@@ -300,72 +300,80 @@ def integrate_dense(rhs, t0: float, t1: float, y0, tol: float = TOL,
     called twice to start, twelve times per attempted step and three more
     times per accepted step, for the dense output.  Returns a
     DenseSolution, which also counts the rejected steps and the RHS calls.
-    An empty state or time span is a ValueError.  With `blowup_norm` set,
-    status "blowup" means the trajectory passed that norm, or its step
-    size underflowed, and integration stopped early at sol.t_end, the last
-    accepted step; without it both are an IntegrationError.
+    An empty or non-finite start and an empty time span are ValueErrors; an
+    OverflowError of rhs is raised again naming the start of its step.
+    With `blowup_norm` set, status "blowup" means the trajectory passed that
+    norm, or its step size underflowed, and integration stopped early at
+    sol.t_end, the last accepted step; without it both are an
+    IntegrationError.
     """
     y = np.asarray(y0, dtype=float).tolist()
     if t1 == t0:
         raise ValueError("empty time span")
     if not y:
         raise ValueError("empty state")
+    if not all(map(math.isfinite, y)):
+        raise ValueError(f"start must be finite, got {y}")
     direction = 1 if t1 > t0 else -1
     n = len(y)
     step, dense_stages = _stepper(n)
 
     t = float(t0)
-    f = rhs(t, y)
-    h = min(_initial_step(rhs, t, y, f, direction, tol), abs(t1 - t0))
+    try:
+        f = rhs(t, y)
+        h = min(_initial_step(rhs, t, y, f, direction, tol), abs(t1 - t0))
 
-    # the start, step, state and sixteen stages of every accepted step, as
-    # packed doubles: lists of Python floats would cost four times the memory
-    t_starts, hs, y_olds, stages = array("d"), array("d"), array("d"), array("d")
-    n_steps = 0
-    status = "done"
-    while (t1 - t) * direction > 0:
-        # a remaining span below the step resolution is taken in one step
-        if h < 1e-14 * max(1.0, abs(t)) and h < abs(t1 - t):
-            # a trajectory that escapes faster than steps resolve has blown up
-            if blowup_norm is not None and t_starts:
-                status = "blowup"
-                break
-            raise IntegrationError(f"step size underflow at t={float(t)!r}")
-        if n_steps > _MAX_STEPS:
-            raise IntegrationError("step budget exhausted")
-        n_steps += 1
-        hd = h * direction
-        # land exactly on the boundary instead of leaving an ulp-sized remainder
-        if (t + hd - t1) * direction >= 0.0:
-            t_new = t1
-            hd = t1 - t
-        else:
-            t_new = t + hd
+        # the start, step, state and sixteen stages of every accepted step, as
+        # packed doubles: lists of Python floats would cost four times the memory
+        t_starts, hs, y_olds, stages = array("d"), array("d"), array("d"), array("d")
+        n_steps = 0
+        status = "done"
+        while (t1 - t) * direction > 0:
+            # a remaining span below the step resolution is taken in one step
+            if h < 1e-14 * max(1.0, abs(t)) and h < abs(t1 - t):
+                # a trajectory that escapes faster than steps resolve has blown up
+                if blowup_norm is not None and t_starts:
+                    status = "blowup"
+                    break
+                raise IntegrationError(f"step size underflow at t={float(t)!r}")
+            if n_steps > _MAX_STEPS:
+                raise IntegrationError("step budget exhausted")
+            n_steps += 1
+            hd = h * direction
+            # land exactly on the boundary instead of leaving an ulp-sized remainder
+            if (t + hd - t1) * direction >= 0.0:
+                t_new = t1
+                hd = t1 - t
+            else:
+                t_new = t + hd
 
-        y_new, ks, e5, e3 = step(rhs, t, y, f, hd, t_new)
-        # the combined 5th/3rd-order estimate over the mixed scale, as an
-        # RMS norm (HNW II.10)
-        scale = [_ERR_SCALE * (tol + tol * max(abs(v), abs(w))) for v, w in zip(y, y_new)]
-        err5 = math.hypot(*[e / s for e, s in zip(e5, scale)])
-        err3 = math.hypot(*[e / s for e, s in zip(e3, scale)])
-        den = err5 * err5 + 0.01 * err3 * err3
-        err = abs(hd) * err5 * err5 / math.sqrt(n * den) if den > 0.0 else 0.0
+            y_new, ks, e5, e3 = step(rhs, t, y, f, hd, t_new)
+            # the combined 5th/3rd-order estimate over the mixed scale, as an
+            # RMS norm (HNW II.10)
+            scale = [_ERR_SCALE * (tol + tol * max(abs(v), abs(w))) for v, w in zip(y, y_new)]
+            err5 = math.hypot(*[e / s for e, s in zip(e5, scale)])
+            err3 = math.hypot(*[e / s for e, s in zip(e3, scale)])
+            den = err5 * err5 + 0.01 * err3 * err3
+            err = abs(hd) * err5 * err5 / math.sqrt(n * den) if den > 0.0 else 0.0
 
-        if err <= 1.0:
-            t_starts.append(t)
-            hs.append(hd)
-            y_olds.extend(y)
-            stages.extend(ks)
-            stages.extend(dense_stages(rhs, t, y, hd, ks))
-            t, y, f = t_new, y_new, ks[-n:]
-            if blowup_norm is not None and math.hypot(*y) > blowup_norm:
-                status = "blowup"
-                break
-            factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, _SAFETY * err ** -0.125)
-            h *= factor
-        else:
-            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.125)
+            if err <= 1.0:
+                t_starts.append(t)
+                hs.append(hd)
+                y_olds.extend(y)
+                stages.extend(ks)
+                stages.extend(dense_stages(rhs, t, y, hd, ks))
+                t, y, f = t_new, y_new, ks[-n:]
+                if blowup_norm is not None and math.hypot(*y) > blowup_norm:
+                    status = "blowup"
+                    break
+                factor = _MAX_FACTOR if err == 0.0 else min(
+                    _MAX_FACTOR, _SAFETY * err ** -0.125)
+                h *= factor
+            else:
+                h *= max(_MIN_FACTOR, _SAFETY * err ** -0.125)
+    except OverflowError as exc:  # a power in a generated RHS: float ** raises
+        raise OverflowError(f"overflow in the right-hand side on the step from "
+                            f"t={t!r}") from exc
 
     # dense output: one stacked product for every accepted step
     accepted = len(t_starts)

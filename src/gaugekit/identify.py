@@ -10,6 +10,7 @@ B for generic nonlinearities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import product
@@ -22,7 +23,7 @@ from ._rk import IntegrationError
 from .matcurve import mat_exp, solve_gauge_ode
 from .polyfield import (
     NearSingularMatrixError, PolyField, as_index, check_invertible, check_keys, field_to_dict,
-    lie_bracket, linear_pushforward, parse_at,
+    linear_pushforward, parse_at,
 )
 
 __all__ = [
@@ -253,15 +254,35 @@ class CandidateFamily:
         return len(self.kernel)
 
 
-def _basis_matrix(n: int, idx: int) -> np.ndarray:
-    E = np.zeros((n, n))
-    E[idx // n, idx % n] = 1.0
-    return E
-
-
 def _degree_keys(n: int, j: int) -> list:
     """Every (component, exponents) key of degree j, sorted."""
     return [(i, e) for i in range(n) for e in product(range(j + 1), repeat=n) if sum(e) == j]
+
+
+def _bracket_block(p: PolyField, keys: list) -> np.ndarray:
+    """The (len(keys), n^2) matrix whose column a*n + b is [E_ab, p] over keys,
+    every key of p's degree, for E_ab the elementary matrix.
+
+    [E_ab, p] = Dp E_ab x - E_ab p: a term c x^m e_i of p gives c m_a at key
+    (i, m - e_a + e_b) of column a*n + b when m_a > 0, and -c at key (a, m) of
+    column a*n + i.  No two terms share a key within a column, so this is
+    lie_bracket(E_ab as a linear field, p) bit for bit.
+    """
+    n = p.dim
+    row = {key: r for r, key in enumerate(keys)}
+    pos = np.zeros((len(keys), n * n))
+    neg = np.zeros_like(pos)
+    for (i, m), c in p.terms.items():
+        for a in range(n):
+            neg[row[a, m], a * n + i] = c
+            if m[a]:
+                shifted = list(m)
+                shifted[a] -= 1
+                for b in range(n):
+                    shifted[b] += 1
+                    pos[row[i, tuple(shifted)], a * n + b] = c * m[a]
+                    shifted[b] -= 1
+    return pos - neg
 
 
 def _stack_constraints(jet: JetData):
@@ -272,8 +293,9 @@ def _stack_constraints(jet: JetData):
     (i+1) N_{i+1} = sum_{l<=i} (C_l N_{i-l} - N_{i-l} C_l) - (i+1) C_{i+1}
     and each is affine in M.  q_j(t) = A(t)_* p_j and c(t) = A(t) c(0) give
     k q_{j,k} = sum_{i<k} [N_i, q_{j,k-1-i}] and k c_k = -sum_{i<k} N_i c_{k-1-i},
-    with [X, p] = lie_bracket(X as a linear field, p).  Order 1 reads
-    [M, p_j] = r_j and M c(0) = -c'(0).
+    with [X, p] = Dp Xx - Xp linear in X: _bracket_block writes its matrix
+    over the entries of X from p's terms directly, with no lie_bracket call.
+    Order 1 reads [M, p_j] = r_j and M c(0) = -c'(0).
     """
     n, K = jet.dim, jet.order
     nn = n * n
@@ -288,11 +310,7 @@ def _stack_constraints(jet: JetData):
     for j, fields in sorted(jet.q.items()):
         keys = _degree_keys(n, j)
         # brackets[m] maps the entries of X to [X, q_{j,m}] over keys
-        brackets = []
-        for f in fields[:K]:
-            cols = [lie_bracket(PolyField.from_linear(_basis_matrix(n, b)), f).terms
-                    for b in range(nn)]
-            brackets.append(np.array([[col.get(key, 0.0) for col in cols] for key in keys]))
+        brackets = [_bracket_block(f, keys) for f in fields[:K]]
         for k in range(1, K + 1):
             lhs = sum(brackets[k - 1 - i] @ N[i].reshape(nn + 1, nn).T for i in range(k))
             lhs[:, nn] -= k * np.array([fields[k].terms.get(key, 0.0) for key in keys])
@@ -426,7 +444,8 @@ def verify_candidate(q: NonAutoSystem, B: np.ndarray, grid=None, tol: float = 1e
         diagnostics.append(f"verification aborted: {exc}")
         return VerificationReport(False, "undetermined", {}, {}, ts, diagnostics)
 
-    const_res = max((float(np.linalg.norm(row)) for row in const), default=0.0)
+    # np.linalg.norm of a row is sqrt(row @ row), without its per-call dispatch
+    const_res = max((math.sqrt(float(row @ row)) for row in const), default=0.0)
     residuals = {"constant": const_res, "per_degree": {}}
     scales = {"constant": tables.constant_max(), "per_degree": {}}
     ok = const_res <= tol * (1.0 + scales["constant"])
@@ -519,7 +538,7 @@ def identify(q: NonAutoSystem, grid=None, tol: float = 1e-6) -> GaugeCertificate
             return certificate("undetermined", B, report=report)
         diagnostics.append("purely linear system: every constant matrix B is admissible")
         return certificate("linear_family", B,
-                           [_basis_matrix(q.dim, a) for a in range(q.dim * q.dim)],
+                           list(np.eye(q.dim * q.dim).reshape(-1, q.dim, q.dim)),
                            PolyField.from_linear(B), report)
 
     # Raise the order while the minimum-norm member fails the grid and the

@@ -69,7 +69,7 @@ def integrate(rhs, x0, t_span=(0.0, 1.0), tol: float = TOL,
     or a plain (t, x) callable.  Finite-time blow-up (norm above
     BLOWUP_NORM, or a step size that underflows on the way there)
     truncates the trajectory at its last accepted step and sets
-    meta["blowup"].
+    meta["blowup"].  A non-finite x0 is a ValueError.
     """
     fun = _as_rhs(rhs)
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -92,14 +92,18 @@ def verify_correspondence(f: PolyField, A: MatrixCurve, x0, t_span=(0.0, 1.0)) -
     over _COMPARE_POINTS equispaced dense samples.  If both trajectories
     blow up, the comparison interval is truncated to the span both reached;
     if only one does, there is nothing to compare it with, and the deviation
-    is NaN.  It is NaN too where a norm is not finite (a non-finite x0, or
-    A(t) z(t) past the float range), so it fails every tolerance.
+    is NaN.  It is NaN too where a start or a norm is not finite (x0, A(t0) x0,
+    or A(t) z(t) past the float range), so it fails every tolerance.
     """
     x0 = np.asarray(x0, dtype=float)
     t0, t1 = float(t_span[0]), float(t_span[1])
     fstar = transform_rhs(f, A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w0 = A.value(t0) @ x0
+    if not (np.isfinite(x0).all() and np.isfinite(w0).all()):
+        return math.nan
     sol_z = integrate_dense(f.rhs(), t0, t1, x0, blowup_norm=BLOWUP_NORM)
-    sol_w = integrate_dense(fstar, t0, t1, A.value(t0) @ x0, blowup_norm=BLOWUP_NORM)
+    sol_w = integrate_dense(fstar, t0, t1, w0, blowup_norm=BLOWUP_NORM)
     if sol_z.status != sol_w.status:
         return math.nan
     t_hi = min(sol_z.t_end, sol_w.t_end) if t1 > t0 else max(sol_z.t_end, sol_w.t_end)

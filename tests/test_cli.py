@@ -775,6 +775,22 @@ def test_non_finite_start_exit_2_names_x0(files, capsys, x0):
             assert captured.err == f"error: --x0 entries must be finite, got {x0!r}\n"
 
 
+def test_overflow_in_the_right_hand_side_exit_3_names_the_step(tmp_path, capsys):
+    # 1e300 ** 2 raises in the generated right-hand side (float ** raises
+    # where * gives inf) on its first call, at the span's start
+    fpath = _write(tmp_path / "f.json", {"dim": 2, "terms": [
+        {"component": 0, "exponents": [2, 0], "coeff": 1.0},
+        {"component": 1, "exponents": [1, 1], "coeff": 2.0}]})
+    for argv in (["integrate", "--field", fpath],
+                 ["verify", "--field", fpath, "--curve", _write(tmp_path / "c.json",
+                                                                EXP_DIAG_CURVE)]):
+        assert main([*argv, "--x0", "1e300,0.1", "--t0", "0.25", "--t1", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numeric failure: overflow in the right-hand side on the "
+                                "step from t=0.25\n")
+
+
 def test_a_negative_first_start_entry_reads_in_both_spellings(files, capsys):
     # "--x0 -0.3,0.4" is one start, not an option: it reads as --x0=-0.3,0.4
     for argv in (["integrate", "--field", files["p2"]],

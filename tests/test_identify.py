@@ -773,6 +773,73 @@ def test_jet_rows_of_orders_1_to_3_hold_at_the_true_M():
     run()
 
 
+def test_bracket_block_is_lie_bracket_bit_for_bit():
+    # column a*n + b of the direct block is [E_ab, p] = Dp E_ab x - E_ab p
+    # over every key of p's degree, to the bit, also where coefficients are
+    # absent, negative or tiny (c m_a near the subnormal range)
+    from hypothesis import given, settings, strategies as st
+    from gaugekit.identify import _bracket_block, _degree_keys
+
+    coefficient = st.one_of(st.sampled_from([0.0, 1e-300, -1e-300, 5e-324, -0.75]),
+                            st.floats(min_value=-1e3, max_value=1e3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=3), st.integers(min_value=2, max_value=4),
+           st.data())
+    def run(n, j, data):
+        keys = _degree_keys(n, j)
+        coeffs = data.draw(st.lists(coefficient, min_size=len(keys), max_size=len(keys)))
+        p = PolyField(n, dict(zip(keys, coeffs)))
+        cols = [lie_bracket(PolyField.from_linear(E), p).terms
+                for E in np.eye(n * n).reshape(-1, n, n)]
+        want = np.array([[col.get(key, 0.0) for col in cols] for key in keys])
+        got = _bracket_block(p, keys)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    run()
+
+
+def _stack_case(seed: int, n: int, rotation: bool) -> NonAutoSystem:
+    # test_jet_rows_of_orders_1_to_3_hold_at_the_true_M's construction, with
+    # quadratic and cubic parts
+    rng = np.random.default_rng(seed)
+    B = rng.uniform(-1, 1, size=(n, n))
+    f = PolyField.from_constant(rng.uniform(-0.5, 0.5, size=n)) + PolyField.from_linear(B) \
+        + random_field(rng, n, [2, 3], scale=0.8, density=0.7)
+    if rotation:
+        w, a = rng.uniform(-1.5, 1.5, size=2)
+        curve = rotation_curve(f"{w:.6f}*t + {a:.6f}*sin(t)^2")
+    else:
+        curve = ExponentialCurve(rng.uniform(-1, 1, size=(n, n)), -1)
+    return gauge_transform(f, curve).closed_form
+
+
+# SHA-256 of the bytes of G and rhs from _stack_constraints over the jets of
+# orders 1, 2 and 3 of each system, as the rows were built when every column
+# of a bracket block came from lie_bracket(E_ab as a linear field, q_jk)
+_STACK_SHA256 = {
+    (11, 1, False): "58b1934c82612be09cef5c56586e427111eeac92cb41a3fba6ba1c9dbf3aeebc",
+    (12, 2, False): "fa2c2af3e47283f83bfd00bb7cbd6ff91bd60480e59d5e44e288ac1e0d7e7c91",
+    (13, 2, True): "7de40b851b803231684b6cbe781a68eaeb7346af1307141145f389808aa1f481",
+    (14, 3, False): "9327744ba5a00192feea47001dbd69067d26d74801ae31e228339308a9330928",
+}
+
+
+@pytest.mark.parametrize("seed, n, rotation", list(_STACK_SHA256))
+def test_constraint_stack_is_bit_identical_to_the_recorded_digests(seed, n, rotation):
+    import hashlib
+    from gaugekit.identify import _stack_constraints
+
+    q = _stack_case(seed, n, rotation)
+    h = hashlib.sha256()
+    for order in (1, 2, 3):
+        G, rhs = _stack_constraints(extract_jet(q, order))
+        assert G.shape == (len(rhs), n * n) and len(rhs) > 0
+        h.update(np.asarray(G, dtype="<f8").tobytes())
+        h.update(np.asarray(rhs, dtype="<f8").tobytes())
+    assert h.hexdigest() == _STACK_SHA256[seed, n, rotation]
+
+
 def test_identify_pins_a_constant_only_family_at_order_3():
     # f = e1 + Mx transformed by exp(-tM): C == 0 and c(t) = exp(-tM) e1, so
     # order k adds the rows M c_(k-1) = -k c_k, and the Krylov vectors

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,27 @@ def test_correspondence_nan_start_fails_every_tolerance():
     dev = verify_correspondence(p2_field(), A, [float("nan"), 0.1], (0.0, 0.5))
     assert math.isnan(dev)
     assert not dev <= 1.0
+
+
+@pytest.mark.parametrize("x0", [[math.inf, 0.1], [0.3, -math.inf], [math.nan, 0.1]])
+def test_non_finite_start_is_refused_before_any_step(x0):
+    # the first step's size divides the start by its scale, which warns
+    # "invalid value encountered in divide" for an infinite entry: integrate
+    # refuses such a start first, and the verifier reads it as a NaN deviation
+    A = ExponentialCurve(np.diag([1.0, 2.0]), -1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^start must be finite, got \["):
+            integrate(p2_field(), x0, (0.0, 0.5))
+        assert math.isnan(verify_correspondence(p2_field(), A, x0, (0.0, 0.5)))
+
+
+def test_correspondence_start_past_the_float_range_is_nan():
+    # A(0) x0 overflows: there is no transformed start to integrate from
+    A = ClosedFormCurve([["1e150", "0"], ["0", "1e150"]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(verify_correspondence(p2_field(), A, [1e200, 0.1], (0.0, 0.5)))
 
 
 def test_second_order_lift_correspondence():
